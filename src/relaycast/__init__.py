@@ -34,6 +34,7 @@ from .rates import (
     broadcast_rate,
     degraded_capacity,
     enumerate_plans,
+    optimize_plans,
     optimize_rate,
     ordered_cutset_bound,
     single_relay_broadcast_capacity,

@@ -30,7 +30,9 @@ from .network import NetworkSpec, load_network
 from .optimize import OptimizerOptions
 from .rates import (
     CooperationPlan,
+    best_report,
     degraded_capacity,
+    optimize_plans,
     optimize_rate,
     ordered_cutset_bound,
     plan_from_string,
@@ -59,8 +61,8 @@ def _resolve_network(ref: str) -> NetworkSpec:
 
 def _optimizer_options(args) -> OptimizerOptions:
     return OptimizerOptions(
-        restarts=args.restarts, tol=args.tol, certify_tol=args.certify_tol,
-        seed=args.seed, grid_step=args.grid_step, workers=args.workers)
+        restarts=args.restarts, certify_tol=args.certify_tol,
+        seed=args.seed, grid_step=args.grid_step)
 
 
 def _json_payload(command: str, config: dict[str, Any],
@@ -69,43 +71,30 @@ def _json_payload(command: str, config: dict[str, Any],
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _plan_arg(args) -> Any:
-    if args.plan == "auto":
-        return "auto"
-    return plan_from_string(args.plan)
-
-
 def cmd_rate(args) -> str:
     spec = _resolve_network(args.net)
     opts = _optimizer_options(args)
     config = {
         "net": args.net, "plan": args.plan, "restarts": args.restarts,
-        "tol": args.tol, "seed": args.seed, "grid_step": args.grid_step,
+        "seed": args.seed, "grid_step": args.grid_step,
     }
+    reports = optimize_plans(spec, args.plan, opts)
+    result = best_report(reports).to_dict()
     if args.plan == "auto":
-        from .rates import enumerate_plans
-        reports = [optimize_rate(spec, plan, opts)
-                   for plan in enumerate_plans(spec)]
-        best = max(reports, key=lambda r: r.rate)
-        result = best.to_dict()
-        if args.list_plans:
-            result["per_plan"] = [r.to_dict() for r in reports]
-        else:
-            result["per_plan"] = [
-                {"plan": list(r.plan.order), "rate": r.rate}
-                for r in reports]
-        return _json_payload("rate", config, result)
-    report = optimize_rate(spec, _plan_arg(args), opts)
-    return _json_payload("rate", config, report.to_dict())
+        result["per_plan"] = [
+            r.to_dict() if args.list_plans
+            else {"plan": list(r.plan.order), "rate": r.rate}
+            for r in reports]
+    return _json_payload("rate", config, result)
 
 
 def cmd_bound(args) -> str:
     spec = _resolve_network(args.net)
     opts = _optimizer_options(args)
     config = {
-        "net": args.net, "restarts": args.restarts, "tol": args.tol,
-        "seed": args.seed, "certify": args.certify,
-        "certify_tol": args.certify_tol, "grid_step": args.grid_step,
+        "net": args.net, "restarts": args.restarts, "seed": args.seed,
+        "certify": args.certify, "certify_tol": args.certify_tol,
+        "grid_step": args.grid_step,
     }
     bound = ordered_cutset_bound(spec, opts)
     result: dict[str, Any] = {"cutset": bound.to_dict()}
@@ -263,12 +252,12 @@ def build_parser(config: dict[str, Any] | None = None
         p.add_argument("--plan", default="auto",
                        help='"auto" or comma list like "0,1,3"')
         p.add_argument("--restarts", type=int, default=16)
-        p.add_argument("--tol", type=float, default=1e-4)
         p.add_argument("--certify-tol", type=float, default=2e-3)
         p.add_argument("--grid-step", type=float, default=None,
                        help="use the exhaustive simplex grid oracle")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for simulation trials")
         p.add_argument("--out", default=None, help="write results to a file")
 
     p_rate = sub.add_parser("rate", help="achievable-rate report")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SchemaError
-from .network import ChannelModel, NetworkSpec, load_network
+from .network import ChannelModel, NetworkSpec
 from .pmf import JointPmf
 
 
@@ -157,8 +157,3 @@ def bundled_network(name: str) -> NetworkSpec:
         raise SchemaError(
             f"unknown bundled network {name!r}; known: {sorted(BUNDLED)}")
     return BUNDLED[key]()
-
-
-def roundtrip(spec: NetworkSpec) -> NetworkSpec:
-    """Serialize to a document and load back (used by tests and gen-net)."""
-    return load_network(spec.to_document())

@@ -70,6 +70,9 @@ class ChannelModel:
 
     def validated(self, tol: float = DEFAULT_TOL) -> "ChannelModel":
         """Every input tuple must index a valid output pmf."""
+        if not np.isfinite(self.probs).all():
+            raise NotNormalized("channel conditional has a NaN or infinite "
+                                "entry")
         if np.any(self.probs < pmflib.NEG_MASS_TOL):
             raise NegativeMass("channel conditional has negative entries")
         n_in = int(np.prod(self.input_sizes))

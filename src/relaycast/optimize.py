@@ -1,28 +1,36 @@
 """Maximin optimization over probability simplices.
 
-The objective ``min_i ratio_i`` is nonsmooth and in general non-concave, so
-the engine runs a multi-start coordinate pattern search on an exponential
-reparameterization: unconstrained parameters map to the simplex through
-normalized exponentials.  Restart k draws its start from the stream
-``(seed, STREAM_OPTIMIZER, k)`` (restart 0 starts at the barycenter), which
-makes the search deterministic for a fixed seed and monotone in the number
-of restarts.  An exhaustive simplex grid serves as the independent oracle
-for small joints.
+Every objective the rate engine builds is a minimum of terms
+I(X_A; Y | X_C) / d, where A and C together cover every participating input.
+Each such term is concave in the input joint (it is the average over x_C of
+a mutual information concave in p(x_A | x_C), i.e. a perspective of a
+concave function), so the objective is concave too, but nonsmooth where two
+terms tie.  The engine runs a multi-start coordinate pattern search on an
+exponential reparameterization: unconstrained parameters map to the simplex
+through normalized exponentials.  Coordinate moves can stall on a ridge
+where terms tie, which the restarts guard against.  Restart k draws its start
+from the stream ``(seed, STREAM_OPTIMIZER, salt, k)`` (restart 0 starts at
+the barycenter), which makes the search deterministic for a fixed seed and
+monotone in the number of restarts.  An exhaustive simplex grid serves as
+the independent oracle for small joints.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import TooLarge
 from .seeds import STREAM_OPTIMIZER, child_rng
 
-T = TypeVar("T")
-U = TypeVar("U")
+#: Pattern search: initial step, step shrink factor, the step at which a
+#: search has converged, and the iteration cap.
+INIT_STEP = 0.5
+SHRINK = 0.5
+MIN_STEP = 1e-6
+ITER_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -30,16 +38,9 @@ class OptimizerOptions:
     """Knobs for the maximin search, surfaced as CLI flags."""
 
     restarts: int = 16
-    tol: float = 1e-4
     certify_tol: float = 2e-3
     seed: int = 0
     grid_step: float | None = None
-    init_step: float = 0.5
-    shrink: float = 0.5
-    min_step: float = 1e-6
-    iter_cap: int = 10_000
-    max_cells: int = 4096
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -55,25 +56,15 @@ def softmax(theta: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
-def parallel_map(fn: Callable[[T], U], items: Sequence[T],
-                 workers: int = 1) -> list[U]:
-    """Order-preserving map; thread pool when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _pattern_search(objective: Callable[[np.ndarray], float],
-                    theta0: np.ndarray, opts: OptimizerOptions
-                    ) -> SearchResult:
+                    theta0: np.ndarray) -> SearchResult:
     theta = np.asarray(theta0, dtype=np.float64).copy()
     best = objective(softmax(theta))
     evals = 1
-    step = opts.init_step
+    step = INIT_STEP
     iters = 0
     d = theta.size
-    while step > opts.min_step and iters < opts.iter_cap:
+    while step > MIN_STEP and iters < ITER_CAP:
         iters += 1
         move = None
         move_val = best
@@ -87,11 +78,11 @@ def _pattern_search(objective: Callable[[np.ndarray], float],
                     move_val = val
                     move = cand
         if move is None:
-            step *= opts.shrink
+            step *= SHRINK
         else:
             theta = move
             best = move_val
-    converged = step <= opts.min_step
+    converged = step <= MIN_STEP
     return SearchResult(softmax(theta), best, evals, converged)
 
 
@@ -101,7 +92,7 @@ def maximize_over_simplex(objective: Callable[[np.ndarray], float],
     """Multi-start maximization of ``objective`` over the dim-cell simplex.
 
     Restarts are independent; the merge keeps the best value, breaking ties
-    by restart index, so parallel and serial runs agree exactly.
+    by restart index.
     """
     if dim < 1:
         raise TooLarge("simplex dimension must be >= 1")
@@ -115,10 +106,9 @@ def maximize_over_simplex(objective: Callable[[np.ndarray], float],
         else:
             rng = child_rng(opts.seed, STREAM_OPTIMIZER, seed_salt, restart)
             theta0 = rng.normal(0.0, 2.0, dim)
-        return _pattern_search(objective, theta0, opts)
+        return _pattern_search(objective, theta0)
 
-    results = parallel_map(run, list(range(max(1, opts.restarts))),
-                           opts.workers)
+    results = [run(k) for k in range(max(1, opts.restarts))]
     best = results[0]
     for res in results[1:]:
         if res.value > best.value + 1e-15:

@@ -85,9 +85,12 @@ class JointPmf:
     def validated(self, tol: float = DEFAULT_TOL) -> "JointPmf":
         """Check mass invariants, returning self unchanged if they hold.
 
-        Raises NegativeMass for entries < -1e-12 and NotNormalized when the
-        total mass deviates from 1 by more than ``tol``.
+        Raises NotNormalized for any NaN or infinite entry, NegativeMass for
+        entries < -1e-12 and NotNormalized when the total mass deviates from
+        1 by more than ``tol``.
         """
+        if not np.isfinite(self.probs).all():
+            raise NotNormalized("pmf has a NaN or infinite entry")
         if np.any(self.probs < NEG_MASS_TOL):
             worst = float(self.probs.min())
             raise NegativeMass(f"entry {worst} below {NEG_MASS_TOL}")

@@ -305,45 +305,101 @@ def achievable_rate(spec: NetworkSpec, input_pmf: JointPmf | None,
 # Optimization over the input simplex
 # ---------------------------------------------------------------------------
 
+#: Cap on the number of cells of the input joint an optimization searches.
+MAX_CELLS = 4096
+
+#: One maximin term: (message inputs, observed outputs, conditioning inputs,
+#: denominator); it contributes I(a; b | cond) / den unless den vanishes.
+Term = tuple[Sequence[str], Sequence[str], Sequence[str], float]
+
+
 def _free_labels(spec: NetworkSpec, labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in labels if spec.input_sizes[int(v[1:])] > 1)
 
 
-def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,
-                   opts: OptimizerOptions, seed_salt: int) -> RateReport:
-    participating = participating_inputs(spec, plan, mode)
+def _maximin(spec: NetworkSpec, participating: Sequence[str],
+             terms: Sequence[Term], opts: OptimizerOptions,
+             seed_salt: int) -> tuple[JointPmf | None, SearchResult]:
+    """Maximize the minimum non-vacuous term ratio over the joint of the
+    participating inputs (every other input pinned to symbol 0).
+
+    Returns the best joint over the non-constant participating inputs (None
+    when all are constant) and the search result.  When every term is
+    vacuous there is nothing to search and the uniform joint is returned
+    after one evaluation.
+    """
     free = _free_labels(spec, participating)
-    hops = _hop_sets(spec, plan, mode)
-    dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    if all(d <= ZERO_ENTROPY_TOL for d in dens):
-        return achievable_rate(spec, None, plan, mode)
-    if not free:
-        return achievable_rate(spec, None, plan, mode)
     sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
     dim = int(np.prod(sizes))
-    if dim > opts.max_cells:
-        raise TooLarge(
-            f"participating input joint has {dim} cells (cap {opts.max_cells})")
+    if dim > MAX_CELLS:
+        raise TooLarge(f"input joint over {free} has {dim} cells "
+                       f"(cap {MAX_CELLS})")
 
     def objective(p: np.ndarray) -> float:
-        partial = JointPmf(free, sizes, p)
+        partial = JointPmf(free, sizes, p) if free else None
         composed = compose_joint(spec.extend_input(partial, participating),
                                  spec.channel)
         best = math.inf
-        for (terminal, a, b, cond), den in zip(hops, dens):
+        for a, b, cond, den in terms:
             if den <= ZERO_ENTROPY_TOL:
                 continue
             best = min(best, composed.mutual_information(a, b, cond) / den)
         return best
 
-    if opts.grid_step is not None:
+    if all(den <= ZERO_ENTROPY_TOL for *_, den in terms):
+        uniform = np.full(dim, 1.0 / dim)
+        result = SearchResult(uniform, objective(uniform), 1, True)
+    elif opts.grid_step is not None:
         result = maximize_on_grid(objective, dim, opts.grid_step)
     else:
         result = maximize_over_simplex(objective, dim, opts, seed_salt)
-    best_pmf = JointPmf(free, sizes, result.point)
+    best_pmf = JointPmf(free, sizes, result.point) if free else None
+    return best_pmf, result
+
+
+def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,
+                   opts: OptimizerOptions, seed_salt: int) -> RateReport:
+    terms = [(a, b, cond, spec.source_entropy_given(t))
+             for t, a, b, cond in _hop_sets(spec, plan, mode)]
+    best_pmf, result = _maximin(spec, participating_inputs(spec, plan, mode),
+                                terms, opts, seed_salt)
     report = achievable_rate(spec, best_pmf, plan, mode)
     return dataclasses.replace(report, converged=result.converged,
                                evals=result.evals)
+
+
+def optimize_plans(spec: NetworkSpec,
+                   plan: CooperationPlan | Sequence[int] | str = "auto",
+                   opts: OptimizerOptions | None = None,
+                   mode: str | None = None,
+                   plan_cap: int = DEFAULT_PLAN_CAP) -> list[RateReport]:
+    """Optimized report of every candidate plan, in enumeration order.
+
+    ``plan="auto"`` means every enumerated plan; otherwise the one plan
+    given.  Plan k of the list searches under seed salt k.
+    """
+    opts = opts or OptimizerOptions()
+    mode = mode or default_mode(spec)
+    if isinstance(plan, str) and plan == "auto":
+        plans = enumerate_plans(spec, mode, plan_cap)
+    else:
+        if not isinstance(plan, CooperationPlan):
+            plan = plan_from_string(plan) if isinstance(plan, str) \
+                else CooperationPlan(tuple(plan))
+        plans = [plan]
+    for p in plans:
+        validate_plan(spec, p, mode)
+    return [_optimize_plan(spec, p, mode, opts, salt)
+            for salt, p in enumerate(plans)]
+
+
+def best_report(reports: Sequence[RateReport]) -> RateReport:
+    """The highest-rate report; ties go to the earliest."""
+    best = reports[0]
+    for report in reports[1:]:
+        if report.rate > best.rate + 1e-15:
+            best = report
+    return best
 
 
 def optimize_rate(spec: NetworkSpec,
@@ -357,24 +413,7 @@ def optimize_rate(spec: NetworkSpec,
     go to the earlier plan in enumeration order.  Deterministic for a fixed
     ``opts.seed`` and monotone in ``opts.restarts``.
     """
-    opts = opts or OptimizerOptions()
-    mode = mode or default_mode(spec)
-    if isinstance(plan, str) and plan == "auto":
-        plans = enumerate_plans(spec, mode, plan_cap)
-    else:
-        if not isinstance(plan, CooperationPlan):
-            plan = plan_from_string(plan) if isinstance(plan, str) \
-                else CooperationPlan(tuple(plan))
-        plans = [plan]
-    for p in plans:
-        validate_plan(spec, p, mode)
-    best: RateReport | None = None
-    for salt, p in enumerate(plans):
-        report = _optimize_plan(spec, p, mode, opts, salt)
-        if best is None or report.rate > best.rate + 1e-15:
-            best = report
-    assert best is not None
-    return best
+    return best_report(optimize_plans(spec, plan, opts, mode, plan_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +471,6 @@ def ordered_cutset_bound(spec: NetworkSpec,
     if spec.L != 1:
         raise MultipleDestinations("ordered cut-set bound requires L=1")
     K = spec.K
-    free = _free_labels(spec, spec.input_labels())
-    sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
-    dim = int(np.prod(sizes)) if free else 1
-    if dim > opts.max_cells:
-        raise TooLarge(f"full input joint has {dim} cells (cap {opts.max_cells})")
     terms: list[CutTerm] = []
     total_evals = 0
     all_converged = True
@@ -447,24 +481,11 @@ def ordered_cutset_bound(spec: NetworkSpec,
         den = spec.sources.conditional_entropy(
             [source_label(0)],
             [source_label(t) for t in range(i, K + 2)])
-
-        def objective(p: np.ndarray, a=a, b=b, cond=cond) -> float:
-            partial = JointPmf(free, sizes, p) if free else None
-            composed = compose_joint(
-                spec.extend_input(partial, spec.input_labels()), spec.channel)
-            return composed.mutual_information(a, b, cond)
-
-        if dim == 1:
-            result = SearchResult(np.array([1.0]), objective(np.array([1.0])),
-                                  1, True)
-        elif opts.grid_step is not None:
-            result = maximize_on_grid(objective, dim, opts.grid_step)
-        else:
-            result = maximize_over_simplex(objective, dim, opts,
-                                           seed_salt=1000 + i)
+        best_pmf, result = _maximin(spec, spec.input_labels(),
+                                    [(a, b, cond, 1.0)], opts, 1000 + i)
         ratio = math.inf if den <= ZERO_ENTROPY_TOL else result.value / den
-        best_pmf = (JointPmf(free, sizes, result.point) if free
-                    else spec.uniform_input((input_label(0),)))
+        if best_pmf is None:
+            best_pmf = spec.uniform_input((input_label(0),))
         terms.append(CutTerm(i, result.value, den, ratio, best_pmf))
         total_evals += result.evals
         all_converged = all_converged and result.converged
@@ -524,13 +545,9 @@ def broadcast_rate(spec: NetworkSpec,
     if input_pmf is not None and set(input_pmf.variables) != {x0}:
         raise AlphabetMismatch(f"input pmf must cover exactly {x0}")
     full = spec.extend_input(input_pmf, (x0,))
-    composed = compose_joint(full, spec.channel)
-    terms = []
-    for idx, dest in enumerate(spec.destinations(), 1):
-        num = composed.mutual_information([x0], [output_label(dest)])
-        den = spec.source_entropy_given(dest)
-        ratio = math.inf if den <= ZERO_ENTROPY_TOL else num / den
-        terms.append(HopTerm(idx, dest, num, den, ratio))
+    hops = [(d, [x0], [output_label(d)], []) for d in spec.destinations()]
+    dens = [spec.source_entropy_given(d) for d in spec.destinations()]
+    terms = _evaluate_hops(compose_joint(full, spec.channel), dens, hops)
     plan = CooperationPlan((0,) + spec.destinations())
     shown = input_pmf if input_pmf is not None else full.marginalize((x0,))
     return _report_from_terms("broadcast", plan, terms, shown)
@@ -552,37 +569,11 @@ def single_relay_broadcast_capacity(spec: NetworkSpec,
         raise NotLemmaShape("only terminal 1 may have a non-constant input")
     x0, x1 = input_label(0), input_label(1)
     participating = (x0, x1)
-    free = _free_labels(spec, participating)
-    sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
-    dim = int(np.prod(sizes))
-    if dim > opts.max_cells:
-        raise TooLarge(f"input joint has {dim} cells (cap {opts.max_cells})")
-    hops: list[tuple[int, list[str], list[str], list[str]]] = [
-        (1, [x0], [output_label(1)], [x1])]
-    for j in spec.destinations()[1:]:
-        hops.append((j, [x0, x1], [output_label(j)], []))
+    hops = [(1, [x0], [output_label(1)], [x1])] + [
+        (j, [x0, x1], [output_label(j)], []) for j in spec.destinations()[1:]]
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-
-    def objective(p: np.ndarray) -> float:
-        partial = JointPmf(free, sizes, p) if free else None
-        composed = compose_joint(spec.extend_input(partial, participating),
-                                 spec.channel)
-        best = math.inf
-        for (terminal, a, b, cond), den in zip(hops, dens):
-            if den <= ZERO_ENTROPY_TOL:
-                continue
-            best = min(best, composed.mutual_information(a, b, cond) / den)
-        return best if math.isfinite(best) else math.inf
-
-    if all(d <= ZERO_ENTROPY_TOL for d in dens) or not free:
-        result = SearchResult(np.ones(max(dim, 1)) / max(dim, 1),
-                              objective(np.ones(max(dim, 1)) / max(dim, 1)),
-                              1, True)
-    elif opts.grid_step is not None:
-        result = maximize_on_grid(objective, dim, opts.grid_step)
-    else:
-        result = maximize_over_simplex(objective, dim, opts, seed_salt=2000)
-    best_pmf = JointPmf(free, sizes, result.point) if free else None
+    terms = [(a, b, cond, den) for (_, a, b, cond), den in zip(hops, dens)]
+    best_pmf, result = _maximin(spec, participating, terms, opts, 2000)
     composed = compose_joint(spec.extend_input(best_pmf, participating),
                              spec.channel)
     terms = _evaluate_hops(composed, dens, hops)

@@ -50,11 +50,6 @@ def sliding_encoder_args(position: int, block: int, depth: int,
                  for d in range(position, depth + 1))
 
 
-def sliding_decode_blocks(position: int, source_blocks: int) -> range:
-    """Channel blocks at which decoder ``position`` attempts decoding."""
-    return range(position, source_blocks + position)
-
-
 @dataclass(frozen=True)
 class SlidingWindow:
     """One joint-typicality window of a sliding-window decode."""

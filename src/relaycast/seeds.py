@@ -11,7 +11,7 @@ Stream path layout used by the simulators::
     (trial, STREAM_BINS,     terminal)               bin assignment map
     (trial, STREAM_CODEBOOK, level, copy, *cond)     channel codeword slices
     (trial, STREAM_CHANNEL,  block)                  channel noise
-and the rate engine uses ``(STREAM_OPTIMIZER, restart)``.
+and the rate engine uses ``(STREAM_OPTIMIZER, salt, restart)``.
 """
 
 from __future__ import annotations

@@ -21,15 +21,15 @@ typical set are errors by construction.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .codebooks import ChannelCodebookStack, conditional_input_laws
 from .errors import BTooSmall, PlanMismatch, TooLarge
 from .network import NetworkSpec, input_label, output_label, source_label
-from .optimize import parallel_map
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, validate_plan
 from .schedules import (
@@ -43,12 +43,16 @@ from .schedules import (
 )
 from .seeds import STREAM_BINS, STREAM_CHANNEL, STREAM_SOURCE, child_rng
 from .typicality import (
+    MAX_ALPHABET,
     BinAssignment,
     SourceCodebook,
     TypicalityTest,
     build_typical_source_codebook,
     num_bins_for_rate,
 )
+
+T = TypeVar("T")
+U = TypeVar("U")
 
 __all__ = [
     "SimResult",
@@ -104,6 +108,19 @@ def blocklength_for_scale(m: int, r_star: float, scale: float) -> int:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
+def parallel_map(fn: Callable[[T], U], items: Sequence[T],
+                 workers: int = 1) -> list[U]:
+    """Order-preserving map over trials; thread pool when workers > 1.
+
+    Threads pay only where a trial spends its time in numpy calls that
+    release the GIL (the point-to-point scheme's large typicality batches).
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 class _SourceSampler:
     """Draws length-m blocks of the (S_0..S_{K+L}) joint, one row per
     terminal."""
@@ -148,6 +165,14 @@ class _ChannelSampler:
             out[axis] = flat % self.out_sizes[axis]
             flat //= self.out_sizes[axis]
         return out
+
+
+def _check_alphabets(spec: NetworkSpec) -> None:
+    """Reject alphabets the simulators' int8 symbol storage cannot hold."""
+    sizes = spec.sources.sizes + spec.input_sizes + spec.output_sizes
+    if max(sizes) > MAX_ALPHABET:
+        raise TooLarge(f"an alphabet of {max(sizes)} symbols exceeds the "
+                       f"int8 symbol storage ({MAX_ALPHABET})")
 
 
 def _sequence_index(codebook: SourceCodebook) -> dict[bytes, int]:
@@ -204,6 +229,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
         raise PlanMismatch("simulate_ptp requires K=0, L=1")
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
+    _check_alphabets(spec)
     src_size = spec.sources.sizes[0]
     if R is not None and not 0.0 <= R <= math.log2(src_size) + 1e-9:
         raise TooLarge(f"bin rate {R} outside [0, log2 {src_size}]")
@@ -294,6 +320,7 @@ def simulate_sliding_window(spec: NetworkSpec,
         plan = CooperationPlan(tuple(plan))
     if spec.L != 1:
         raise PlanMismatch("sliding-window simulation requires L=1")
+    _check_alphabets(spec)
     validate_plan(spec, plan, MODE_SINGLE)
     order = plan.order
     depth = plan.num_hops - 1                 # number of cooperating relays
@@ -428,6 +455,7 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     K = spec.K
     if spec.L != 1:
         raise PlanMismatch("backward simulation requires L=1")
+    _check_alphabets(spec)
     Q, total_blocks = backward_num_blocks(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
     rates = {}

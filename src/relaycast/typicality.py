@@ -36,6 +36,9 @@ ABS_SLACK = 1e-9
 #: Enumeration cap: |alphabet|^m may not exceed this.
 ENUMERATION_CAP = 2 ** 20
 
+#: Largest alphabet the int8 symbol storage holds (symbols 0..127).
+MAX_ALPHABET = 128
+
 
 def count_bounds(probs: np.ndarray, n: int,
                  epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -56,6 +59,9 @@ def counts_typical(counts: np.ndarray, probs: np.ndarray, n: int,
 
 def all_sequences(alphabet: int, m: int) -> np.ndarray:
     """All length-m words over {0..alphabet-1}, lexicographic, shape (A^m, m)."""
+    if alphabet > MAX_ALPHABET:
+        raise TooLarge(f"alphabet of {alphabet} symbols exceeds the int8 "
+                       f"symbol storage ({MAX_ALPHABET})")
     total = alphabet ** m
     if total > ENUMERATION_CAP:
         raise TooLarge(
@@ -84,11 +90,6 @@ class SourceCodebook:
     @property
     def M(self) -> int:
         return self.sequences.shape[0]
-
-    def index_of(self, sequence: np.ndarray) -> int | None:
-        """Codebook index of ``sequence`` or None when atypical."""
-        hits = np.nonzero((self.sequences == sequence).all(axis=1))[0]
-        return int(hits[0]) if hits.size else None
 
 
 def build_typical_source_codebook(source_marginal: JointPmf | np.ndarray,
@@ -124,9 +125,6 @@ class BinAssignment:
     num_bins: int
     map: np.ndarray = field(repr=False)   # codebook index -> bin (0-based)
     seed: int
-
-    def members(self, bin_index: int) -> np.ndarray:
-        return np.nonzero(self.map == bin_index)[0]
 
 
 def num_bins_for_rate(m: int, rate: float) -> int:
@@ -210,13 +208,6 @@ class TypicalityTest:
         for row, size in zip(rows, self.sizes[self.lead:]):
             flat = flat * size + row
         return flat
-
-    def check_one(self, rows: Sequence[np.ndarray]) -> bool:
-        flat = np.zeros(self.n, dtype=np.int64)
-        for row, size in zip(rows, self.sizes):
-            flat = flat * size + row
-        counts = np.bincount(flat, minlength=self.ncells)
-        return bool(((counts >= self.lo) & (counts <= self.hi)).all())
 
     def check_batch(self, candidates: np.ndarray,
                     fixed_flat: np.ndarray) -> np.ndarray:

@@ -44,6 +44,18 @@ class TestRate:
         payload = json.loads(out)
         assert all("per_hop" in r for r in payload["result"]["per_plan"])
 
+    def test_auto_agrees_with_library(self, net_d, capsys):
+        code, out, _ = run_cli(
+            ["rate", "--net", "net-d", "--restarts", "2"], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        per_plan = result.pop("per_plan")
+        opts = rc.OptimizerOptions(restarts=2)
+        assert result == rc.optimize_rate(net_d, "auto", opts).to_dict()
+        reports = rc.optimize_plans(net_d, "auto", opts)
+        assert per_plan == [{"plan": list(r.plan.order), "rate": r.rate}
+                            for r in reports]
+
     def test_malformed_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"K": 0, "L": 1}))

@@ -170,6 +170,18 @@ class TestLoadNetwork:
         with pytest.raises(NotNormalized):
             rc.load_network(doc)
 
+    def test_nan_sources(self, net_a):
+        doc = net_a.to_document()
+        doc["sources"] = [float("nan")] * 4
+        with pytest.raises(NotNormalized):
+            rc.load_network(doc)
+
+    def test_nan_channel(self, net_a):
+        doc = net_a.to_document()
+        doc["channel"] = [float("nan")] * 4
+        with pytest.raises(NotNormalized):
+            rc.load_network(json.dumps(doc))
+
     def test_parse_error(self):
         with pytest.raises(ParseError):
             rc.load_network("{not json")

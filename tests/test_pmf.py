@@ -37,6 +37,12 @@ class TestValidate:
         with pytest.raises(NotNormalized):
             rc.validate(pmf)
 
+    def test_non_finite_mass(self):
+        # abs(nan - 1) > tol is False, so NaN needs its own check
+        for bad in ([math.nan] * 4, [0.5, 0.5, 0.0, math.inf]):
+            with pytest.raises(NotNormalized):
+                rc.validate(make(("A", "B"), (2, 2), bad))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             make(("A",), (2,), [0.5, 0.25, 0.25])

@@ -260,6 +260,20 @@ class TestBlocklengthForScale:
         assert rc.blocklength_for_scale(6, 1.0, 0.75) == 8
 
 
+def test_simulators_reject_alphabets_beyond_int8(net_a):
+    # a 130-symbol source would wrap in the int8 symbol storage
+    wide = NetworkSpec(K=0, L=1, channel=net_a.channel,
+                       sources=rc.JointPmf(("S0", "S1"), (130, 1),
+                                           np.full(130, 1 / 130)))
+    kw = dict(m=1, n=4, epsilon=300.0, trials=1, seed=0)
+    with pytest.raises(TooLarge):
+        rc.simulate_ptp(wide, R=None, **kw)
+    with pytest.raises(TooLarge):
+        rc.simulate_sliding_window(wide, [0, 1], B=1, **kw)
+    with pytest.raises(TooLarge):
+        rc.simulate_backward(wide, B=1, **kw)
+
+
 def test_ptp_rejects_out_of_range_rate(net_a):
     with pytest.raises(TooLarge):
         rc.simulate_ptp(net_a, m=4, n=8, R=1.5, epsilon=3.0, trials=5, seed=0)

@@ -12,6 +12,7 @@ from relaycast.errors import (
     TooLarge,
     UnknownVariable,
 )
+from relaycast.typicality import all_sequences
 
 
 class TestTypicalSourceCodebook:
@@ -34,6 +35,12 @@ class TestTypicalSourceCodebook:
     def test_enumeration_cap(self):
         with pytest.raises(TooLarge):
             rc.build_typical_source_codebook(np.array([0.5, 0.5]), 21, 1.0)
+
+    def test_alphabet_beyond_int8(self):
+        # symbols are stored as int8: 130 symbols would wrap to -128..127
+        with pytest.raises(TooLarge):
+            rc.build_typical_source_codebook(np.full(130, 1 / 130), 1, 300.0)
+        assert all_sequences(128, 1).max() == 127
 
     def test_cardinality_bound(self):
         # M <= 2^{m (H + eps)} up to rounding
