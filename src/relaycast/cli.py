@@ -19,6 +19,7 @@ regardless of ``--workers``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -99,7 +100,7 @@ def cmd_bound(args) -> str:
     bound = ordered_cutset_bound(spec, opts)
     result: dict[str, Any] = {"cutset": bound.to_dict()}
     if args.certify:
-        report = degraded_capacity(spec, opts)
+        report = degraded_capacity(spec, opts, bound)
         cert = dict(report.certificate or {})
         result["achievable"] = report.to_dict()
         result["certificate"] = {
@@ -177,16 +178,16 @@ def cmd_simulate(args) -> str:
         "plan": args.plan, "bin_rate": args.bin_rate,
         "bin_rate_delta": args.bin_rate_delta, "decoder": args.decoder,
     }
-    opts = _optimizer_options(args)
     rate_plan = "auto" if args.plan == "auto" else plan_from_string(args.plan)
-    r_star = None
-    if scales:
-        r_star = optimize_rate(spec, rate_plan, opts).rate
+    # searched once, and only after the simulations when no point needs it,
+    # so a simulator's own input errors surface before the search runs
+    r_star = functools.cache(
+        lambda: optimize_rate(spec, rate_plan, _optimizer_options(args)).rate)
     lines = [f"# config: {json.dumps(config, sort_keys=True)}", CSV_HEADER]
     for point in ladder:
         m, B, trials = point["m"], point["B"], point["trials"]
         targets = [(None, point["n"])] if not scales else [
-            (s, blocklength_for_scale(m, r_star, s)) for s in scales]
+            (s, blocklength_for_scale(m, r_star(), s)) for s in scales]
         for scale, n in targets:
             res = _simulate_one(spec, scheme, m, n, B, trials, args)
             per_term = ";".join(f"{t}:{res.per_terminal_errors[t]}"
@@ -196,9 +197,7 @@ def cmd_simulate(args) -> str:
                 f"{m},{n},{B},{trials},{scheme},"
                 f"{scale_cell},{res.config['rate']!r},"
                 f"{res.p_e!r},{res.errors_total},{per_term},{args.seed}")
-    if r_star is None:
-        r_star = optimize_rate(spec, rate_plan, opts).rate
-    lines.append(f",,,,r_star,,{r_star!r},,,,")
+    lines.append(f",,,,r_star,,{r_star()!r},,,,")
     return "\n".join(lines) + "\n"
 
 

@@ -17,12 +17,13 @@ the independent oracle for small joints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import SchemaError, TooLarge
 from .seeds import STREAM_OPTIMIZER, child_rng
 
 #: Pattern search: initial step, step shrink factor, the step at which a
@@ -121,11 +122,11 @@ def maximize_over_simplex(objective: Callable[[np.ndarray], float],
 def simplex_grid(dim: int, step: float, cap: int = 2_000_000
                  ) -> Iterable[np.ndarray]:
     """All points of the dim-cell simplex with coordinates multiple of step."""
+    if not 0.0 < step <= 1.0 or math.isinf(1.0 / step):
+        raise SchemaError(f"grid step {step} is not a usable number in "
+                          f"(0, 1]")
     levels = int(round(1.0 / step))
-    if levels < 1:
-        raise TooLarge(f"grid step {step} must be <= 1")
-    from math import comb
-    count = comb(levels + dim - 1, dim - 1)
+    count = math.comb(levels + dim - 1, dim - 1)
     if count > cap:
         raise TooLarge(f"grid would have {count} points (cap {cap})")
 

@@ -494,12 +494,15 @@ def ordered_cutset_bound(spec: NetworkSpec,
 
 
 def degraded_capacity(spec: NetworkSpec,
-                      opts: OptimizerOptions | None = None) -> RateReport:
+                      opts: OptimizerOptions | None = None,
+                      bound: CutsetBound | None = None) -> RateReport:
     """Source-channel capacity of a physically degraded network whose side
     information is degraded in the same order.
 
     Evaluates the full-participation identity plan and certifies the result
-    against the ordered cut-set bound within ``opts.certify_tol``.
+    against the ordered cut-set bound within ``opts.certify_tol``.  A caller
+    that already holds that bound, computed under the same ``opts``, passes
+    it as ``bound`` instead of paying for the search again.
     """
     opts = opts or OptimizerOptions()
     if spec.L != 1:
@@ -515,7 +518,8 @@ def degraded_capacity(spec: NetworkSpec,
         raise NotDegraded(f"network is not degraded in: {', '.join(missing)}")
     identity = CooperationPlan(tuple(range(spec.K + 2)))
     report = optimize_rate(spec, identity, opts)
-    bound = ordered_cutset_bound(spec, opts)
+    if bound is None:
+        bound = ordered_cutset_bound(spec, opts)
     gap = bound.bound - report.rate
     certificate = {
         "achievable": report.rate,

@@ -73,6 +73,27 @@ def sliding_decode_windows(position: int, block: int, depth: int,
     return windows
 
 
+@dataclass(frozen=True)
+class SlidingDecodeEvent:
+    position: int               # decoder's plan position (1..D+1)
+    after: int                  # channel block after which the decode runs
+    q: int                      # source block being recovered
+    windows: tuple[SlidingWindow, ...]    # one per lag 0..position-1
+
+
+def sliding_decode_events(depth: int,
+                          num_blocks: int) -> list[SlidingDecodeEvent]:
+    """All decode events in execution order: after channel block b, the
+    decoder at each position i recovers source block b-i+1, if it exists."""
+    Q = sliding_num_source_blocks(depth, num_blocks)
+    return [SlidingDecodeEvent(
+                i, b, b - i + 1,
+                tuple(sliding_decode_windows(i, b, depth, Q)))
+            for b in range(1, num_blocks + 1)
+            for i in range(1, depth + 2)
+            if i <= b <= Q + i - 1]
+
+
 # ---------------------------------------------------------------------------
 # Backward schedule
 # ---------------------------------------------------------------------------
@@ -117,41 +138,39 @@ def backward_encoder_args(K: int, B: int, block: int) -> list[tuple[Arg, ...]]:
 
 @dataclass(frozen=True)
 class BackwardDecodeEvent:
-    terminal: int               # decoding terminal (1..K+1)
+    terminal: int               # decoding terminal (1..K+1); decodes its bin
     block: int                  # channel block whose output is used
     q: int                      # source block being recovered
-    bin_terminal: int           # which bin index is decoded (== terminal)
+    after: int                  # channel block after which the decode runs
 
 
 def backward_decode_events(K: int, B: int) -> list[BackwardDecodeEvent]:
     """All decode events in execution order.
 
-    T1 decodes forward as blocks arrive; T2 decodes each run backward at the
-    run boundary; the destination decodes everything backward at the end.
+    T1 decodes forward, right after each block arrives; with K=2, T2 decodes
+    each run backward once the run ends; the destination decodes everything
+    backward after the final block.
     """
-    Q, _ = backward_num_blocks(K, B)
+    Q, total = backward_num_blocks(K, B)
+    if K < 2:
+        events = [BackwardDecodeEvent(1, c, c, c) for c in range(1, B + 1)]
+        if K == 1:
+            events += [BackwardDecodeEvent(2, c, c - 1, total)
+                       for c in range(B + 1, 1, -1)]
+        return events
     events = []
-    if K == 0:
-        for c in range(1, B + 1):
-            events.append(BackwardDecodeEvent(1, c, c, 1))
-        return events
-    if K == 1:
-        for c in range(1, B + 1):
-            events.append(BackwardDecodeEvent(1, c, c, 1))
-        for c in range(B + 1, 1, -1):
-            events.append(BackwardDecodeEvent(2, c, c - 1, 2))
-        return events
     for k in range(B):
+        run_end = (k + 1) * (B + 1)
         for c in range(1, B + 1):
-            events.append(BackwardDecodeEvent(
-                1, k * (B + 1) + c, k * B + c, 1))
+            block = k * (B + 1) + c
+            events.append(BackwardDecodeEvent(1, block, k * B + c, block))
         for c in range(B + 1, 1, -1):
             events.append(BackwardDecodeEvent(
-                2, k * (B + 1) + c, k * B + c - 1, 2))
+                2, k * (B + 1) + c, k * B + c - 1, run_end))
     for q in range(Q, 0, -1):
         k = (q - 1) // B + 1
         c = (q - 1) % B + 1
-        events.append(BackwardDecodeEvent(3, k * (B + 1) + c, q, 3))
+        events.append(BackwardDecodeEvent(3, k * (B + 1) + c, q, total))
     return events
 
 

@@ -38,15 +38,15 @@ from .schedules import (
     backward_num_blocks,
     render_backward_schedule,
     render_sliding_schedule,
-    sliding_decode_windows,
+    sliding_decode_events,
+    sliding_encoder_args,
     sliding_num_source_blocks,
 )
-from .seeds import STREAM_BINS, STREAM_CHANNEL, STREAM_SOURCE, child_rng
+from .seeds import STREAM_CHANNEL, STREAM_SOURCE, child_rng
 from .typicality import (
     MAX_ALPHABET,
-    BinAssignment,
-    SourceCodebook,
     TypicalityTest,
+    assign_bins,
     build_typical_source_codebook,
     num_bins_for_rate,
 )
@@ -167,25 +167,83 @@ class _ChannelSampler:
         return out
 
 
-def _check_alphabets(spec: NetworkSpec) -> None:
-    """Reject alphabets the simulators' int8 symbol storage cannot hold."""
-    sizes = spec.sources.sizes + spec.input_sizes + spec.output_sizes
-    if max(sizes) > MAX_ALPHABET:
-        raise TooLarge(f"an alphabet of {max(sizes)} symbols exceeds the "
-                       f"int8 symbol storage ({MAX_ALPHABET})")
+class _Setup:
+    """What every scheme builds once before its first trial.
 
+    ``senders`` are the transmitting terminals in codeword-level order
+    (level 0 is the source) and ``decoders`` the terminals that test their
+    side information; single-hop is senders ``(0,)`` with decoder 1.  Trials
+    may run on pool threads, so nothing here changes after construction.
+    """
 
-def _sequence_index(codebook: SourceCodebook) -> dict[bytes, int]:
-    return {codebook.sequences[w].tobytes(): w for w in range(codebook.M)}
+    def __init__(self, spec: NetworkSpec, senders: Sequence[int],
+                 decoders: Sequence[int], m: int, n: int, epsilon: float,
+                 input_pmf: JointPmf | None):
+        sizes = spec.sources.sizes + spec.input_sizes + spec.output_sizes
+        if max(sizes) > MAX_ALPHABET:
+            raise TooLarge(f"an alphabet of {max(sizes)} symbols exceeds the "
+                           f"int8 symbol storage ({MAX_ALPHABET})")
+        self.m, self.n = m, n
+        self.codebook = build_typical_source_codebook(
+            spec.sources.marginalize([source_label(0)]), m, epsilon)
+        self.lookup = {seq.tobytes(): w
+                       for w, seq in enumerate(self.codebook.sequences)}
+        self.seqs64 = self.codebook.sequences.astype(np.int64)
+        self.labels = tuple(input_label(t) for t in senders)
+        self.laws = conditional_input_laws(
+            spec.extend_input(input_pmf, self.labels)
+            .marginalize(self.labels), self.labels)
+        self.composed = spec.compose(input_pmf, self.labels)
+        self.side_tests = {
+            k: TypicalityTest(spec.sources,
+                              (source_label(0), source_label(k)), m, epsilon)
+            for k in decoders
+        }
+        self.source_sampler = _SourceSampler(spec.sources)
+        self.channel = _ChannelSampler(spec)
+        self.strides = [self.channel.in_strides[t] for t in senders]
 
+    def draw_sources(self, seed: int, trial: int, Q: int
+                     ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        """Source blocks 1..Q of one trial, one row per terminal, and the
+        codebook index of each block's S_0 row (-1: atypical; row 0 is
+        unused and holds -1)."""
+        src = {q: self.source_sampler.draw(
+            child_rng(seed, trial, STREAM_SOURCE, q), self.m)
+            for q in range(1, Q + 1)}
+        idx = np.full(Q + 1, -1, dtype=np.int64)
+        for q in range(1, Q + 1):
+            idx[q] = self.lookup.get(src[q][0].tobytes(), -1)
+        return src, idx
 
-def _assign_bins_stream(codebook: SourceCodebook, rate: float, root_seed: int,
-                        trial: int, terminal: int) -> BinAssignment:
-    num_bins = num_bins_for_rate(codebook.m, rate)
-    rng = child_rng(root_seed, trial, STREAM_BINS, terminal)
-    mapping = rng.integers(0, num_bins, size=codebook.M)
-    return BinAssignment(terminal=terminal, rate=rate, num_bins=num_bins,
-                         map=mapping, seed=root_seed)
+    def transmit(self, stack: ChannelCodebookStack,
+                 level_args: Sequence[Sequence[int]], seed: int, trial: int,
+                 block: int) -> np.ndarray:
+        """Channel outputs of one block: the codeword rows of every level
+        (arguments own index first, then the upper indices) superposed into
+        channel inputs, sampled on the stream ``(STREAM_CHANNEL, block)``."""
+        copy = stack.copy_for_block(block)
+        in_idx = np.zeros(self.n, dtype=np.int64)
+        for p, args in enumerate(level_args):
+            row = stack.row(p, copy, tuple(args[1:]), args[0])
+            in_idx += row.astype(np.int64) * self.strides[p]
+        return self.channel.sample(
+            in_idx, child_rng(seed, trial, STREAM_CHANNEL, block))
+
+    def run_blocks(self, stack: ChannelCodebookStack, seed: int, trial: int,
+                   num_blocks: int,
+                   level_args: Callable[[int], Sequence[Sequence[int]]],
+                   events: Sequence, decode: Callable) -> None:
+        """One trial's block loop: transmit each block, then run the decode
+        events scheduled after it (``events`` in execution order, each with
+        an ``after`` block)."""
+        y_blocks: dict[int, np.ndarray] = {}
+        pending = 0
+        for b in range(1, num_blocks + 1):
+            y_blocks[b] = self.transmit(stack, level_args(b), seed, trial, b)
+            while pending < len(events) and events[pending].after == b:
+                decode(events[pending], y_blocks)
+                pending += 1
 
 
 def _aggregate(trial_fn: Callable[[int], dict[int, bool]], trials: int,
@@ -229,47 +287,36 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
         raise PlanMismatch("simulate_ptp requires K=0, L=1")
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
-    _check_alphabets(spec)
     src_size = spec.sources.sizes[0]
     if R is not None and not 0.0 <= R <= math.log2(src_size) + 1e-9:
         raise TooLarge(f"bin rate {R} outside [0, log2 {src_size}]")
-    codebook = build_typical_source_codebook(
-        spec.sources.marginalize([source_label(0)]), m, epsilon)
-    lookup = _sequence_index(codebook)
+    setup = _Setup(spec, (0,), (1,), m, n, epsilon, input_pmf)
+    codebook = setup.codebook
     if R is not None and R >= spec.sources.marginalize(
             [source_label(0)]).entropy() - 1e-9:
         R = None
     num_bins = codebook.M if R is None else num_bins_for_rate(m, R)
-    if num_bins > 2 ** 22:
-        raise TooLarge(f"{num_bins} bins exceed the desk-scale cap")
-    x0 = input_label(0)
-    laws = conditional_input_laws(
-        spec.extend_input(input_pmf, (x0,)).marginalize((x0,)), (x0,))
-    composed = spec.compose(input_pmf, (x0,))
-    ch_test = TypicalityTest(composed, (x0, output_label(1)), n, epsilon)
-    side_test = TypicalityTest(spec.sources,
-                               (source_label(0), source_label(1)), m, epsilon)
-    source_sampler = _SourceSampler(spec.sources)
-    channel = _ChannelSampler(spec)
-    identity_bins = R is None
+    ch_test = TypicalityTest(setup.composed, (input_label(0), output_label(1)),
+                             n, epsilon)
+    side_test = setup.side_tests[1]
 
+    # The identity map and the int64 codebook are built per trial, not
+    # shared: sharing them across the two pool threads measured 10-15%
+    # slower per pass on the sim-ptp benchmark.
     def trial_fn(trial: int) -> dict[int, bool]:
-        src = source_sampler.draw(child_rng(seed, trial, STREAM_SOURCE, 1), m)
-        if identity_bins:
+        src, idx = setup.draw_sources(seed, trial, 1)
+        if R is None:
             bin_map = np.arange(codebook.M)
         else:
-            bin_map = _assign_bins_stream(codebook, R, seed, trial, 1).map
-        stack = ChannelCodebookStack(n, [num_bins], laws, 1, seed, trial)
-        idx = lookup.get(src[0].tobytes())
-        sent_bin = 0 if idx is None else int(bin_map[idx])
+            bin_map = assign_bins(codebook, R, seed, 1, trial=trial).map
+        stack = ChannelCodebookStack(n, [num_bins], setup.laws, 1, seed, trial)
+        sent_bin = 0 if idx[1] < 0 else int(bin_map[idx[1]])
         table = stack.rows(0, 0, ())
-        in_idx = table[sent_bin].astype(np.int64) * channel.in_strides[0]
-        y = channel.sample(in_idx, child_rng(seed, trial, STREAM_CHANNEL, 1))
+        y = setup.transmit(stack, [(sent_bin,)], seed, trial, 1)
         ch_mask = ch_test.check_batch(table.astype(np.int64),
                                       ch_test.flatten([y[0]]))
-        side_mask = side_test.check_batch(
-            codebook.sequences.astype(np.int64),
-            side_test.flatten([src[1]]))
+        side_mask = side_test.check_batch(codebook.sequences.astype(np.int64),
+                                          side_test.flatten([src[1][1]]))
         decoded: int | None = None
         side_hits = np.flatnonzero(side_mask)
         counts = np.bincount(bin_map[side_hits], minlength=num_bins)
@@ -287,7 +334,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
                 if members.size == 1:
                     decoded = int(members[0])
         ok = decoded is not None and np.array_equal(
-            codebook.sequences[decoded], src[0])
+            codebook.sequences[decoded], src[1][0])
         return {1: not ok}
 
     config = {
@@ -320,108 +367,73 @@ def simulate_sliding_window(spec: NetworkSpec,
         plan = CooperationPlan(tuple(plan))
     if spec.L != 1:
         raise PlanMismatch("sliding-window simulation requires L=1")
-    _check_alphabets(spec)
     validate_plan(spec, plan, MODE_SINGLE)
     order = plan.order
     depth = plan.num_hops - 1                 # number of cooperating relays
     if B < depth + 1:
         raise BTooSmall(f"need B >= {depth + 1} for at least one source block")
     Q = sliding_num_source_blocks(depth, B)
-    codebook = build_typical_source_codebook(
-        spec.sources.marginalize([source_label(0)]), m, epsilon)
-    lookup = _sequence_index(codebook)
-    senders = order[:-1]                      # positions 0..depth
-    sender_labels = tuple(input_label(t) for t in senders)
-    joint_in = spec.extend_input(input_pmf, sender_labels) \
-        .marginalize(sender_labels)
-    # order the joint bottom-up (position 0 first) for the law derivation
-    laws = conditional_input_laws(joint_in, sender_labels)
-    composed = spec.compose(input_pmf, sender_labels)
+    events = sliding_decode_events(depth, B)
+    # plan positions 0..depth transmit; positions 1..depth+1 decode
+    setup = _Setup(spec, order[:-1], order[1:], m, n, epsilon, input_pmf)
+    codebook = setup.codebook
     copies = max(1, depth)
-    decoders = tuple(range(1, plan.num_hops + 1))
+    positions = range(1, plan.num_hops + 1)
     ref_tests = {
         i: [TypicalityTest(
-            composed,
-            tuple(input_label(order[p])
-                  for p in range(i - 1 - j, depth + 1))
-            + (output_label(order[i]),), n, epsilon)
+            setup.composed,
+            setup.labels[i - 1 - j:] + (output_label(order[i]),), n, epsilon)
             for j in range(i)]
-        for i in decoders
+        for i in positions
     }
-    side_tests = {
-        i: TypicalityTest(spec.sources,
-                          (source_label(0), source_label(order[i])),
-                          m, epsilon)
-        for i in decoders
-    }
-    source_sampler = _SourceSampler(spec.sources)
-    channel = _ChannelSampler(spec)
-    sender_strides = [channel.in_strides[t] for t in senders]
-    seqs64 = codebook.sequences.astype(np.int64)
-
-    def resolve(arr: np.ndarray, q: int) -> int:
-        return int(arr[q]) if 1 <= q <= Q else 0
 
     def trial_fn(trial: int) -> dict[int, bool]:
-        src = {q: source_sampler.draw(
-            child_rng(seed, trial, STREAM_SOURCE, q), m)
-            for q in range(1, Q + 1)}
-        w_enc = np.zeros(Q + 1, dtype=np.int64)
-        for q in range(1, Q + 1):
-            idx = lookup.get(src[q][0].tobytes())
-            w_enc[q] = 0 if idx is None else idx
-        stack = ChannelCodebookStack(n, [codebook.M] * (depth + 1), laws,
-                                     copies, seed, trial)
-        est = {i: np.zeros(Q + 1, dtype=np.int64) for i in decoders}
-        y_blocks: dict[int, np.ndarray] = {}
-        erred = {order[i]: False for i in decoders}
-        for b in range(1, B + 1):
-            copy = stack.copy_for_block(b)
-            in_idx = np.zeros(n, dtype=np.int64)
-            for p in range(depth + 1):
-                source_refs = est[p] if p >= 1 else w_enc
-                args = tuple(resolve(source_refs, b - d)
-                             for d in range(p, depth + 1))
-                row = stack.row(p, copy, args[1:], args[0])
-                in_idx += row.astype(np.int64) * sender_strides[p]
-            y_blocks[b] = channel.sample(
-                in_idx, child_rng(seed, trial, STREAM_CHANNEL, b))
-            for i in decoders:
-                if not i <= b <= Q + i - 1:
-                    continue
-                q = b - i + 1
-                side = side_tests[i]
-                side_row = src[q][order[i]]
-                mask = side.check_batch(seqs64, side.flatten([side_row]))
-                for lag, window in enumerate(
-                        sliding_decode_windows(i, b, depth, Q)):
-                    if not mask.any():
-                        break
-                    wcopy = stack.copy_for_block(window.block)
-                    cond = tuple(resolve(est[i], qq)
-                                 for qq in window.candidate_args[1:])
-                    cand_rows = stack.rows(window.level, wcopy, cond)
-                    deeper_rows = []
-                    for p, dargs in zip(range(window.level + 1, depth + 1),
-                                        window.deeper_args):
-                        own = resolve(est[i], dargs[0])
-                        upper = tuple(resolve(est[i], qq)
-                                      for qq in dargs[1:])
-                        deeper_rows.append(stack.row(p, wcopy, upper, own))
-                    y_row = y_blocks[window.block][order[i] - 1]
-                    ref = ref_tests[i][lag]
-                    fixed = ref.flatten(deeper_rows + [y_row])
-                    mask &= ref.check_batch(cand_rows.astype(np.int64), fixed)
-                hits = np.flatnonzero(mask)
-                if hits.size == 1:
-                    w_hat = int(hits[0])
-                    est[i][q] = w_hat
-                    ok = np.array_equal(codebook.sequences[w_hat], src[q][0])
-                else:
-                    est[i][q] = 0
-                    ok = False
-                if not ok:
-                    erred[order[i]] = True
+        src, idx = setup.draw_sources(seed, trial, Q)
+        # per plan position, the source-block indices it resolves; the
+        # source sends its own (atypical blocks as the padding row), and
+        # row 0 holds the padding index
+        est = {0: np.maximum(idx, 0)}
+        est.update({i: np.zeros(Q + 1, dtype=np.int64) for i in positions})
+        stack = ChannelCodebookStack(n, [codebook.M] * (depth + 1),
+                                     setup.laws, copies, seed, trial)
+        erred = {order[i]: False for i in positions}
+
+        def level_args(b: int) -> list[list[int]]:
+            return [[int(est[p][q])
+                     for q in sliding_encoder_args(p, b, depth, Q)]
+                    for p in range(depth + 1)]
+
+        def decode(ev, y_blocks: dict[int, np.ndarray]) -> None:
+            i, q = ev.position, ev.q
+            own = est[i]
+            side = setup.side_tests[order[i]]
+            mask = side.check_batch(setup.seqs64,
+                                    side.flatten([src[q][order[i]]]))
+            for ref, window in zip(ref_tests[i], ev.windows):
+                if not mask.any():
+                    break
+                wcopy = stack.copy_for_block(window.block)
+                cond = tuple(int(own[qq]) for qq in window.candidate_args[1:])
+                cand_rows = stack.rows(window.level, wcopy, cond)
+                deeper_rows = [
+                    stack.row(p, wcopy, tuple(int(own[qq]) for qq in args[1:]),
+                              int(own[args[0]]))
+                    for p, args in zip(range(window.level + 1, depth + 1),
+                                       window.deeper_args)]
+                y_row = y_blocks[window.block][order[i] - 1]
+                fixed = ref.flatten(deeper_rows + [y_row])
+                mask &= ref.check_batch(cand_rows.astype(np.int64), fixed)
+            hits = np.flatnonzero(mask)
+            if hits.size == 1:
+                own[q] = int(hits[0])
+                ok = np.array_equal(codebook.sequences[own[q]], src[q][0])
+            else:
+                own[q] = 0
+                ok = False
+            if not ok:
+                erred[order[i]] = True
+
+        setup.run_blocks(stack, seed, trial, B, level_args, events, decode)
         return erred
 
     config = {
@@ -455,97 +467,54 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     K = spec.K
     if spec.L != 1:
         raise PlanMismatch("backward simulation requires L=1")
-    _check_alphabets(spec)
     Q, total_blocks = backward_num_blocks(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
-    rates = {}
-    for k in range(1, K + 2):
-        base = spec.source_entropy_given(k) + delta
-        rates[k] = (bin_rates or {}).get(k, base)
-        if rates[k] < 0:
-            raise TooLarge(f"bin rate for terminal {k} is negative")
-    codebook = build_typical_source_codebook(
-        spec.sources.marginalize([source_label(0)]), m, epsilon)
-    lookup = _sequence_index(codebook)
-    bin_sizes = {k: num_bins_for_rate(m, rates[k]) for k in rates}
-    if max(bin_sizes.values()) > 2 ** 22:
-        raise TooLarge("bin count exceeds the desk-scale cap")
-    senders = tuple(range(K + 1))
-    sender_labels = tuple(input_label(t) for t in senders)
-    joint_in = spec.extend_input(input_pmf, sender_labels) \
-        .marginalize(sender_labels)
-    laws = conditional_input_laws(joint_in, sender_labels)
-    composed = spec.compose(input_pmf, sender_labels)
-    level_sizes = [bin_sizes[p + 1] for p in range(K + 1)]
     decoders = tuple(range(1, K + 2))
+    rates = {k: (bin_rates or {}).get(k, spec.source_entropy_given(k) + delta)
+             for k in decoders}
+    bin_sizes = {k: num_bins_for_rate(m, rates[k]) for k in decoders}
+    setup = _Setup(spec, range(K + 1), decoders, m, n, epsilon, input_pmf)
+    codebook = setup.codebook
+    level_sizes = [bin_sizes[p + 1] for p in range(K + 1)]
     ref_tests = {
-        k: TypicalityTest(composed,
-                          sender_labels + (output_label(k),), n, epsilon,
-                          lead=k)
+        k: TypicalityTest(setup.composed, setup.labels + (output_label(k),),
+                          n, epsilon, lead=k)
         for k in decoders
     }
-    side_tests = {
-        k: TypicalityTest(spec.sources,
-                          (source_label(0), source_label(k)), m, epsilon)
-        for k in decoders
-    }
-    source_sampler = _SourceSampler(spec.sources)
-    channel = _ChannelSampler(spec)
-    sender_strides = [channel.in_strides[t] for t in senders]
-    # T1 decodes right after its block; T2 (as a relay) at its run's end;
-    # the destination after the final block.
-    events_after: dict[int, list] = {t: [] for t in range(1, total_blocks + 1)}
-    for ev in backward_decode_events(K, B):
-        if ev.terminal == 1:
-            events_after[ev.block].append(ev)
-        elif K == 2 and ev.terminal == 2:
-            run_end = ((ev.block - 1) // (B + 1) + 1) * (B + 1)
-            events_after[run_end].append(ev)
-        else:
-            events_after[total_blocks].append(ev)
+    events = backward_decode_events(K, B)
 
     def trial_fn(trial: int) -> dict[int, bool]:
-        src = {q: source_sampler.draw(
-            child_rng(seed, trial, STREAM_SOURCE, q), m)
-            for q in range(1, Q + 1)}
-        true_idx = np.full(Q + 1, -1, dtype=np.int64)
-        for q in range(1, Q + 1):
-            idx = lookup.get(src[q][0].tobytes())
-            true_idx[q] = -1 if idx is None else idx
-        bins = {k: _assign_bins_stream(codebook, rates[k], seed, trial, k)
+        src, true_idx = setup.draw_sources(seed, trial, Q)
+        bins = {k: assign_bins(codebook, rates[k], seed, k, trial=trial).map
                 for k in decoders}
-        stack = ChannelCodebookStack(n, level_sizes, laws, 1, seed, trial)
-        est_seq = {k: np.full(Q + 1, -1, dtype=np.int64) for k in decoders}
-
-        def bin_of(refs: np.ndarray, q: int, bintype: int) -> int:
-            if not 1 <= q <= Q:
-                return 0
-            idx = int(refs[q])
-            return 0 if idx < 0 else int(bins[bintype].map[idx])
-
-        y_blocks: dict[int, np.ndarray] = {}
+        stack = ChannelCodebookStack(n, level_sizes, setup.laws, 1, seed,
+                                     trial)
+        # per terminal, the source-block indices it knows (the source) or
+        # has decoded (-1: unknown or failed, and the padding row 0)
+        est = {0: true_idx}
+        est.update({k: np.full(Q + 1, -1, dtype=np.int64) for k in decoders})
         erred = {k: False for k in decoders}
 
-        def run_event(ev) -> None:
+        def bin_of(refs: np.ndarray, q: int, bintype: int) -> int:
+            idx = int(refs[q])
+            return 0 if idx < 0 else int(bins[bintype][idx])
+
+        def level_args(b: int) -> list[list[int]]:
+            return [[bin_of(est[p], q, bt) for q, bt in args]
+                    for p, args in enumerate(backward_encoder_args(K, B, b))]
+
+        def decode(ev, y_blocks: dict[int, np.ndarray]) -> None:
             k_dec = ev.terminal
             args = backward_encoder_args(K, B, ev.block)
-            own_refs = est_seq[k_dec]
-
-            def resolve_arg(arg) -> int:
-                q_ref, bintype = arg
-                return bin_of(own_refs, q_ref, bintype)
-
+            own_refs = est[k_dec]
             C = bin_sizes[k_dec]
-            cand = np.arange(C, dtype=np.int64)
             lead_rows_idx = np.zeros((C, n), dtype=np.int64)
             # levels 0..k_dec-1 carry the candidate; deeper levels are fixed
             for p in range(k_dec):
                 slot = k_dec - 1 - p
-                p_args = args[p]
-                own_fixed = None if slot == 0 else resolve_arg(p_args[0])
-                upper = []
-                for s, arg in enumerate(p_args[1:], start=1):
-                    upper.append(None if s == slot else resolve_arg(arg))
+                vals = [None if s == slot else bin_of(own_refs, *arg)
+                        for s, arg in enumerate(args[p])]
+                own_fixed, upper = vals[0], vals[1:]
                 size_p = spec.input_sizes[p]
                 if slot == 0:
                     rows = stack.rows(p, 0, tuple(upper))
@@ -558,10 +527,8 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
                 lead_rows_idx = lead_rows_idx * size_p + level_rows
             fixed_rows = []
             for p in range(k_dec, K + 1):
-                p_args = args[p]
-                own = resolve_arg(p_args[0])
-                upper = tuple(resolve_arg(a) for a in p_args[1:])
-                fixed_rows.append(stack.row(p, 0, upper, own))
+                vals = [bin_of(own_refs, *arg) for arg in args[p]]
+                fixed_rows.append(stack.row(p, 0, tuple(vals[1:]), vals[0]))
             ref = ref_tests[k_dec]
             fixed = ref.flatten(fixed_rows + [y_blocks[ev.block][k_dec - 1]])
             mask = ref.check_batch(lead_rows_idx, fixed)
@@ -569,33 +536,23 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
             decoded: int | None = None
             if hits.size == 1:
                 bin_hat = int(hits[0])
-                members = np.flatnonzero(bins[k_dec].map == bin_hat)
+                members = np.flatnonzero(bins[k_dec] == bin_hat)
                 if members.size:
-                    side = side_tests[k_dec]
+                    side = setup.side_tests[k_dec]
                     smask = side.check_batch(
-                        codebook.sequences[members].astype(np.int64),
+                        setup.seqs64[members],
                         side.flatten([src[ev.q][k_dec]]))
                     shits = np.flatnonzero(smask)
                     if shits.size == 1:
                         decoded = int(members[shits[0]])
-            est_seq[k_dec][ev.q] = -1 if decoded is None else decoded
+            own_refs[ev.q] = -1 if decoded is None else decoded
             ok = decoded is not None and np.array_equal(
                 codebook.sequences[decoded], src[ev.q][0])
             if not ok:
                 erred[k_dec] = True
 
-        for t in range(1, total_blocks + 1):
-            in_idx = np.zeros(n, dtype=np.int64)
-            args = backward_encoder_args(K, B, t)
-            for p in range(K + 1):
-                refs = true_idx if p == 0 else est_seq[p]
-                vals = tuple(bin_of(refs, q_ref, bt) for q_ref, bt in args[p])
-                row = stack.row(p, 0, vals[1:], vals[0])
-                in_idx += row.astype(np.int64) * sender_strides[p]
-            y_blocks[t] = channel.sample(
-                in_idx, child_rng(seed, trial, STREAM_CHANNEL, t))
-            for ev in events_after[t]:
-                run_event(ev)
+        setup.run_blocks(stack, seed, trial, total_blocks, level_args, events,
+                         decode)
         return erred
 
     config = {

@@ -16,6 +16,7 @@ outcomes are ever indexed, so enumeration preserves the scheme).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -33,7 +34,7 @@ from .seeds import STREAM_BINS, child_rng
 #: Absolute float-guard slack on the scaled count bound.
 ABS_SLACK = 1e-9
 
-#: Enumeration cap: |alphabet|^m may not exceed this.
+#: Enumeration cap: neither |alphabet|^m nor a bin count may exceed this.
 ENUMERATION_CAP = 2 ** 20
 
 #: Largest alphabet the int8 symbol storage holds (symbols 0..127).
@@ -128,25 +129,32 @@ class BinAssignment:
 
 
 def num_bins_for_rate(m: int, rate: float) -> int:
-    """2^ceil(m * rate), with a round-off guard on exact integers."""
-    import math
-    return 2 ** max(0, math.ceil(m * rate - 1e-12))
+    """2^ceil(m * rate), with a round-off guard on exact integers.
+
+    Rejects a negative rate and bin counts beyond ``ENUMERATION_CAP``.
+    """
+    if not rate >= 0:
+        raise TooLarge(f"bin rate must be >= 0, got {rate}")
+    bits = m * rate - 1e-12
+    # compare exponents: a huge rate must not build the huge integer first
+    if bits > math.log2(ENUMERATION_CAP):
+        raise TooLarge(f"bin rate {rate} at m={m} gives more than "
+                       f"{ENUMERATION_CAP} bins")
+    return 2 ** max(0, math.ceil(bits))
 
 
 def assign_bins(codebook: SourceCodebook, rate: float, seed: int,
-                terminal: int = 1) -> BinAssignment:
+                terminal: int = 1, trial: int | None = None) -> BinAssignment:
     """i.i.d. uniform bin assignment for every codebook sequence.
 
-    Distinct terminals must use distinct seed derivations so their
-    assignments are independent; callers pass the derived stream seed.
+    The map is drawn from the stream ``(seed, STREAM_BINS, terminal)``, or
+    from ``(seed, trial, STREAM_BINS, terminal)`` when a simulator redraws
+    it per trial, so distinct terminals get independent assignments.
     """
-    if rate < 0:
-        raise TooLarge(f"bin rate must be >= 0, got {rate}")
     num_bins = num_bins_for_rate(codebook.m, rate)
-    if num_bins > ENUMERATION_CAP:
-        raise TooLarge(f"{num_bins} bins exceed cap {ENUMERATION_CAP}")
-    rng = child_rng(seed, STREAM_BINS, terminal)
-    mapping = rng.integers(0, num_bins, size=codebook.M)
+    path = (STREAM_BINS, terminal) if trial is None \
+        else (trial, STREAM_BINS, terminal)
+    mapping = child_rng(seed, *path).integers(0, num_bins, size=codebook.M)
     return BinAssignment(terminal=terminal, rate=rate, num_bins=num_bins,
                          map=mapping, seed=seed)
 

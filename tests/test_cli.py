@@ -64,6 +64,15 @@ class TestRate:
         assert out == ""
         assert json.loads(err)["error_code"] == "SchemaError"
 
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf", "1.5",
+                                      "1e-320"])
+    def test_bad_grid_step(self, step, capsys):
+        code, out, err = run_cli(
+            ["rate", "--net", "net-a", f"--grid-step={step}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "SchemaError"
+
     def test_parse_error_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -83,6 +92,23 @@ class TestBound:
         assert cert["certified"] is True
         assert abs(cert["gap"]) <= 2e-3
         assert cert["degraded_checks"] == {"channel": True, "side_info": True}
+
+    def test_certify_searches_the_bound_once(self, monkeypatch, capsys):
+        import relaycast.cli as cli
+        import relaycast.rates as rates
+        calls = []
+        original = rates.ordered_cutset_bound
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(rates, "ordered_cutset_bound", counted)
+        monkeypatch.setattr(cli, "ordered_cutset_bound", counted)
+        code, _, _ = run_cli(
+            ["bound", "--net", "net-b", "--certify", "--restarts", "2"],
+            capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_not_degraded_gate(self, tmp_path, capsys):
         spec = rc.bundled_network("net-b")

@@ -10,6 +10,7 @@ from relaycast.schedules import (
     backward_decode_events,
     backward_encoder_args,
     backward_num_blocks,
+    sliding_decode_events,
     sliding_decode_windows,
     sliding_encoder_args,
 )
@@ -105,3 +106,30 @@ def test_backward_decode_events_order_is_nested():
         (1, 3), (1, 4), (2, 4), (2, 3),
         (3, 4), (3, 3), (3, 2), (3, 1),
     ]
+    # (terminal, block used, q, block the decode runs after): T1 right
+    # after its block, T2 at the end of its run of B+1 blocks, the
+    # destination after the final block
+    full = [(ev.terminal, ev.block, ev.q, ev.after) for ev in events]
+    assert full == [
+        (1, 1, 1, 1), (1, 2, 2, 2), (2, 3, 2, 3), (2, 2, 1, 3),
+        (1, 4, 3, 4), (1, 5, 4, 5), (2, 6, 4, 6), (2, 5, 3, 6),
+        (3, 8, 4, 9), (3, 7, 3, 9), (3, 5, 2, 9), (3, 4, 1, 9),
+    ]
+    # K=1: the destination T2 decodes backward after the final block
+    assert [(ev.terminal, ev.block, ev.q, ev.after)
+            for ev in backward_decode_events(1, 2)] == [
+        (1, 1, 1, 1), (1, 2, 2, 2), (2, 3, 2, 3), (2, 2, 1, 3)]
+    # K=0: the destination T1 decodes right after each block
+    assert [(ev.terminal, ev.block, ev.q, ev.after)
+            for ev in backward_decode_events(0, 3)] == [
+        (1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3)]
+
+
+def test_sliding_decode_events_timing():
+    # D=2, B=4, Q=2: position i recovers block b-i+1 right after block b
+    events = sliding_decode_events(2, 4)
+    assert [(ev.position, ev.after, ev.q) for ev in events] == [
+        (1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 3, 2), (3, 3, 1), (3, 4, 2)]
+    for ev in events:
+        assert list(ev.windows) == sliding_decode_windows(
+            ev.position, ev.after, 2, 2)

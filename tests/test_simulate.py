@@ -1,5 +1,8 @@
 """Protocol simulators: determinism, reductions, exactness, thresholds."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -283,3 +286,53 @@ def test_epsilon_zero_odd_m_degenerate(net_a):
     with pytest.raises(DegenerateTypicalSet):
         rc.simulate_ptp(net_a, m=5, n=8, R=None, epsilon=0.0, trials=5,
                         seed=0)
+
+
+GOLDEN_RESULTS = Path(__file__).parent / "golden" / "sim_results.json"
+
+#: (golden key, simulator, network, keyword arguments): small fixed points
+#: of every scheme and decoder whose results are pinned bit for bit.
+GOLDEN_CASES = [
+    ("ptp-none", "ptp", "net-a-noiseless",
+     dict(m=8, n=10, R=None, epsilon=3.0, trials=40, seed=3)),
+    ("ptp-joint", "ptp", "net-a-noiseless",
+     dict(m=8, n=10, R=0.85, epsilon=3.0, trials=40, seed=3)),
+    ("ptp-separate", "ptp", "net-a-noiseless",
+     dict(m=8, n=10, R=0.85, epsilon=3.0, trials=40, seed=3,
+          decoder="separate")),
+    ("sliding-k1", "sliding", "net-c",
+     dict(plan=[0, 1, 2], m=5, n=7, B=3, epsilon=4.0, trials=30, seed=3)),
+    ("sliding-k2", "sliding", "net-d",
+     dict(plan=[0, 1, 2, 3], m=4, n=8, B=4, epsilon=4.0, trials=15,
+          seed=3)),
+    ("sliding-partial", "sliding", "net-d",
+     dict(plan=[0, 2, 3], m=4, n=8, B=3, epsilon=4.0, trials=15, seed=3)),
+    ("backward-k0", "backward", "net-a-noiseless",
+     dict(m=8, n=14, B=2, epsilon=3.0, trials=30, seed=3)),
+    ("backward-k1", "backward", "net-c",
+     dict(m=5, n=14, B=2, epsilon=4.0, trials=20, seed=3,
+          bin_rates={1: 1.2, 2: 1.2})),
+    ("backward-k2", "backward", "net-d",
+     dict(m=4, n=10, B=2, epsilon=4.0, trials=8, seed=3)),
+]
+
+SIMULATORS = {"ptp": rc.simulate_ptp, "sliding": rc.simulate_sliding_window,
+              "backward": rc.simulate_backward}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_results_match_golden(key, scheme, net, kwargs, workers):
+    golden = json.loads(GOLDEN_RESULTS.read_text())[key]
+    res = SIMULATORS[scheme](rc.bundled_network(net), workers=workers,
+                             **kwargs)
+    assert json.dumps(res.to_dict(), sort_keys=True) == \
+        json.dumps(golden, sort_keys=True)
+
+
+def test_backward_bin_count_cap(net_c):
+    # 2^21 bins exceed ENUMERATION_CAP; rejected before the first trial
+    with pytest.raises(TooLarge):
+        rc.simulate_backward(net_c, m=6, n=8, B=1, epsilon=4.0, trials=0,
+                             seed=0, bin_rates={1: 3.5})

@@ -86,6 +86,14 @@ class TestAssignBins:
         expected = cb.M ** 2 / (2 * 4096)
         assert expected / 2 <= np.mean(collisions) <= expected * 2
 
+    @pytest.mark.parametrize("rate", [3.5, 1e6, float("inf"),
+                                      float("nan"), -0.1])
+    def test_rate_beyond_cap_or_invalid(self, rate):
+        # m=6: rate 3.5 asks for 2^21 bins, one power past ENUMERATION_CAP
+        cb = rc.build_typical_source_codebook(np.array([0.5, 0.5]), 6, 1.0)
+        with pytest.raises(TooLarge):
+            rc.assign_bins(cb, rate, seed=0)
+
     def test_distinct_terminals_independent(self):
         cb = rc.build_typical_source_codebook(np.array([0.5, 0.5]), 8, 3.0)
         a = rc.assign_bins(cb, 1.0, seed=5, terminal=1)
