@@ -40,6 +40,7 @@ from .rates import (
 )
 from .simulate import (
     blocklength_for_scale,
+    check_scheme,
     render_backward_schedule,
     render_sliding_schedule,
     simulate_backward,
@@ -116,15 +117,13 @@ def cmd_bound(args) -> str:
     return _json_payload("bound", config, result)
 
 
-def _simulate_one(spec: NetworkSpec, scheme: str, m: int, n: int, B: int,
-                  trials: int, args):
+def _simulate_one(spec: NetworkSpec, scheme: str, plan: CooperationPlan,
+                  m: int, n: int, B: int, trials: int, args):
     if scheme == "ptp":
         return simulate_ptp(spec, m, n, args.bin_rate, args.epsilon, trials,
                             args.seed, decoder=args.decoder,
                             workers=args.workers)
     if scheme == "sliding":
-        plan = CooperationPlan(tuple(range(spec.K + 2))) \
-            if args.plan == "auto" else plan_from_string(args.plan)
         return simulate_sliding_window(spec, plan, m, n, B, args.epsilon,
                                        trials, args.seed,
                                        workers=args.workers)
@@ -179,8 +178,12 @@ def cmd_simulate(args) -> str:
         "bin_rate_delta": args.bin_rate_delta, "decoder": args.decoder,
     }
     rate_plan = "auto" if args.plan == "auto" else plan_from_string(args.plan)
-    # searched once, and only after the simulations when no point needs it,
-    # so a simulator's own input errors surface before the search runs
+    sim_plan = CooperationPlan(tuple(range(spec.K + 2))) \
+        if rate_plan == "auto" else rate_plan
+    # every point's structural errors surface before the rate search, which
+    # runs once, and only after the simulations when no point needs it
+    for point in ladder:
+        check_scheme(spec, scheme, point["B"], sim_plan)
     r_star = functools.cache(
         lambda: optimize_rate(spec, rate_plan, _optimizer_options(args)).rate)
     lines = [f"# config: {json.dumps(config, sort_keys=True)}", CSV_HEADER]
@@ -189,7 +192,8 @@ def cmd_simulate(args) -> str:
         targets = [(None, point["n"])] if not scales else [
             (s, blocklength_for_scale(m, r_star(), s)) for s in scales]
         for scale, n in targets:
-            res = _simulate_one(spec, scheme, m, n, B, trials, args)
+            res = _simulate_one(spec, scheme, sim_plan, m, n, B, trials,
+                                args)
             per_term = ";".join(f"{t}:{res.per_terminal_errors[t]}"
                                 for t in sorted(res.per_terminal_errors))
             scale_cell = "" if scale is None else repr(scale)

@@ -192,9 +192,10 @@ class NetworkSpec:
                      participating: Iterable[str] | None = None) -> JointPmf:
         """Full input joint: ``partial`` times point mass at symbol 0 elsewhere.
 
-        ``partial`` (default uniform over ``participating``) must only cover
-        declared input labels with matching sizes; every non-covered input
-        with alphabet size > 1 is pinned to the constant symbol 0.
+        ``partial`` (default uniform over ``participating``) must be a valid
+        pmf (NotNormalized or NegativeMass otherwise) and only cover declared
+        input labels with matching sizes; every non-covered input with
+        alphabet size > 1 is pinned to the constant symbol 0.
         """
         all_labels = self.input_labels()
         if partial is None:
@@ -204,6 +205,7 @@ class NetworkSpec:
                          if self.input_sizes[int(v[1:])] > 1)
             partial = self.uniform_input(live) if live else None
         if partial is not None:
+            partial.validated()
             for v in partial.variables:
                 if v not in all_labels:
                     raise AlphabetMismatch(f"{v} is not an input of this network")
@@ -219,13 +221,6 @@ class NetworkSpec:
                 point_mass([v], [self.input_sizes[int(v[1:])]], [0])
                 for v in missing]))
         return product_pmf(*parts)
-
-    def compose(self, input_pmf: JointPmf | None = None,
-                participating: Iterable[str] | None = None) -> JointPmf:
-        """Composed joint over (X..., Y...) for a possibly partial input pmf."""
-        full = self.extend_input(input_pmf,
-                                 participating or self.input_labels())
-        return compose_joint(full, self.channel)
 
     def to_document(self) -> dict[str, Any]:
         doc: dict[str, Any] = {

@@ -2,8 +2,10 @@
 
 A :class:`JointPmf` is a dense joint distribution over a labelled tuple of
 finite-alphabet variables.  All entropies and mutual informations in the
-package are computed on these objects, in bits (base-2 logs), with the
-``0 * log 0 = 0`` convention and zero-mass conditioning cells skipped.
+package are computed in bits (base-2 logs), with the ``0 * log 0 = 0``
+convention and zero-mass conditioning cells skipped, by one array kernel
+(``array_entropy`` and ``array_information``): the ``JointPmf`` methods call
+it, and the rate engine calls it on bare arrays.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -99,26 +101,26 @@ class JointPmf:
             raise NotNormalized(f"mass sums to {total}, expected 1 +- {tol}")
         return self
 
-    def marginalize(self, keep: Iterable[str]) -> "JointPmf":
-        """Sum out every variable not in ``keep``; variable order preserved."""
+    def _drop_axes(self, keep: Iterable[str]) -> tuple[int, ...]:
+        """Axes of every variable not in ``keep``, ascending."""
         keep = set(keep)
         if not keep:
             raise UnknownVariable("keep set must be nonempty")
         for v in keep:
             self.axis_of(v)
-        kept = tuple(v for v in self.variables if v in keep)
-        drop_axes = tuple(i for i, v in enumerate(self.variables)
-                          if v not in keep)
-        probs = self.probs.sum(axis=drop_axes) if drop_axes else self.probs
+        return tuple(i for i, v in enumerate(self.variables) if v not in keep)
+
+    def marginalize(self, keep: Iterable[str]) -> "JointPmf":
+        """Sum out every variable not in ``keep``; variable order preserved."""
+        drop = self._drop_axes(keep)
+        kept = tuple(v for i, v in enumerate(self.variables) if i not in drop)
         return JointPmf(kept, tuple(self.sizes[self.axis_of(v)] for v in kept),
-                        probs)
+                        self.probs.sum(axis=drop) if drop else self.probs)
 
     def entropy(self, targets: Iterable[str] | None = None) -> float:
         """Joint entropy H(targets) in bits (all variables if None)."""
-        sub = self if targets is None else self.marginalize(targets)
-        p = sub.probs.reshape(-1)
-        pos = p[p > 0.0]
-        return float(-(pos * np.log2(pos)).sum())
+        drop = () if targets is None else self._drop_axes(targets)
+        return array_entropy(self.probs, drop)
 
     def conditional_entropy(self, targets: Iterable[str],
                             given: Iterable[str] = ()) -> float:
@@ -138,23 +140,23 @@ class JointPmf:
         h = self.entropy(targets + given) - self.entropy(given)
         return _clamp_nonneg(h, "conditional entropy")
 
-    def mutual_information(self, a: Iterable[str], b: Iterable[str],
-                           cond: Iterable[str] = ()) -> float:
-        """I(a; b | cond) in bits, clamped to be nonnegative.
-
-        Uses I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C).
-        """
+    def information_axes(self, a: Iterable[str], b: Iterable[str],
+                         cond: Iterable[str] = ()) -> list[tuple[int, ...]]:
+        """The axes each entropy of I(a; b | cond) sums out, in the order
+        ``array_information`` takes them."""
         a, b, cond = tuple(a), tuple(b), tuple(cond)
         sets = (set(a), set(b), set(cond))
         if (sets[0] & sets[1]) or (sets[0] & sets[2]) or (sets[1] & sets[2]):
             raise OverlappingSets(f"A={a}, B={b}, cond={cond} must be disjoint")
         if not a or not b:
             raise UnknownVariable("A and B must be nonempty")
-        h_ac = self.entropy(a + cond)
-        h_bc = self.entropy(b + cond)
-        h_abc = self.entropy(a + b + cond)
-        h_c = self.entropy(cond) if cond else 0.0
-        return _clamp_nonneg(h_ac + h_bc - h_abc - h_c, "mutual information")
+        return [self._drop_axes(keep)
+                for keep in (a + cond, b + cond, a + b + cond, cond) if keep]
+
+    def mutual_information(self, a: Iterable[str], b: Iterable[str],
+                           cond: Iterable[str] = ()) -> float:
+        """I(a; b | cond) in bits, clamped to be nonnegative."""
+        return array_information(self.probs, self.information_axes(a, b, cond))
 
     def is_markov_chain(self, chain: Sequence[str],
                         tol: float = DEFAULT_TOL) -> bool:
@@ -215,6 +217,22 @@ class JointPmf:
                 raise ShapeMismatch(f"{perm} is not a permutation for {label}")
             probs = np.take(probs, perm, axis=axis)
         return JointPmf(self.variables, self.sizes, probs)
+
+
+def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> float:
+    """Entropy in bits of the marginal of ``probs`` that sums out ``drop``."""
+    p = (probs.sum(axis=drop) if drop else probs).reshape(-1)
+    pos = p[p > 0.0]
+    return float(-(pos * np.log2(pos)).sum())
+
+
+def array_information(probs: np.ndarray,
+                      drops: Sequence[tuple[int, ...]]) -> float:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits of the joint
+    ``probs``, clamped to be nonnegative; ``drops`` gives the axes each of
+    those entropies sums out, without H(C)'s when C is empty."""
+    h = [array_entropy(probs, drop) for drop in drops] + [0.0]
+    return _clamp_nonneg(h[0] + h[1] - h[2] - h[3], "mutual information")
 
 
 def _clamp_nonneg(value: float, what: str) -> float:

@@ -9,6 +9,11 @@ and the plan's rate is the minimum ratio.  ``optimize_rate`` maximizes that
 minimum over the joint input distribution of the participating terminals
 (and, in auto mode, over all plans).  A vanishing denominator makes the hop
 vacuous (ratio +inf); if every hop is vacuous the rate is unbounded.
+
+The cut-set bound and the single-relay broadcast capacity are minima of the
+same terms.  The search objective and every report evaluate them through one
+array path, ``_hop_evaluator``, which matches ``JointPmf.mutual_information``
+bit for bit and builds no ``JointPmf`` per evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .optimize import (
     maximize_on_grid,
     maximize_over_simplex,
 )
-from .pmf import JointPmf
+from .pmf import JointPmf, array_information
 
 #: Denominators at or below this are treated as zero (hop imposes no limit).
 ZERO_ENTROPY_TOL = 1e-12
@@ -225,8 +230,12 @@ class RateReport:
         return out
 
 
+#: One hop: (terminal, message inputs, observed outputs, conditioning inputs).
+Hop = tuple[int, list[str], list[str], list[str]]
+
+
 def _hop_sets(spec: NetworkSpec, plan: CooperationPlan,
-              mode: str) -> list[tuple[int, list[str], list[str], list[str]]]:
+              mode: str) -> list[Hop]:
     """Per hop: (terminal, message inputs, observed output, conditioning)."""
     order = plan.order
     n = plan.num_hops
@@ -242,15 +251,53 @@ def _hop_sets(spec: NetworkSpec, plan: CooperationPlan,
     return hops
 
 
-def _evaluate_hops(composed: JointPmf, dens: Sequence[float],
-                   hops: Sequence[tuple[int, list[str], list[str], list[str]]]
-                   ) -> list[HopTerm]:
-    terms = []
-    for idx, ((terminal, a, b, cond), den) in enumerate(zip(hops, dens), 1):
-        num = composed.mutual_information(a, b, cond)
-        ratio = math.inf if den <= ZERO_ENTROPY_TOL else num / den
-        terms.append(HopTerm(idx, terminal, num, den, ratio))
-    return terms
+def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop],
+                   dens: Sequence[float]
+                   ) -> Callable[[np.ndarray], list[HopTerm]]:
+    """The hop terms I(a; b | cond) / den as a function of the joint over
+    every channel input, an array in channel input order (flat or shaped).
+
+    It composes that array with the channel as ``compose_joint`` does and
+    runs the array kernel of ``pmf`` on axes found once, here.
+    """
+    layout = compose_joint(spec.uniform_input(), spec.channel)
+    axes = [(terminal, den, layout.information_axes(a, b, cond))
+            for (terminal, a, b, cond), den in zip(hops, dens)]
+    shape = spec.input_sizes + (1,) * len(spec.output_sizes)
+    channel = spec.channel.probs
+
+    def evaluate(full: np.ndarray) -> list[HopTerm]:
+        joint = full.reshape(shape) * channel
+        terms = []
+        for idx, (terminal, den, drops) in enumerate(axes, 1):
+            num = array_information(joint, drops)
+            ratio = math.inf if den <= ZERO_ENTROPY_TOL else num / den
+            terms.append(HopTerm(idx, terminal, num, den, ratio))
+        return terms
+    return evaluate
+
+
+def _report_at(spec: NetworkSpec, mode: str, plan: CooperationPlan,
+               hops: Sequence[Hop], input_pmf: JointPmf | None,
+               participating: Sequence[str]) -> RateReport:
+    """The report of ``hops`` evaluated once at ``input_pmf`` (None: uniform
+    over the non-constant ``participating`` inputs)."""
+    full = spec.extend_input(input_pmf, participating)
+    dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
+    terms = _hop_evaluator(spec, hops, dens)(np.transpose(
+        full.probs, [full.axis_of(v) for v in spec.input_labels()]))
+    return _report_from_terms(mode, plan, terms,
+                              _shown_input(spec, input_pmf, participating))
+
+
+def _shown_input(spec: NetworkSpec, input_pmf: JointPmf | None,
+                 participating: Sequence[str]) -> JointPmf:
+    """The input joint a report shows: ``input_pmf``, or for None the
+    uniform joint over the non-constant ``participating`` inputs that it
+    stands for."""
+    if input_pmf is not None:
+        return input_pmf
+    return spec.extend_input(None, participating).marginalize(participating)
 
 
 def _report_from_terms(mode: str, plan: CooperationPlan,
@@ -291,14 +338,8 @@ def achievable_rate(spec: NetworkSpec, input_pmf: JointPmf | None,
         if stray:
             raise AlphabetMismatch(
                 f"input pmf covers non-participating inputs {sorted(stray)}")
-    full = spec.extend_input(input_pmf, participating)
-    composed = compose_joint(full, spec.channel)
-    hops = _hop_sets(spec, plan, mode)
-    dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    terms = _evaluate_hops(composed, dens, hops)
-    shown = input_pmf if input_pmf is not None else spec.extend_input(
-        None, participating).marginalize(participating)
-    return _report_from_terms(mode, plan, terms, shown)
+    return _report_at(spec, mode, plan, _hop_sets(spec, plan, mode),
+                      input_pmf, participating)
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +349,22 @@ def achievable_rate(spec: NetworkSpec, input_pmf: JointPmf | None,
 #: Cap on the number of cells of the input joint an optimization searches.
 MAX_CELLS = 4096
 
-#: One maximin term: (message inputs, observed outputs, conditioning inputs,
-#: denominator); it contributes I(a; b | cond) / den unless den vanishes.
-Term = tuple[Sequence[str], Sequence[str], Sequence[str], float]
-
 
 def _free_labels(spec: NetworkSpec, labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in labels if spec.input_sizes[int(v[1:])] > 1)
 
 
 def _maximin(spec: NetworkSpec, participating: Sequence[str],
-             terms: Sequence[Term], opts: OptimizerOptions,
-             seed_salt: int) -> tuple[JointPmf | None, SearchResult]:
-    """Maximize the minimum non-vacuous term ratio over the joint of the
+             hops: Sequence[Hop], dens: Sequence[float],
+             opts: OptimizerOptions, seed_salt: int
+             ) -> tuple[JointPmf | None, list[HopTerm], SearchResult]:
+    """Maximize the minimum non-vacuous hop ratio over the joint of the
     participating inputs (every other input pinned to symbol 0).
 
     Returns the best joint over the non-constant participating inputs (None
-    when all are constant) and the search result.  When every term is
-    vacuous there is nothing to search and the uniform joint is returned
-    after one evaluation.
+    when all are constant), the hop terms there and the search result.
+    When every hop is vacuous there is nothing to search and the uniform
+    joint is returned after one evaluation.
     """
     free = _free_labels(spec, participating)
     sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
@@ -334,19 +372,23 @@ def _maximin(spec: NetworkSpec, participating: Sequence[str],
     if dim > MAX_CELLS:
         raise TooLarge(f"input joint over {free} has {dim} cells "
                        f"(cap {MAX_CELLS})")
+    evaluate = _hop_evaluator(spec, hops, dens)
+    # a simplex point fills the cells of the full input joint (channel
+    # order, flat) where every input outside ``free`` is at symbol 0
+    coords = np.zeros((len(spec.input_sizes), dim), dtype=np.intp)
+    coords[[int(v[1:]) for v in free]] = np.indices(sizes).reshape(-1, dim)
+    cells = np.ravel_multi_index(coords, spec.input_sizes)
+    full = np.zeros(int(np.prod(spec.input_sizes)))
+
+    def terms_at(p: np.ndarray) -> list[HopTerm]:
+        full[cells] = p
+        return evaluate(full)
 
     def objective(p: np.ndarray) -> float:
-        partial = JointPmf(free, sizes, p) if free else None
-        composed = compose_joint(spec.extend_input(partial, participating),
-                                 spec.channel)
-        best = math.inf
-        for a, b, cond, den in terms:
-            if den <= ZERO_ENTROPY_TOL:
-                continue
-            best = min(best, composed.mutual_information(a, b, cond) / den)
-        return best
+        return min((t.ratio for t in terms_at(p) if math.isfinite(t.ratio)),
+                   default=math.inf)
 
-    if all(den <= ZERO_ENTROPY_TOL for *_, den in terms):
+    if all(den <= ZERO_ENTROPY_TOL for den in dens):
         uniform = np.full(dim, 1.0 / dim)
         result = SearchResult(uniform, objective(uniform), 1, True)
     elif opts.grid_step is not None:
@@ -354,18 +396,19 @@ def _maximin(spec: NetworkSpec, participating: Sequence[str],
     else:
         result = maximize_over_simplex(objective, dim, opts, seed_salt)
     best_pmf = JointPmf(free, sizes, result.point) if free else None
-    return best_pmf, result
+    return best_pmf, terms_at(result.point), result
 
 
 def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,
                    opts: OptimizerOptions, seed_salt: int) -> RateReport:
-    terms = [(a, b, cond, spec.source_entropy_given(t))
-             for t, a, b, cond in _hop_sets(spec, plan, mode)]
-    best_pmf, result = _maximin(spec, participating_inputs(spec, plan, mode),
-                                terms, opts, seed_salt)
-    report = achievable_rate(spec, best_pmf, plan, mode)
-    return dataclasses.replace(report, converged=result.converged,
-                               evals=result.evals)
+    hops = _hop_sets(spec, plan, mode)
+    dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
+    participating = participating_inputs(spec, plan, mode)
+    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts,
+                                       seed_salt)
+    return _report_from_terms(mode, plan, terms,
+                              _shown_input(spec, best_pmf, participating),
+                              converged=result.converged, evals=result.evals)
 
 
 def optimize_plans(spec: NetworkSpec,
@@ -481,12 +524,13 @@ def ordered_cutset_bound(spec: NetworkSpec,
         den = spec.sources.conditional_entropy(
             [source_label(0)],
             [source_label(t) for t in range(i, K + 2)])
-        best_pmf, result = _maximin(spec, spec.input_labels(),
-                                    [(a, b, cond, 1.0)], opts, 1000 + i)
-        ratio = math.inf if den <= ZERO_ENTROPY_TOL else result.value / den
+        best_pmf, (term,), result = _maximin(
+            spec, spec.input_labels(), [(i, a, b, cond)], [1.0], opts,
+            1000 + i)
+        ratio = math.inf if den <= ZERO_ENTROPY_TOL else term.numerator / den
         if best_pmf is None:
             best_pmf = spec.uniform_input((input_label(0),))
-        terms.append(CutTerm(i, result.value, den, ratio, best_pmf))
+        terms.append(CutTerm(i, term.numerator, den, ratio, best_pmf))
         total_evals += result.evals
         all_converged = all_converged and result.converged
     bound = min(t.ratio for t in terms)
@@ -548,13 +592,10 @@ def broadcast_rate(spec: NetworkSpec,
     x0 = input_label(0)
     if input_pmf is not None and set(input_pmf.variables) != {x0}:
         raise AlphabetMismatch(f"input pmf must cover exactly {x0}")
-    full = spec.extend_input(input_pmf, (x0,))
     hops = [(d, [x0], [output_label(d)], []) for d in spec.destinations()]
-    dens = [spec.source_entropy_given(d) for d in spec.destinations()]
-    terms = _evaluate_hops(compose_joint(full, spec.channel), dens, hops)
-    plan = CooperationPlan((0,) + spec.destinations())
-    shown = input_pmf if input_pmf is not None else full.marginalize((x0,))
-    return _report_from_terms("broadcast", plan, terms, shown)
+    return _report_at(spec, "broadcast",
+                      CooperationPlan((0,) + spec.destinations()), hops,
+                      input_pmf, (x0,))
 
 
 def single_relay_broadcast_capacity(spec: NetworkSpec,
@@ -576,16 +617,11 @@ def single_relay_broadcast_capacity(spec: NetworkSpec,
     hops = [(1, [x0], [output_label(1)], [x1])] + [
         (j, [x0, x1], [output_label(j)], []) for j in spec.destinations()[1:]]
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    terms = [(a, b, cond, den) for (_, a, b, cond), den in zip(hops, dens)]
-    best_pmf, result = _maximin(spec, participating, terms, opts, 2000)
-    composed = compose_joint(spec.extend_input(best_pmf, participating),
-                             spec.channel)
-    terms = _evaluate_hops(composed, dens, hops)
+    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts,
+                                       2000)
     plan = CooperationPlan((0,) + spec.destinations())
-    shown = best_pmf if best_pmf is not None else spec.extend_input(
-        None, participating).marginalize(participating)
-    report = _report_from_terms(MODE_BROADCAST, plan, terms, shown,
-                                notes=("capacity: achievability meets the "
-                                       "cut-set converse for this shape",))
-    return dataclasses.replace(report, converged=result.converged,
-                               evals=result.evals)
+    return _report_from_terms(MODE_BROADCAST, plan, terms,
+                              _shown_input(spec, best_pmf, participating),
+                              notes=("capacity: achievability meets the "
+                                     "cut-set converse for this shape",),
+                              converged=result.converged, evals=result.evals)

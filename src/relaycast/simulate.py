@@ -29,7 +29,13 @@ import numpy as np
 
 from .codebooks import ChannelCodebookStack, conditional_input_laws
 from .errors import BTooSmall, PlanMismatch, TooLarge
-from .network import NetworkSpec, input_label, output_label, source_label
+from .network import (
+    NetworkSpec,
+    compose_joint,
+    input_label,
+    output_label,
+    source_label,
+)
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, validate_plan
 from .schedules import (
@@ -190,10 +196,10 @@ class _Setup:
                        for w, seq in enumerate(self.codebook.sequences)}
         self.seqs64 = self.codebook.sequences.astype(np.int64)
         self.labels = tuple(input_label(t) for t in senders)
-        self.laws = conditional_input_laws(
-            spec.extend_input(input_pmf, self.labels)
-            .marginalize(self.labels), self.labels)
-        self.composed = spec.compose(input_pmf, self.labels)
+        full = spec.extend_input(input_pmf, self.labels)
+        self.laws = conditional_input_laws(full.marginalize(self.labels),
+                                           self.labels)
+        self.composed = compose_joint(full, spec.channel)
         self.side_tests = {
             k: TypicalityTest(spec.sources,
                               (source_label(0), source_label(k)), m, epsilon)
@@ -262,6 +268,25 @@ def _aggregate(trial_fn: Callable[[int], dict[int, bool]], trials: int,
                      per_terminal_errors=per_terminal, config=config)
 
 
+def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
+                 plan: CooperationPlan | None = None) -> None:
+    """Raise the structural error the ``scheme`` simulator raises before it
+    builds anything: network shape, block count ``B``, sliding ``plan``."""
+    if scheme == "ptp" and (spec.K != 0 or spec.L != 1):
+        raise PlanMismatch("simulate_ptp requires K=0, L=1")
+    if scheme == "sliding":
+        if spec.L != 1:
+            raise PlanMismatch("sliding-window simulation requires L=1")
+        validate_plan(spec, plan, MODE_SINGLE)
+        if B < plan.num_hops:
+            raise BTooSmall(
+                f"need B >= {plan.num_hops} for at least one source block")
+    if scheme == "backward":
+        if spec.L != 1:
+            raise PlanMismatch("backward simulation requires L=1")
+        backward_num_blocks(spec.K, B)
+
+
 # ---------------------------------------------------------------------------
 # Point-to-point scheme with tunable binning
 # ---------------------------------------------------------------------------
@@ -283,8 +308,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     resolves the channel stage alone first, then the source stage within
     the bin.
     """
-    if spec.K != 0 or spec.L != 1:
-        raise PlanMismatch("simulate_ptp requires K=0, L=1")
+    check_scheme(spec, "ptp")
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
     src_size = spec.sources.sizes[0]
@@ -365,13 +389,9 @@ def simulate_sliding_window(spec: NetworkSpec,
     """
     if not isinstance(plan, CooperationPlan):
         plan = CooperationPlan(tuple(plan))
-    if spec.L != 1:
-        raise PlanMismatch("sliding-window simulation requires L=1")
-    validate_plan(spec, plan, MODE_SINGLE)
+    check_scheme(spec, "sliding", B, plan)
     order = plan.order
     depth = plan.num_hops - 1                 # number of cooperating relays
-    if B < depth + 1:
-        raise BTooSmall(f"need B >= {depth + 1} for at least one source block")
     Q = sliding_num_source_blocks(depth, B)
     events = sliding_decode_events(depth, B)
     # plan positions 0..depth transmit; positions 1..depth+1 decode
@@ -465,8 +485,7 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     unique sequence in that bin typical with the local side information.
     """
     K = spec.K
-    if spec.L != 1:
-        raise PlanMismatch("backward simulation requires L=1")
+    check_scheme(spec, "backward", B)
     Q, total_blocks = backward_num_blocks(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
     decoders = tuple(range(1, K + 2))

@@ -19,6 +19,25 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _k3_document(tmp_path) -> str:
+    """Path of a K=3 network document: four noiseless parallel links."""
+    import numpy as np
+    ch = np.zeros((2, 2, 2, 2, 1) + (2, 2, 2, 2))
+    for idx in np.ndindex((2, 2, 2, 2)):
+        ch[idx + (0,) + idx] = 1.0
+    doc = {
+        "K": 3, "L": 1,
+        "input_alphabets": [2, 2, 2, 2, 1],
+        "output_alphabets": [2, 2, 2, 2],
+        "source_alphabets": [2] * 5,
+        "channel": ch.reshape(-1).tolist(),
+        "sources": [1 / 32] * 32,
+    }
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestRate:
     def test_net_a_report(self, capsys):
         code, out, _ = run_cli(["rate", "--net", "net-a", "--restarts", "4"],
@@ -166,25 +185,29 @@ class TestSimulate:
         assert float(lo["rate"]) <= 0.8 * parsed["r_star"] + 1e-9
 
     def test_backward_k3_unsupported(self, capsys, tmp_path):
-        import numpy as np
-        ch = np.zeros((2, 2, 2, 2, 1) + (2, 2, 2, 2))
-        for idx in np.ndindex((2, 2, 2, 2)):
-            ch[idx + (0,) + idx] = 1.0
-        doc = {
-            "K": 3, "L": 1,
-            "input_alphabets": [2, 2, 2, 2, 1],
-            "output_alphabets": [2, 2, 2, 2],
-            "source_alphabets": [2] * 5,
-            "channel": ch.reshape(-1).tolist(),
-            "sources": [1 / 32] * 32,
-        }
-        path = tmp_path / "k3.json"
-        path.write_text(json.dumps(doc))
         code, _, err = run_cli(
-            ["simulate", "--net", str(path), "--scheme", "backward",
-             "--m", "4", "--n", "8", "--B", "2", "--trials", "2"], capsys)
+            ["simulate", "--net", _k3_document(tmp_path), "--scheme",
+             "backward", "--m", "4", "--n", "8", "--B", "2", "--trials", "2"],
+            capsys)
         assert code == 2
         assert json.loads(err)["error_code"] == "UnsupportedK"
+
+    def test_structural_errors_precede_rate_search(self, capsys, tmp_path,
+                                                   monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("rate search ran before the scheme checks")
+        monkeypatch.setattr("relaycast.cli.optimize_rate", no_search)
+        for args, want in [
+                (["--net", _k3_document(tmp_path), "--scheme", "backward",
+                  "--B", "2"], "UnsupportedK"),
+                (["--net", "net-c", "--scheme", "ptp"], "PlanMismatch"),
+                (["--net", "net-c", "--scheme", "sliding", "--B", "1"],
+                 "BTooSmall")]:
+            code, _, err = run_cli(
+                ["simulate", "--m", "4", "--n", "8", "--trials", "2",
+                 "--rate-scale", "0.8"] + args, capsys)
+            assert code == 2
+            assert json.loads(err)["error_code"] == want
 
     def test_ptp_requires_k0(self, capsys):
         code, _, err = run_cli(

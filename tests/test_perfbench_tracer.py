@@ -1,0 +1,49 @@
+"""The benchmark's span tracer (``perfbench/spans.py``) patches relaycast's
+layers by looking names up in module and class namespaces.  Pin that every
+name it looks up is still bound and that it restores what it patched."""
+
+import importlib.util
+from pathlib import Path
+
+import relaycast as rc
+import relaycast.cli as cli
+import relaycast.codebooks as codebooks
+import relaycast.network as network
+import relaycast.optimize as optimize
+import relaycast.pmf as pmf
+import relaycast.rates as rates
+import relaycast.seeds as seeds
+import relaycast.simulate as simulate
+import relaycast.typicality as typicality
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+NAMESPACES = [rc, cli, codebooks, network, optimize, pmf, rates, seeds,
+              simulate, typicality, pmf.JointPmf, network.NetworkSpec,
+              codebooks.ChannelCodebookStack, typicality.TypicalityTest,
+              simulate._ChannelSampler]
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores():
+    spans = _load_spans()
+    before = [dict(vars(ns)) for ns in NAMESPACES]
+    tracer = spans.Tracer()
+    with spans.installed(tracer, rc):
+        assert rates.compose_joint is not before[NAMESPACES.index(rates)][
+            "compose_joint"]
+        rc.optimize_rate(rc.bundled_network("net-a"), [0, 1],
+                         rc.OptimizerOptions(restarts=1))
+    metrics = tracer.layer_metrics(0)
+    assert metrics["rates.plans"] == 1
+    assert metrics["rates.objective_calls"] == metrics["optimize.evals"] > 0
+    for ns, saved in zip(NAMESPACES, before):
+        now = vars(ns)
+        assert set(now) == set(saved), ns
+        assert all(now[name] is saved[name] for name in saved), ns

@@ -9,14 +9,22 @@ import relaycast as rc
 from relaycast.errors import (
     AlphabetMismatch,
     InvalidPlan,
+    NegativeMass,
     NotBroadcastShape,
     NotDegraded,
     NotLemmaShape,
+    NotNormalized,
     TooManyPlans,
 )
 from relaycast.network import ChannelModel, NetworkSpec
 from relaycast.nets import branch_sources, dsbs_chain
-from relaycast.rates import _DF_BOTTLENECK_NOTE
+from relaycast.rates import (
+    _DF_BOTTLENECK_NOTE,
+    _hop_evaluator,
+    _hop_sets,
+    default_mode,
+    participating_inputs,
+)
 
 from conftest import conv, h2
 
@@ -53,6 +61,21 @@ class TestAchievableRate:
         stray = rc.uniform_pmf(("X1",), (2,))
         with pytest.raises(AlphabetMismatch):
             rc.achievable_rate(net_c, stray, [0, 2])
+
+    @pytest.mark.parametrize("probs,error,match", [
+        ([0.3, 0.3], NotNormalized, "mass sums to"),
+        ([1.2, -0.2], NegativeMass, "below"),
+        ([math.nan, 1.0], NotNormalized, "NaN"),
+    ], ids=["unnormalized", "negative", "nan"])
+    def test_rejects_invalid_input_pmf(self, net_a, probs, error, match):
+        bad = rc.JointPmf(("X0",), (2,), probs)
+        with pytest.raises(error, match=match):
+            rc.achievable_rate(net_a, bad, [0, 1])
+        with pytest.raises(error, match=match):
+            rc.broadcast_rate(net_a, bad)
+        with pytest.raises(error, match=match):
+            rc.simulate_ptp(net_a, m=4, n=4, R=None, epsilon=3.0, trials=1,
+                            seed=0, input_pmf=bad)
 
     def test_plan_validation(self, net_c):
         with pytest.raises(InvalidPlan):
@@ -318,7 +341,43 @@ def test_per_hop_terms_match_direct_evaluation(net_d):
             b = {n_in + plan.order[hop] - 1}
             cond = {plan.order[j] for j in range(hop, plan.num_hops)}
             direct = _local_mi(flat, sizes, a, b, cond)
-            assert term.numerator == pytest.approx(direct, abs=1e-9)
+            assert term.numerator == pytest.approx(direct, abs=1e-12)
+
+
+def _channel_order(full):
+    return np.transpose(full.probs, [full.axis_of(f"X{t}")
+                                     for t in range(len(full.variables))])
+
+
+@pytest.mark.parametrize("name", sorted(rc.BUNDLED))
+def test_hop_evaluator_matches_joint_pmf_exactly(name):
+    # the rate engine's array evaluator against the labelled calculus on
+    # compose_joint's output: every plan and every cut, bit for bit
+    spec = rc.bundled_network(name)
+    mode = default_mode(spec)
+    cases = [(_hop_sets(spec, plan, mode), participating_inputs(spec, plan,
+                                                                mode))
+             for plan in rc.enumerate_plans(spec)]
+    if spec.L == 1:
+        everyone = spec.input_labels()
+        cases += [([(i, list(everyone[:i]),
+                     [f"Y{t}" for t in range(i, spec.K + 2)],
+                     list(everyone[i:]))], everyone)
+                  for i in range(1, spec.K + 2)]
+    rng = np.random.default_rng(41)
+    for hops, participating in cases:
+        free = tuple(v for v in participating
+                     if spec.input_sizes[int(v[1:])] > 1)
+        sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
+        evaluate = _hop_evaluator(spec, hops, [1.0] * len(hops))
+        for pmf in [None] + [rc.random_pmf(free, sizes, rng)
+                             for _ in range(3)]:
+            composed = rc.compose_joint(
+                spec.extend_input(pmf, participating), spec.channel)
+            got = [t.numerator for t in evaluate(_channel_order(
+                spec.extend_input(pmf, participating)))]
+            assert got == [composed.mutual_information(a, b, cond)
+                           for _, a, b, cond in hops]
 
 
 def test_rate_invariant_under_symbol_relabeling(net_b):
