@@ -19,6 +19,23 @@ from .pmf import JointPmf
 from .seeds import STREAM_CODEBOOK, child_rng
 
 
+def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Symbol drawn by each uniform in ``u`` from its cumulative law: the
+    number of entries of ``cum`` (symbols along the last axis, the other
+    axes broadcast against ``u``) that the uniform exceeds.
+
+    One compare per symbol is added into a small-integer accumulator, so no
+    (..., symbols) temporary is built.  The last ``cum`` entry stays in the
+    loop: it can round to just under 1, and a uniform above it then counts
+    past the last symbol, exactly as ``(u[..., None] > cum).sum(-1)`` does.
+    """
+    symbols = cum.shape[-1]
+    out = np.zeros(u.shape, dtype=np.int8 if symbols < 128 else np.int64)
+    for a in range(symbols):
+        out += u > cum[..., a]
+    return out
+
+
 def conditional_input_laws(joint: JointPmf,
                            labels_bottom_up: tuple[str, ...]) -> list[np.ndarray]:
     """Per level p, p(x_p | x_{p+1}, .., x_{P-1}) as an array indexed
@@ -93,7 +110,7 @@ class ChannelCodebookStack:
         rng = child_rng(self.root_seed, self.trial, STREAM_CODEBOOK,
                         level, copy, *upper)
         u = rng.random((self.level_sizes[level], self.n))
-        table = (u[:, :, None] > cum[None, :, :]).sum(axis=2).astype(np.int8)
+        table = inverse_cdf(u, cum).astype(np.int8, copy=False)
         self._cache[key] = table
         return table
 
@@ -120,7 +137,6 @@ class ChannelCodebookStack:
         rng = child_rng(self.root_seed, self.trial, STREAM_CODEBOOK,
                         level, copy, *upper)
         rng.bit_generator.advance(index * self.n)
-        u = rng.random(self.n)
-        row = (u[:, None] > cum).sum(axis=1).astype(np.int8)
+        row = inverse_cdf(rng.random(self.n), cum).astype(np.int8, copy=False)
         self._row_cache[rkey] = row
         return row

@@ -27,15 +27,14 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .codebooks import ChannelCodebookStack, conditional_input_laws
-from .errors import BTooSmall, PlanMismatch, TooLarge
-from .network import (
-    NetworkSpec,
-    compose_joint,
-    input_label,
-    output_label,
-    source_label,
+from . import network
+from .codebooks import (
+    ChannelCodebookStack,
+    conditional_input_laws,
+    inverse_cdf,
 )
+from .errors import BTooSmall, PlanMismatch, TooLarge
+from .network import NetworkSpec, input_label, output_label, source_label
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, validate_plan
 from .schedules import (
@@ -118,8 +117,10 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T],
                  workers: int = 1) -> list[U]:
     """Order-preserving map over trials; thread pool when workers > 1.
 
-    Threads pay only where a trial spends its time in numpy calls that
-    release the GIL (the point-to-point scheme's large typicality batches).
+    Threads pay only where a trial spends most of its time in numpy calls
+    that release the GIL.  The point-to-point scheme, whose batches are the
+    largest, no longer does: at m=12, n=24 it ran no faster on two threads
+    than serially, at 1.6x the CPU time (README, ``--workers``).
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -163,9 +164,7 @@ class _ChannelSampler:
     def sample(self, in_idx: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
         """(num_outputs, n) output symbol rows for per-symbol input indices."""
-        rows = self.cum[in_idx]                       # (n, n_out)
-        u = rng.random(in_idx.size)
-        flat = (u[:, None] > rows).sum(axis=1)
+        flat = inverse_cdf(rng.random(in_idx.size), self.cum[in_idx])
         out = np.empty((len(self.out_sizes), in_idx.size), dtype=np.int8)
         for axis in range(len(self.out_sizes) - 1, -1, -1):
             out[axis] = flat % self.out_sizes[axis]
@@ -194,12 +193,12 @@ class _Setup:
             spec.sources.marginalize([source_label(0)]), m, epsilon)
         self.lookup = {seq.tobytes(): w
                        for w, seq in enumerate(self.codebook.sequences)}
-        self.seqs64 = self.codebook.sequences.astype(np.int64)
         self.labels = tuple(input_label(t) for t in senders)
         full = spec.extend_input(input_pmf, self.labels)
         self.laws = conditional_input_laws(full.marginalize(self.labels),
                                            self.labels)
-        self.composed = compose_joint(full, spec.channel)
+        # looked up on the module, where perfbench's tracer patches it
+        self.composed = network.compose_joint(full, spec.channel)
         self.side_tests = {
             k: TypicalityTest(spec.sources,
                               (source_label(0), source_label(k)), m, epsilon)
@@ -323,23 +322,20 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     ch_test = TypicalityTest(setup.composed, (input_label(0), output_label(1)),
                              n, epsilon)
     side_test = setup.side_tests[1]
+    identity = np.arange(codebook.M)
 
-    # The identity map and the int64 codebook are built per trial, not
-    # shared: sharing them across the two pool threads measured 10-15%
-    # slower per pass on the sim-ptp benchmark.
     def trial_fn(trial: int) -> dict[int, bool]:
         src, idx = setup.draw_sources(seed, trial, 1)
         if R is None:
-            bin_map = np.arange(codebook.M)
+            bin_map = identity
         else:
             bin_map = assign_bins(codebook, R, seed, 1, trial=trial).map
         stack = ChannelCodebookStack(n, [num_bins], setup.laws, 1, seed, trial)
         sent_bin = 0 if idx[1] < 0 else int(bin_map[idx[1]])
         table = stack.rows(0, 0, ())
         y = setup.transmit(stack, [(sent_bin,)], seed, trial, 1)
-        ch_mask = ch_test.check_batch(table.astype(np.int64),
-                                      ch_test.flatten([y[0]]))
-        side_mask = side_test.check_batch(codebook.sequences.astype(np.int64),
+        ch_mask = ch_test.check_batch(table, ch_test.flatten([y[0]]))
+        side_mask = side_test.check_batch(codebook.sequences,
                                           side_test.flatten([src[1][1]]))
         decoded: int | None = None
         side_hits = np.flatnonzero(side_mask)
@@ -427,7 +423,7 @@ def simulate_sliding_window(spec: NetworkSpec,
             i, q = ev.position, ev.q
             own = est[i]
             side = setup.side_tests[order[i]]
-            mask = side.check_batch(setup.seqs64,
+            mask = side.check_batch(codebook.sequences,
                                     side.flatten([src[q][order[i]]]))
             for ref, window in zip(ref_tests[i], ev.windows):
                 if not mask.any():
@@ -442,7 +438,7 @@ def simulate_sliding_window(spec: NetworkSpec,
                                        window.deeper_args)]
                 y_row = y_blocks[window.block][order[i] - 1]
                 fixed = ref.flatten(deeper_rows + [y_row])
-                mask &= ref.check_batch(cand_rows.astype(np.int64), fixed)
+                mask &= ref.check_batch(cand_rows, fixed)
             hits = np.flatnonzero(mask)
             if hits.size == 1:
                 own[q] = int(hits[0])
@@ -536,10 +532,9 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
                 own_fixed, upper = vals[0], vals[1:]
                 size_p = spec.input_sizes[p]
                 if slot == 0:
-                    rows = stack.rows(p, 0, tuple(upper))
-                    level_rows = rows.astype(np.int64)          # (C, n)
+                    level_rows = stack.rows(p, 0, tuple(upper))  # (C, n)
                 else:
-                    level_rows = np.empty((C, n), dtype=np.int64)
+                    level_rows = np.empty((C, n), dtype=np.int8)
                     for w in range(C):
                         filled = tuple(w if u is None else u for u in upper)
                         level_rows[w] = stack.row(p, 0, filled, own_fixed)
@@ -559,7 +554,7 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
                 if members.size:
                     side = setup.side_tests[k_dec]
                     smask = side.check_batch(
-                        setup.seqs64[members],
+                        codebook.sequences[members],
                         side.flatten([src[ev.q][k_dec]]))
                     shits = np.flatnonzero(smask)
                     if shits.size == 1:

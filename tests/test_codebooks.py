@@ -3,7 +3,18 @@
 import numpy as np
 
 import relaycast as rc
-from relaycast.codebooks import ChannelCodebookStack, conditional_input_laws
+from relaycast.codebooks import (
+    ChannelCodebookStack,
+    conditional_input_laws,
+    inverse_cdf,
+)
+from relaycast.seeds import STREAM_CHANNEL, STREAM_CODEBOOK, child_rng
+from relaycast.simulate import _ChannelSampler
+
+
+def reference_inverse_cdf(u, cum):
+    """The (C, n, A) compare-and-sum the codebook kernels replaced."""
+    return (u[:, :, None] > cum).sum(axis=2)
 
 
 def test_conditional_laws_factorize_joint():
@@ -66,3 +77,58 @@ def test_copy_cycling():
     stack = ChannelCodebookStack(5, [4], laws, 3, 0, 0)
     assert [stack.copy_for_block(b) for b in range(1, 8)] == \
         [0, 1, 2, 0, 1, 2, 0]
+
+
+def test_inverse_cdf_matches_reference():
+    rng = np.random.default_rng(5)
+    # a law whose cumulative sum ends just under 1.0: uniforms above the
+    # last entry must count past the last symbol, as the reference does
+    tenths = np.cumsum(np.full(10, 0.1))
+    assert tenths[-1] < 1.0
+    u_edge = np.array([[0.0, tenths[-1], np.nextafter(tenths[-1], 1.0)]])
+    cum_edge = np.broadcast_to(tenths, (3, 10))
+    np.testing.assert_array_equal(inverse_cdf(u_edge, cum_edge),
+                                  reference_inverse_cdf(u_edge, cum_edge))
+    assert inverse_cdf(u_edge, cum_edge).tolist() == [[0, 9, 10]]
+    for symbols in (2, 3, 4, 130):
+        law = rng.dirichlet(np.ones(symbols), size=24)    # per position
+        cum = np.cumsum(law, axis=-1)
+        u = rng.random((4096, 24))
+        u[0] = cum[:, -1]                 # ties sit at or below the entry
+        got = inverse_cdf(u, cum)
+        np.testing.assert_array_equal(got, reference_inverse_cdf(u, cum))
+        np.testing.assert_array_equal(inverse_cdf(u[7], cum),
+                                      reference_inverse_cdf(u[7:8], cum)[0])
+
+
+def test_stack_and_channel_draw_the_reference_symbols():
+    """``rows``, the single-row path of ``row`` and the channel sampler
+    give the reference compare-and-sum of their own uniform streams."""
+    rng = np.random.default_rng(3)
+    for symbols in (2, 3, 4):
+        joint = rc.random_pmf(("X0", "X1"), (symbols, 2), rng,
+                              positive=True)
+        laws = conditional_input_laws(joint, ("X0", "X1"))
+        n, seed, trial = 24, 11, 2
+        stack = ChannelCodebookStack(n, [4096, 2], laws, 1, seed, trial)
+        table = stack.rows(0, 0, (1,))
+        cum = stack._symbol_cdf(0, 0, (1,))
+        u = child_rng(seed, trial, STREAM_CODEBOOK, 0, 0, 1).random((4096, n))
+        want = reference_inverse_cdf(u, cum).astype(np.int8)
+        assert table.dtype == np.int8
+        np.testing.assert_array_equal(table, want)
+        lazy = ChannelCodebookStack(n, [4096, 2], laws, 1, seed, trial)
+        for idx in (0, 17, 4095):
+            np.testing.assert_array_equal(lazy.row(0, 0, (1,), idx),
+                                          want[idx])
+
+    spec = rc.bundled_network("net-c")
+    sampler = _ChannelSampler(spec)
+    in_idx = rng.integers(0, int(np.prod(spec.input_sizes)), 500)
+    out = sampler.sample(in_idx, child_rng(4, 0, STREAM_CHANNEL, 1))
+    u = child_rng(4, 0, STREAM_CHANNEL, 1).random(in_idx.size)
+    flat = reference_inverse_cdf(u[None, :], sampler.cum[in_idx])[0]
+    for axis in range(len(sampler.out_sizes) - 1, -1, -1):
+        np.testing.assert_array_equal(out[axis],
+                                      flat % sampler.out_sizes[axis])
+        flat //= sampler.out_sizes[axis]

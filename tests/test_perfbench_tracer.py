@@ -47,3 +47,12 @@ def test_tracer_installs_and_restores():
         now = vars(ns)
         assert set(now) == set(saved), ns
         assert all(now[name] is saved[name] for name in saved), ns
+
+
+def test_tracer_counts_simulator_compositions():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.installed(tracer, rc):
+        rc.simulate_ptp(rc.bundled_network("net-a-noiseless"), m=4, n=8,
+                        R=None, epsilon=1.0, trials=2, seed=0)
+    assert tracer.layer_metrics(2)["network.compose_calls"] == 1

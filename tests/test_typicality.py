@@ -12,7 +12,8 @@ from relaycast.errors import (
     TooLarge,
     UnknownVariable,
 )
-from relaycast.typicality import all_sequences
+from relaycast import typicality
+from relaycast.typicality import TypicalityTest, all_sequences
 
 
 class TestTypicalSourceCodebook:
@@ -152,3 +153,87 @@ class TestJointTypicality:
                     if abs(freq - n * p) > 0.4 * n * p + 1e-9:
                         want = False
             assert got == want
+
+
+def reference_check_batch(test, candidates, fixed_flat):
+    """The int64 bincount form that ``check_batch`` must reproduce."""
+    c = candidates.shape[0]
+    idx = candidates.astype(np.int64) * test.tail + fixed_flat
+    idx += np.arange(c, dtype=np.int64)[:, None] * test.ncells
+    counts = np.bincount(idx.reshape(-1), minlength=c * test.ncells)
+    counts = counts.reshape(c, test.ncells)
+    return ((counts >= test.lo) & (counts <= test.hi)).all(axis=1)
+
+
+def _check_batch_cases():
+    """(test, candidates, fixed_flat) over the sizes the simulators use,
+    both sides of the size rule between the two count forms."""
+    rng = np.random.default_rng(21)
+    sizes = (2, 2, 2, 2)
+    labels = ("A", "B", "C", "D")
+    probs = rng.random(16)
+    probs[[1, 6, 11]] = 0.0                      # zero-probability cells
+    ref = rc.JointPmf(labels, sizes, probs / probs.sum())
+    cases = []
+    for lead in (1, 2, 3):                       # lead > 1: mixed radix
+        for c, n, eps in [(1, 24, 3.0), (128, 7, 4.0), (128, 7, 0.3),
+                          (1024, 8, 0.5), (4096, 24, 3.0), (4096, 12, 0.5),
+                          (4096, 3, 1.0)]:
+            test = TypicalityTest(ref, labels, n, eps, lead=lead)
+            lead_size = test.ncells // test.tail
+            tail = rng.integers(0, test.tail, n)
+            cand = rng.integers(0, lead_size, (c, n)).astype(np.int8)
+            cases.append((test, cand, tail))
+            # tail values absent: every position carries the same value
+            cases.append((test, cand, np.full(n, test.tail - 1)))
+    # candidates a few flips from a diagonal reference: many pass
+    diag = rc.JointPmf(("A", "B"), (2, 2), [0.45, 0.05, 0.05, 0.45])
+    for c, n in [(1, 24), (128, 7), (4096, 24)]:
+        test = TypicalityTest(diag, ("A", "B"), n, 0.8)
+        y = rng.integers(0, 2, n)
+        flips = rng.random((c, n)) < 0.1
+        cases.append((test, (y ^ flips).astype(np.int8), y))
+    # a point mass over a long block: counts above 255 must not wrap
+    mass = rc.JointPmf(("A", "B"), (2, 2), [1.0, 0.0, 0.0, 0.0])
+    test = TypicalityTest(mass, ("A", "B"), 300, 0.1)
+    cand = (rng.random((64, 300)) < 0.002).astype(np.int8)
+    cases.append((test, cand, np.zeros(300, dtype=np.int64)))
+    return cases
+
+
+class TestCheckBatch:
+    def test_matches_bincount_reference(self):
+        passing, cellwise = 0, set()
+        for test, cand, fixed in _check_batch_cases():
+            want = reference_check_batch(test, cand, fixed)
+            np.testing.assert_array_equal(test.check_batch(cand, fixed), want)
+            np.testing.assert_array_equal(
+                test.check_batch(cand.astype(np.int64), fixed), want)
+            passing += int(want.sum())
+            cellwise.add(cand.size >= typicality.CELLWISE_SYMBOLS_PER_CELL
+                         * test.ncells)
+        assert passing > 100          # the grid exercises both outcomes
+        assert cellwise == {False, True}      # and both count forms
+
+    def test_chunked_mask_equals_unchunked(self, monkeypatch):
+        cases = _check_batch_cases()
+        whole = [test.check_batch(cand, fixed) for test, cand, fixed in cases]
+        for cap in (1, 240_000):      # 1 row; 98 to 1,578 rows a chunk
+            monkeypatch.setattr(typicality, "CHECK_BATCH_BYTES", cap)
+            for (test, cand, fixed), want in zip(cases, whole):
+                np.testing.assert_array_equal(test.check_batch(cand, fixed),
+                                              want)
+
+    def test_criterion_6_batch_is_one_chunk(self, monkeypatch):
+        calls = []
+        check = TypicalityTest._check
+
+        def counted(self, candidates, fixed_flat):
+            calls.append(candidates.shape)
+            return check(self, candidates, fixed_flat)
+        monkeypatch.setattr(TypicalityTest, "_check", counted)
+        ref = rc.uniform_pmf(("X", "Y"), (2, 2))
+        test = TypicalityTest(ref, ("X", "Y"), 24, 3.0)
+        test.check_batch(np.zeros((4096, 24), dtype=np.int8),
+                         np.zeros(24, dtype=np.int64))
+        assert calls == [(4096, 24)]
