@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -166,11 +167,18 @@ def cmd_simulate(args) -> str:
             else args.ladder
     ladder = _validated_ladder(ladder)
     scales = args.rate_scale
-    if isinstance(scales, str):
-        scales = [float(s) for s in scales.split(",")]
-    scales = [float(s) for s in (scales or [])]
-    if any(s <= 0 for s in scales):
-        raise SchemaError("rate-scale factors must be > 0")
+    try:
+        if isinstance(scales, str):
+            scales = scales.split(",")
+        scales = [float(s) for s in (scales or [])]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad rate-scale list {args.rate_scale!r}") from exc
+    # a factor whose m / factor overflows leaves no usable block length
+    for s in scales:
+        if not (math.isfinite(s) and s > 0
+                and all(math.isfinite(p["m"] / s) for p in ladder)):
+            raise SchemaError(f"rate-scale factor {s!r} must be finite and "
+                              f"> 0, with m / factor finite")
     config = {
         "net": args.net, "scheme": scheme, "ladder": ladder,
         "rate_scale": scales, "epsilon": args.epsilon, "seed": args.seed,

@@ -8,7 +8,11 @@ are cycled by block index.
 
 Codewords are pure functions of (root seed, trial, level, copy, upper
 indices), so any access order and any parallel schedule reproduce the same
-codebooks; a per-trial cache avoids regeneration.
+codebooks; a per-trial cache avoids regeneration.  Every slice is one
+``child_rng`` stream; ``row_across`` reads one row from many sibling slices
+through :func:`~relaycast.seeds.uniforms`, which reproduces those streams
+bit for bit (pinned against the installed numpy by ``tests/test_seeds.py``),
+so it returns exactly the rows ``row`` would.
 """
 
 from __future__ import annotations
@@ -16,10 +20,19 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import JointPmf
-from .seeds import STREAM_CODEBOOK, child_rng
+from .seeds import STREAM_CODEBOOK, child_rng, uniforms
+
+#: Largest uniform block :meth:`ChannelCodebookStack.rows` draws at once, in
+#: bytes (float64).  Blocks of whole rows come from the slice's one
+#: generator in order, so the table does not depend on this cap.  Criterion
+#: 6's 4096 x 24 table (786 KB of uniforms) stays one draw: splitting it
+#: into 256 KB blocks cost 2% per table serially but slowed the two-thread
+#: point-to-point pass by a fifth (2-vCPU x86 VM, numpy 2.4).
+ROWS_DRAW_BYTES = 2 ** 20
 
 
-def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+def inverse_cdf(u: np.ndarray, cum: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Symbol drawn by each uniform in ``u`` from its cumulative law: the
     number of entries of ``cum`` (symbols along the last axis, the other
     axes broadcast against ``u``) that the uniform exceeds.
@@ -28,9 +41,13 @@ def inverse_cdf(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     (..., symbols) temporary is built.  The last ``cum`` entry stays in the
     loop: it can round to just under 1, and a uniform above it then counts
     past the last symbol, exactly as ``(u[..., None] > cum).sum(-1)`` does.
+    ``out``, of ``u``'s shape, receives the symbols in place of a new array.
     """
     symbols = cum.shape[-1]
-    out = np.zeros(u.shape, dtype=np.int8 if symbols < 128 else np.int64)
+    if out is None:
+        out = np.zeros(u.shape, dtype=np.int8 if symbols < 128 else np.int64)
+    else:
+        out[...] = 0
     for a in range(symbols):
         out += u > cum[..., a]
     return out
@@ -85,18 +102,25 @@ class ChannelCodebookStack:
     def copy_for_block(self, block: int) -> int:
         return (block - 1) % self.copies
 
-    def _symbol_cdf(self, level: int, copy: int,
-                    upper: tuple[int, ...]) -> np.ndarray:
-        """Per-position cumulative symbol law under the upper codewords."""
+    def _symbol_cdf(self, level: int, copy: int, upper: tuple,
+                    C: int = 0) -> np.ndarray:
+        """Per-position cumulative symbol law under the upper codewords,
+        (n, symbols); (C, n, symbols) when one ``upper`` entry is ``None``
+        and ranges over the indices 0..C-1."""
         law = self.laws[level]
         if law.ndim == 1:
             cond = np.broadcast_to(law, (self.n, law.size))
         else:
-            upper_rows = [
-                self.row(level + 1 + d, copy, upper[d + 1:], upper[d])
-                for d in range(self.num_levels - level - 1)
-            ]
-            cond = law[tuple(upper_rows)]          # (n, own_alphabet)
+            upper_rows = []
+            for d in range(self.num_levels - level - 1):
+                lvl, own, above = level + 1 + d, upper[d], upper[d + 1:]
+                if own is None:
+                    upper_rows.append(self.rows(lvl, copy, above)[:C])
+                elif None in above:
+                    upper_rows.append(self.row_across(lvl, copy, above, own, C))
+                else:
+                    upper_rows.append(self.row(lvl, copy, above, own))
+            cond = law[tuple(upper_rows)]    # (n | C, n, own_alphabet)
         return np.cumsum(cond, axis=-1)
 
     def rows(self, level: int, copy: int,
@@ -109,8 +133,13 @@ class ChannelCodebookStack:
         cum = self._symbol_cdf(level, copy, upper)
         rng = child_rng(self.root_seed, self.trial, STREAM_CODEBOOK,
                         level, copy, *upper)
-        u = rng.random((self.level_sizes[level], self.n))
-        table = inverse_cdf(u, cum).astype(np.int8, copy=False)
+        size = self.level_sizes[level]
+        table = np.empty((size, self.n), dtype=np.int8)
+        blocks = max(1, -(-size * self.n * 8 // ROWS_DRAW_BYTES))
+        step = -(-size // blocks)
+        for i in range(0, size, step):
+            block = table[i:i + step]
+            inverse_cdf(rng.random(block.shape), cum, out=block)
         self._cache[key] = table
         return table
 
@@ -140,3 +169,27 @@ class ChannelCodebookStack:
         row = inverse_cdf(rng.random(self.n), cum).astype(np.int8, copy=False)
         self._row_cache[rkey] = row
         return row
+
+    def row_across(self, level: int, copy: int, upper: tuple, index: int,
+                   C: int) -> np.ndarray:
+        """Row ``index`` of each of the C slices that the one ``None`` entry
+        of ``upper`` ranges over (indices 0..C-1), as (C, n) int8.
+
+        Row w equals ``row(level, copy, upper with w for None, index)``,
+        drawn from all C slice streams by one :func:`uniforms` gather.
+        """
+        rkey = (level, copy, upper, index, C)
+        rows = self._row_cache.get(rkey)
+        if rows is not None:
+            return rows
+        varying = level + 1 + upper.index(None)
+        if not 0 < C <= self.level_sizes[varying]:
+            raise ValueError(f"C={C} outside 1..{self.level_sizes[varying]}, "
+                             f"the indices of level {varying}")
+        cum = self._symbol_cdf(level, copy, upper, C)
+        path = (self.trial, STREAM_CODEBOOK, level, copy) + tuple(
+            np.arange(C) if u is None else u for u in upper)
+        u = uniforms(self.root_seed, path, index * self.n, self.n)
+        rows = inverse_cdf(u, cum).astype(np.int8, copy=False)
+        self._row_cache[rkey] = rows
+        return rows

@@ -33,7 +33,7 @@ from .codebooks import (
     conditional_input_laws,
     inverse_cdf,
 )
-from .errors import BTooSmall, PlanMismatch, TooLarge
+from .errors import BTooSmall, PlanMismatch, SchemaError, TooLarge
 from .network import NetworkSpec, input_label, output_label, source_label
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, validate_plan
@@ -101,9 +101,14 @@ def blocklength_for_scale(m: int, r_star: float, scale: float) -> int:
 
     Below threshold (scale <= 1) rounds n up, keeping the operating rate at
     or under the target; above threshold rounds n down, keeping it at or
-    over.  Block-edge factors of the schedules are ignored here.
+    over.  Block-edge factors of the schedules are ignored here.  Raises
+    :class:`SchemaError` when ``scale`` is not finite or m/(scale r_star)
+    is not a finite positive number.
     """
-    raw = m / (scale * r_star)
+    raw = m / (scale * r_star) if scale * r_star > 0 else math.inf
+    if not (math.isfinite(scale) and math.isfinite(raw)):
+        raise SchemaError(f"no finite block length for m={m} at "
+                          f"{scale!r} x r*={r_star!r}")
     if scale <= 1.0:
         return max(1, math.ceil(raw - 1e-9))
     return max(1, math.floor(raw + 1e-9))
@@ -534,10 +539,8 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
                 if slot == 0:
                     level_rows = stack.rows(p, 0, tuple(upper))  # (C, n)
                 else:
-                    level_rows = np.empty((C, n), dtype=np.int8)
-                    for w in range(C):
-                        filled = tuple(w if u is None else u for u in upper)
-                        level_rows[w] = stack.row(p, 0, filled, own_fixed)
+                    level_rows = stack.row_across(p, 0, tuple(upper),
+                                                  own_fixed, C)
                 lead_rows_idx = lead_rows_idx * size_p + level_rows
             fixed_rows = []
             for p in range(k_dec, K + 1):

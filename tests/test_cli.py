@@ -209,6 +209,20 @@ class TestSimulate:
             assert code == 2
             assert json.loads(err)["error_code"] == want
 
+    def test_rate_scale_rejects_unusable_factors(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("rate search ran for a bad rate-scale")
+        monkeypatch.setattr("relaycast.cli.optimize_rate", no_search)
+        # nan, inf and a factor whose m / factor overflows, alone and
+        # after a good factor
+        for scales in ("nan", "inf", "1e-320", "0.8,nan", "abc"):
+            code, out, err = run_cli(
+                ["simulate", "--net", "net-a", "--scheme", "ptp", "--m", "4",
+                 "--trials", "2", "--rate-scale", scales], capsys)
+            assert code == 2, scales
+            assert out == ""
+            assert json.loads(err)["error_code"] == "SchemaError"
+
     def test_ptp_requires_k0(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--net", "net-c", "--scheme", "ptp",

@@ -1,13 +1,16 @@
 """Superposition codebook stack: laws, determinism, lazy row access."""
 
 import numpy as np
+import pytest
 
 import relaycast as rc
+from relaycast import codebooks
 from relaycast.codebooks import (
     ChannelCodebookStack,
     conditional_input_laws,
     inverse_cdf,
 )
+from relaycast.network import input_label
 from relaycast.seeds import STREAM_CHANNEL, STREAM_CODEBOOK, child_rng
 from relaycast.simulate import _ChannelSampler
 
@@ -132,3 +135,65 @@ def test_stack_and_channel_draw_the_reference_symbols():
         np.testing.assert_array_equal(out[axis],
                                       flat % sampler.out_sizes[axis])
         flat //= sampler.out_sizes[axis]
+
+
+def test_rows_drawn_in_blocks_equal_one_draw(monkeypatch):
+    """The capped uniform draw of ``rows`` yields the unchunked table."""
+    rng = np.random.default_rng(6)
+    joint = rc.random_pmf(("X0", "X1"), (3, 2), rng, positive=True)
+    laws = conditional_input_laws(joint, ("X0", "X1"))
+    n, sizes = 24, [1000, 2]
+    monkeypatch.setattr(codebooks, "ROWS_DRAW_BYTES", 2**40)
+    whole = ChannelCodebookStack(n, sizes, laws, 1, 4, 1).rows(0, 0, (1,))
+    for cap in (8 * n, 8 * n * 333, 8 * n * 999 - 1):
+        monkeypatch.setattr(codebooks, "ROWS_DRAW_BYTES", cap)
+        chunked = ChannelCodebookStack(n, sizes, laws, 1, 4, 1)
+        np.testing.assert_array_equal(chunked.rows(0, 0, (1,)), whole)
+
+
+def _net_laws(net, dependent):
+    """Conditional laws on a bundled net's input alphabets: its own input
+    law, or a random one under which every level depends on those above."""
+    spec = rc.bundled_network(net)
+    labels = tuple(input_label(t) for t in range(spec.K + 1))
+    sizes = spec.input_sizes[:spec.K + 1]
+    joint = rc.random_pmf(labels, sizes, np.random.default_rng(2),
+                          positive=True) if dependent \
+        else spec.extend_input(None, labels).marginalize(labels)
+    return conditional_input_laws(joint, labels)
+
+
+@pytest.mark.parametrize("dependent", [False, True])
+@pytest.mark.parametrize("net, level_sizes, n, cases", [
+    # (level, upper, index, C); slices above 4096 cells take row()'s
+    # advance path, smaller ones its materialized path
+    ("net-c", [700, 48], 7, [(0, (None,), 3, 48), (0, (None,), 4, 48),
+                             (0, (None,), 699, 5)]),
+    ("net-c", [16, 32], 3, [(0, (None,), 15, 32)]),
+    ("net-d", [600, 40, 24], 9,
+     [(0, (None, 5), 17, 40), (0, (11, None), 599, 24),
+      (0, (None, 0), 0, 7), (1, (None,), 39, 24)]),
+])
+def test_row_across_equals_row_loop(net, level_sizes, n, cases, dependent):
+    laws = _net_laws(net, dependent)
+    across = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
+    for level, upper, index, C in cases:
+        loop = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
+        got = across.row_across(level, 1, upper, index, C)
+        want = np.stack([
+            loop.row(level, 1, tuple(w if u is None else u for u in upper),
+                     index)
+            for w in range(C)])
+        assert got.dtype == np.int8 and got.shape == (C, n)
+        np.testing.assert_array_equal(got, want)
+        # a cached repeat returns the same rows
+        assert across.row_across(level, 1, upper, index, C) is got
+
+
+def test_row_across_rejects_bad_ranges():
+    laws = _net_laws("net-c", False)
+    stack = ChannelCodebookStack(5, [8, 4], laws, 1, 0, 0)
+    with pytest.raises(ValueError):
+        stack.row_across(0, 0, (None,), 1, 5)      # level 1 has 4 indices
+    with pytest.raises(ValueError):
+        stack.row_across(0, 0, (2,), 1, 4)         # no varying entry

@@ -11,6 +11,7 @@ from relaycast.errors import (
     BTooSmall,
     DegenerateTypicalSet,
     PlanMismatch,
+    SchemaError,
     TooLarge,
     UnsupportedK,
 )
@@ -261,6 +262,13 @@ class TestBlocklengthForScale:
 
     def test_exact_ratio_kept(self):
         assert rc.blocklength_for_scale(6, 1.0, 0.75) == 8
+
+    def test_no_finite_length_is_an_error(self):
+        for r_star, scale in [(1.0, float("nan")), (1.0, float("inf")),
+                              (1.0, 1e-320), (0.5, 1e-308), (0.0, 0.8),
+                              (1.0, 0.0), (1.0, -2.0)]:
+            with pytest.raises(SchemaError):
+                rc.blocklength_for_scale(6, r_star, scale)
 
 
 def test_simulators_reject_alphabets_beyond_int8(net_a):
