@@ -28,7 +28,7 @@ from typing import Any
 
 from .errors import ParseError, RelaycastError, SchemaError
 from .nets import BUNDLED, bundled_network
-from .network import NetworkSpec, load_network
+from .network import NetworkSpec, load_network, whole_number
 from .optimize import OptimizerOptions
 from .rates import (
     CooperationPlan,
@@ -141,8 +141,9 @@ def _validated_ladder(ladder) -> list[dict[str, int]]:
     out = []
     for point in ladder:
         try:
-            clean = {k: int(point[k]) for k in ("m", "n", "B", "trials")}
-        except (KeyError, TypeError, ValueError) as exc:
+            clean = {k: whole_number(point[k], f"ladder {k}")
+                     for k in ("m", "n", "B", "trials")}
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad ladder point {point!r}: {exc}") from exc
         if any(v < 1 for v in clean.values()):
             raise SchemaError(f"ladder entries must be positive: {point!r}")
@@ -163,8 +164,12 @@ def cmd_simulate(args) -> str:
         return render_sliding_schedule(terminals, args.B)
     ladder = [{"m": args.m, "n": args.n, "B": args.B, "trials": args.trials}]
     if args.ladder:
-        ladder = json.loads(args.ladder) if isinstance(args.ladder, str) \
-            else args.ladder
+        ladder = args.ladder
+        if isinstance(ladder, str):
+            try:
+                ladder = json.loads(ladder)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"--ladder is not valid JSON: {exc}") from exc
     ladder = _validated_ladder(ladder)
     scales = args.rate_scale
     try:
@@ -312,9 +317,25 @@ def build_parser(config: dict[str, Any] | None = None
     p_gen.set_defaults(fn=cmd_gen_net)
     if config:
         for p in (p_rate, p_bound, p_sim):
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in config.items() if k in known})
+            p.set_defaults(**{a.dest: _config_value(a, config[a.dest])
+                              for a in p._actions if a.dest in config})
     return parser
+
+
+def _config_value(action: argparse.Action, value: Any) -> Any:
+    """A ``--config`` value for a flag, as the flag's ``type`` reads it.
+
+    argparse converts string defaults itself; other values of a typed flag
+    must be numbers of that type (booleans and fractional counts are
+    rejected rather than truncated)."""
+    if action.type is None or value is None or isinstance(value, str):
+        return value
+    name = action.option_strings[0]
+    if action.type is int:
+        return whole_number(value, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    return action.type(value)
 
 
 def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
@@ -341,14 +362,10 @@ def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = _load_config_file(argv)
-    except RelaycastError as exc:
-        err = {"error_code": exc.code, "message": str(exc)}
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
-        return 2
-    parser = build_parser(config)
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser(_load_config_file(argv)).parse_args(argv)
+        # numpy seeds every random stream from it and takes no negative seed
+        if getattr(args, "seed", 0) < 0:
+            raise SchemaError(f"--seed must be non-negative, got {args.seed}")
         text = args.fn(args)
     except RelaycastError as exc:
         err = {"error_code": exc.code, "message": str(exc)}

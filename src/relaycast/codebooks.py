@@ -9,10 +9,11 @@ are cycled by block index.
 Codewords are pure functions of (root seed, trial, level, copy, upper
 indices), so any access order and any parallel schedule reproduce the same
 codebooks; a per-trial cache avoids regeneration.  Every slice is one
-``child_rng`` stream; ``row_across`` reads one row from many sibling slices
-through :func:`~relaycast.seeds.uniforms`, which reproduces those streams
-bit for bit (pinned against the installed numpy by ``tests/test_seeds.py``),
-so it returns exactly the rows ``row`` would.
+``child_rng`` stream, read in only two ways: whole from its start by
+``rows``, or one row from many sibling slices at once by ``row`` through
+:func:`~relaycast.seeds.uniforms`, which reproduces those streams bit for
+bit (pinned against the installed numpy by ``tests/test_seeds.py``), so a
+gathered row is exactly the row of the materialized table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .seeds import STREAM_CODEBOOK, child_rng, uniforms
 #: Largest uniform block :meth:`ChannelCodebookStack.rows` draws at once, in
 #: bytes (float64).  Blocks of whole rows come from the slice's one
 #: generator in order, so the table does not depend on this cap.  Criterion
-#: 6's 4096 x 24 table (786 KB of uniforms) stays one draw: splitting it
+#: 6's 2^12 x 24 table (786 KB of uniforms) stays one draw: splitting it
 #: into 256 KB blocks cost 2% per table serially but slowed the two-thread
 #: point-to-point pass by a fifth (2-vCPU x86 VM, numpy 2.4).
 ROWS_DRAW_BYTES = 2 ** 20
@@ -83,7 +84,8 @@ class ChannelCodebookStack:
     ``level_sizes[p]`` is the number of codeword indices at level p and
     ``laws[p]`` the conditional symbol law from
     :func:`conditional_input_laws`.  ``rows(p, copy, upper)`` returns the
-    full (level_sizes[p], n) int8 table for one tuple of upper indices.
+    full (level_sizes[p], n) int8 table for one tuple of upper indices;
+    ``row`` serves every partial read.
     """
 
     def __init__(self, n: int, level_sizes: list[int],
@@ -96,8 +98,8 @@ class ChannelCodebookStack:
         self.root_seed = int(root_seed)
         self.trial = int(trial)
         self.num_levels = len(level_sizes)
-        self._cache: dict[tuple, np.ndarray] = {}
-        self._row_cache: dict[tuple, np.ndarray] = {}
+        self._cache: dict[tuple, np.ndarray] = {}     # whole slices
+        self._row_cache: dict[tuple, np.ndarray] = {}  # gathers
 
     def copy_for_block(self, block: int) -> int:
         return (block - 1) % self.copies
@@ -111,15 +113,9 @@ class ChannelCodebookStack:
         if law.ndim == 1:
             cond = np.broadcast_to(law, (self.n, law.size))
         else:
-            upper_rows = []
-            for d in range(self.num_levels - level - 1):
-                lvl, own, above = level + 1 + d, upper[d], upper[d + 1:]
-                if own is None:
-                    upper_rows.append(self.rows(lvl, copy, above)[:C])
-                elif None in above:
-                    upper_rows.append(self.row_across(lvl, copy, above, own, C))
-                else:
-                    upper_rows.append(self.row(lvl, copy, above, own))
+            upper_rows = [self.row(level + 1 + d, copy, upper[d + 1:],
+                                   upper[d], C)
+                          for d in range(self.num_levels - level - 1)]
             cond = law[tuple(upper_rows)]    # (n | C, n, own_alphabet)
         return np.cumsum(cond, axis=-1)
 
@@ -143,43 +139,21 @@ class ChannelCodebookStack:
         self._cache[key] = table
         return table
 
-    def row(self, level: int, copy: int, upper: tuple[int, ...],
-            index: int) -> np.ndarray:
-        """Codeword ``index`` of one slice without materializing the table.
+    def row(self, level: int, copy: int, upper: tuple, index: int | None,
+            C: int = 0) -> np.ndarray:
+        """Codeword ``index`` of the slice under ``upper``, as (n,) int8.
 
-        The slice consumes one uniform draw per cell in row-major order, so
-        advancing the generator by index * n and drawing n uniforms yields
-        exactly the row that ``rows()`` would produce (pinned by a test).
+        When ``index`` or one ``upper`` entry is ``None``, that entry ranges
+        over the indices 0..C-1 and the result is the (C, n) int8 rows it
+        addresses: rows 0..C-1 of the slice, or row ``index`` of each of C
+        sibling slices, drawn from their streams by one :func:`uniforms`
+        gather.
         """
-        key = (level, copy, upper)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached[index]
-        rkey = (level, copy, upper, index)
-        row = self._row_cache.get(rkey)
-        if row is not None:
-            return row
-        size = self.level_sizes[level]
-        if size * self.n <= 4096:      # small slices: materialize once
-            return self.rows(level, copy, upper)[index]
-        cum = self._symbol_cdf(level, copy, upper)
-        rng = child_rng(self.root_seed, self.trial, STREAM_CODEBOOK,
-                        level, copy, *upper)
-        rng.bit_generator.advance(index * self.n)
-        row = inverse_cdf(rng.random(self.n), cum).astype(np.int8, copy=False)
-        self._row_cache[rkey] = row
-        return row
-
-    def row_across(self, level: int, copy: int, upper: tuple, index: int,
-                   C: int) -> np.ndarray:
-        """Row ``index`` of each of the C slices that the one ``None`` entry
-        of ``upper`` ranges over (indices 0..C-1), as (C, n) int8.
-
-        Row w equals ``row(level, copy, upper with w for None, index)``,
-        drawn from all C slice streams by one :func:`uniforms` gather.
-        """
-        rkey = (level, copy, upper, index, C)
-        rows = self._row_cache.get(rkey)
+        if None not in upper:
+            table = self.rows(level, copy, upper)
+            return table[:C] if index is None else table[index]
+        key = (level, copy, upper, index, C)
+        rows = self._row_cache.get(key)
         if rows is not None:
             return rows
         varying = level + 1 + upper.index(None)
@@ -191,5 +165,5 @@ class ChannelCodebookStack:
             np.arange(C) if u is None else u for u in upper)
         u = uniforms(self.root_seed, path, index * self.n, self.n)
         rows = inverse_cdf(u, cum).astype(np.int8, copy=False)
-        self._row_cache[rkey] = rows
+        self._row_cache[key] = rows
         return rows

@@ -286,6 +286,28 @@ _REQUIRED_FIELDS = ("K", "L", "input_alphabets", "output_alphabets",
                     "source_alphabets", "channel", "sources")
 
 
+def whole_number(value: Any, what: str) -> int:
+    """``value`` as an int; booleans and numbers with a fractional part,
+    which ``int()`` would silently truncate, raise :class:`SchemaError`."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise SchemaError(f"{what} must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be a whole number, got {value!r}"
+                          ) from exc
+
+
+def _tensor(document: dict[str, Any], field: str) -> np.ndarray:
+    """A flat tensor field as float64; non-numeric or ragged entries raise
+    :class:`SchemaError`."""
+    try:
+        return np.asarray(document[field], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {field} tensor: {exc}") from exc
+
+
 def load_network(document: str | dict[str, Any]) -> NetworkSpec:
     """Parse and fully validate a JSON network document.
 
@@ -302,13 +324,14 @@ def load_network(document: str | dict[str, Any]) -> NetworkSpec:
     for key in _REQUIRED_FIELDS:
         if key not in document:
             raise SchemaError(f"missing required field {key!r}")
+    K = whole_number(document["K"], "K")
+    L = whole_number(document["L"], "L")
     try:
-        K = int(document["K"])
-        L = int(document["L"])
-        in_sizes = tuple(int(s) for s in document["input_alphabets"])
-        out_sizes = tuple(int(s) for s in document["output_alphabets"])
-        src_sizes = tuple(int(s) for s in document["source_alphabets"])
-    except (TypeError, ValueError) as exc:
+        in_sizes, out_sizes, src_sizes = (
+            tuple(whole_number(s, f"an entry of {key}") for s in document[key])
+            for key in ("input_alphabets", "output_alphabets",
+                        "source_alphabets"))
+    except TypeError as exc:
         raise SchemaError(f"malformed size field: {exc}") from exc
     n = K + L
     if len(in_sizes) != n + 1:
@@ -320,9 +343,8 @@ def load_network(document: str | dict[str, Any]) -> NetworkSpec:
     if len(src_sizes) != n + 1:
         raise SchemaError(
             f"source_alphabets needs K+L+1 = {n + 1} entries, got {len(src_sizes)}")
-    channel = ChannelModel(in_sizes, out_sizes,
-                           np.asarray(document["channel"], dtype=np.float64))
+    channel = ChannelModel(in_sizes, out_sizes, _tensor(document, "channel"))
     sources = JointPmf(tuple(source_label(i) for i in range(n + 1)), src_sizes,
-                       np.asarray(document["sources"], dtype=np.float64))
+                       _tensor(document, "sources"))
     return NetworkSpec(K=K, L=L, channel=channel, sources=sources,
                        name=document.get("name"))

@@ -534,14 +534,8 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
                 slot = k_dec - 1 - p
                 vals = [None if s == slot else bin_of(own_refs, *arg)
                         for s, arg in enumerate(args[p])]
-                own_fixed, upper = vals[0], vals[1:]
-                size_p = spec.input_sizes[p]
-                if slot == 0:
-                    level_rows = stack.rows(p, 0, tuple(upper))  # (C, n)
-                else:
-                    level_rows = stack.row_across(p, 0, tuple(upper),
-                                                  own_fixed, C)
-                lead_rows_idx = lead_rows_idx * size_p + level_rows
+                rows = stack.row(p, 0, tuple(vals[1:]), vals[0], C)  # (C, n)
+                lead_rows_idx = lead_rows_idx * spec.input_sizes[p] + rows
             fixed_rows = []
             for p in range(k_dec, K + 1):
                 vals = [bin_of(own_refs, *arg) for arg in args[p]]

@@ -257,6 +257,18 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err)["error_code"] == "SchemaError"
 
+    @pytest.mark.parametrize("ladder, error", [
+        ('[{"m": 4, "n": 6', "ParseError"),
+        ('[{"m": 4.7, "n": 6, "B": 2, "trials": 2}]', "SchemaError"),
+        ('[{"m": 4, "n": 6, "B": true, "trials": 2}]', "SchemaError"),
+    ])
+    def test_malformed_ladder_flag(self, ladder, error, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--net", "net-c", "--ladder", ladder], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == error
+
     def test_dry_run_matches_golden(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--net", "net-d", "--scheme", "sliding",
@@ -268,6 +280,44 @@ class TestSimulate:
              "--B", "2", "--dry-run"], capsys)
         assert code == 0
         assert out == (GOLDEN / "backward_k2_b2.txt").read_text()
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("command", [
+        ["rate", "--net", "net-a"],
+        ["bound", "--net", "net-b", "--restarts", "1"],
+        ["simulate", "--net", "net-c", "--m", "4", "--n", "6", "--B", "2",
+         "--trials", "2"],
+    ])
+    def test_negative_seed(self, command, capsys):
+        code, out, err = run_cli(command + ["--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "SchemaError"
+
+    @pytest.mark.parametrize("values", [
+        {"restarts": 2.5}, {"seed": [1]}, {"seed": True}, {"seed": -3},
+        {"epsilon": [3.0]}, {"certify_tol": False},
+    ])
+    def test_bad_config_values(self, values, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"net": "net-a", **values}))
+        code, out, err = run_cli(["simulate", "--config", str(path),
+                                  "--scheme", "ptp", "--trials", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "SchemaError"
+
+    def test_config_values_take_the_flag_type(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"net": "net-a", "restarts": 2.0,
+                                    "grid_step": None, "seed": "4"}))
+        code, out, _ = run_cli(["rate", "--config", str(path)], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["restarts"], config["seed"]) == (2, 4)
+        assert type(config["restarts"]) is int
 
 
 class TestGenNet:

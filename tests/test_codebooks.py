@@ -47,8 +47,8 @@ def test_same_address_same_codeword():
 
 
 def test_row_fetch_matches_materialized_slice():
-    """Advancing the slice stream by index * n must reproduce the row that
-    full materialization yields (the simulators rely on it)."""
+    """A row read from a fresh stack is the row of the slice's materialized
+    table, at any index of a large slice (the simulators rely on it)."""
     joint = rc.uniform_pmf(("X0", "X1"), (2, 2))
     laws = conditional_input_laws(joint, ("X0", "X1"))
     for sizes, n in [([700, 9], 17), ([1500, 4], 6)]:
@@ -105,8 +105,8 @@ def test_inverse_cdf_matches_reference():
 
 
 def test_stack_and_channel_draw_the_reference_symbols():
-    """``rows``, the single-row path of ``row`` and the channel sampler
-    give the reference compare-and-sum of their own uniform streams."""
+    """``rows``, ``row`` and the channel sampler give the reference
+    compare-and-sum of their own uniform streams."""
     rng = np.random.default_rng(3)
     for symbols in (2, 3, 4):
         joint = rc.random_pmf(("X0", "X1"), (symbols, 2), rng,
@@ -165,35 +165,41 @@ def _net_laws(net, dependent):
 
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("net, level_sizes, n, cases", [
-    # (level, upper, index, C); slices above 4096 cells take row()'s
-    # advance path, smaller ones its materialized path
+    # (level, upper, index, C): the None entry ranges over 0..C-1, with C
+    # the whole level or part of it; a None index reads rows 0..C-1
     ("net-c", [700, 48], 7, [(0, (None,), 3, 48), (0, (None,), 4, 48),
-                             (0, (None,), 699, 5)]),
+                             (0, (None,), 699, 5), (1, (), None, 48),
+                             (0, (3,), None, 5)]),
     ("net-c", [16, 32], 3, [(0, (None,), 15, 32)]),
     ("net-d", [600, 40, 24], 9,
      [(0, (None, 5), 17, 40), (0, (11, None), 599, 24),
-      (0, (None, 0), 0, 7), (1, (None,), 39, 24)]),
+      (0, (None, 0), 0, 7), (1, (None,), 39, 24), (1, (7,), None, 40),
+      (0, (None, 23), 2, 40)]),
 ])
 def test_row_across_equals_row_loop(net, level_sizes, n, cases, dependent):
+    """``row`` with one ``None`` entry returns, for each index w that entry
+    takes, the row of the materialized table that w addresses."""
     laws = _net_laws(net, dependent)
     across = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
     for level, upper, index, C in cases:
-        loop = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
-        got = across.row_across(level, 1, upper, index, C)
-        want = np.stack([
-            loop.row(level, 1, tuple(w if u is None else u for u in upper),
-                     index)
-            for w in range(C)])
+        tables = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
+        want = []
+        for w in range(C):
+            own, *above = (w if a is None else a for a in (index,) + upper)
+            want.append(tables.rows(level, 1, tuple(above))[own])
+        got = across.row(level, 1, upper, index, C)
         assert got.dtype == np.int8 and got.shape == (C, n)
-        np.testing.assert_array_equal(got, want)
-        # a cached repeat returns the same rows
-        assert across.row_across(level, 1, upper, index, C) is got
+        np.testing.assert_array_equal(got, np.stack(want))
+        # a repeat is served from the caches, not drawn again
+        assert np.shares_memory(across.row(level, 1, upper, index, C), got)
 
 
 def test_row_across_rejects_bad_ranges():
     laws = _net_laws("net-c", False)
     stack = ChannelCodebookStack(5, [8, 4], laws, 1, 0, 0)
-    with pytest.raises(ValueError):
-        stack.row_across(0, 0, (None,), 1, 5)      # level 1 has 4 indices
-    with pytest.raises(ValueError):
-        stack.row_across(0, 0, (2,), 1, 4)         # no varying entry
+    for C in (0, 5):                                # level 1 has 4 indices
+        with pytest.raises(ValueError):
+            stack.row(0, 0, (None,), 1, C)
+    # with no varying entry, C is unused and the row is the table's
+    np.testing.assert_array_equal(stack.row(0, 0, (2,), 1, 4),
+                                  stack.rows(0, 0, (2,))[1])

@@ -186,6 +186,31 @@ class TestLoadNetwork:
         with pytest.raises(ParseError):
             rc.load_network("{not json")
 
+    def test_sizes_are_whole_numbers(self, net_a):
+        # int() would truncate each of these to a valid-looking size
+        for field, value in [
+                ("K", 0.9), ("K", False), ("L", 1.5), ("L", True),
+                ("input_alphabets", [2.5, 1]), ("output_alphabets", [True]),
+                ("source_alphabets", [2.5, 2]),
+                ("source_alphabets", [2, float("inf")])]:
+            doc = net_a.to_document()
+            doc[field] = value
+            with pytest.raises(SchemaError):
+                rc.load_network(json.dumps(doc))
+        # numbers without a fractional part stay accepted
+        doc = net_a.to_document()
+        doc["K"], doc["source_alphabets"] = 0.0, [2.0, 2]
+        assert rc.load_network(doc).K == 0
+
+    @pytest.mark.parametrize("field", ["channel", "sources"])
+    @pytest.mark.parametrize("value", [
+        ["a", "b", "c", "d"], [[0.5, 0.5], [1.0]], [{"p": 1}], "xyz"])
+    def test_malformed_tensors(self, net_a, field, value):
+        doc = net_a.to_document()
+        doc[field] = value
+        with pytest.raises(SchemaError):
+            rc.load_network(json.dumps(doc))
+
     def test_roundtrip_all_bundled(self):
         for name in rc.BUNDLED:
             spec = rc.bundled_network(name)

@@ -15,6 +15,7 @@ import relaycast.rates as rates
 import relaycast.seeds as seeds
 import relaycast.simulate as simulate
 import relaycast.typicality as typicality
+from relaycast.schedules import backward_decode_events
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -56,3 +57,23 @@ def test_tracer_counts_simulator_compositions():
         rc.simulate_ptp(rc.bundled_network("net-a-noiseless"), m=4, n=8,
                         R=None, epsilon=1.0, trials=2, seed=0)
     assert tracer.layer_metrics(2)["network.compose_calls"] == 1
+
+
+def test_tracer_counts_backward_gathers():
+    """Every codeword cell the backward decoder reads is requested through
+    ``rows`` or ``row``, sibling-slice gathers included: per trial, n cells
+    per level and block sent, and per decode by terminal k, C_k candidate
+    rows on each of its k candidate levels and one row on each deeper one."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spec, n, B, trials = rc.bundled_network("net-c"), 6, 2, 3
+    with spans.installed(tracer, rc):
+        res = rc.simulate_backward(spec, m=4, n=n, B=B, epsilon=3.0,
+                                   trials=trials, seed=0)
+    C = {int(k): v for k, v in res.config["num_bins"].items()}
+    levels = spec.K + 1
+    cells = res.config["channel_blocks"] * levels * n + sum(
+        k * C[k] * n + (levels - k) * n
+        for k in (ev.terminal for ev in backward_decode_events(spec.K, B)))
+    metrics = tracer.layer_metrics(trials)
+    assert metrics["codebooks.cells_requested"] == trials * cells

@@ -315,6 +315,9 @@ GOLDEN_CASES = [
           seed=3)),
     ("sliding-partial", "sliding", "net-d",
      dict(plan=[0, 2, 3], m=4, n=8, B=3, epsilon=4.0, trials=15, seed=3)),
+    # 1024 x 16 slices: codewords read one by one from large tables
+    ("sliding-large-slices", "sliding", "net-c",
+     dict(plan=[0, 1, 2], m=10, n=16, B=2, epsilon=3.0, trials=200, seed=1)),
     ("backward-k0", "backward", "net-a-noiseless",
      dict(m=8, n=14, B=2, epsilon=3.0, trials=30, seed=3)),
     ("backward-k1", "backward", "net-c",
