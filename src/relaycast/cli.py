@@ -39,6 +39,7 @@ from .rates import (
     ordered_cutset_bound,
     plan_from_string,
 )
+from .seeds import check_seed
 from .simulate import (
     blocklength_for_scale,
     check_scheme,
@@ -197,8 +198,9 @@ def cmd_simulate(args) -> str:
     # runs once, and only after the simulations when no point needs it
     for point in ladder:
         check_scheme(spec, scheme, point["B"], sim_plan)
+    opts = _optimizer_options(args)
     r_star = functools.cache(
-        lambda: optimize_rate(spec, rate_plan, _optimizer_options(args)).rate)
+        lambda: optimize_rate(spec, rate_plan, opts).rate)
     lines = [f"# config: {json.dumps(config, sort_keys=True)}", CSV_HEADER]
     for point in ladder:
         m, B, trials = point["m"], point["B"], point["trials"]
@@ -363,9 +365,8 @@ def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(_load_config_file(argv)).parse_args(argv)
-        # numpy seeds every random stream from it and takes no negative seed
-        if getattr(args, "seed", 0) < 0:
-            raise SchemaError(f"--seed must be non-negative, got {args.seed}")
+        if hasattr(args, "seed"):
+            check_seed(args.seed, "--seed")
         text = args.fn(args)
     except RelaycastError as exc:
         err = {"error_code": exc.code, "message": str(exc)}

@@ -4,8 +4,9 @@ A :class:`JointPmf` is a dense joint distribution over a labelled tuple of
 finite-alphabet variables.  All entropies and mutual informations in the
 package are computed in bits (base-2 logs), with the ``0 * log 0 = 0``
 convention and zero-mass conditioning cells skipped, by one array kernel
-(``array_entropy`` and ``array_information``): the ``JointPmf`` methods call
-it, and the rate engine calls it on bare arrays.
+(``array_entropy`` and ``array_information``).  The kernel takes a batch of
+joints stacked on a leading axis: the ``JointPmf`` methods call it with one
+row, and the rate engine with every point a search polls at once.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -120,7 +121,8 @@ class JointPmf:
     def entropy(self, targets: Iterable[str] | None = None) -> float:
         """Joint entropy H(targets) in bits (all variables if None)."""
         drop = () if targets is None else self._drop_axes(targets)
-        return array_entropy(self.probs, drop)
+        return float(array_entropy(self.probs[None],
+                                   tuple(a + 1 for a in drop))[0])
 
     def conditional_entropy(self, targets: Iterable[str],
                             given: Iterable[str] = ()) -> float:
@@ -138,25 +140,27 @@ class JointPmf:
         if not given:
             return self.entropy(targets)
         h = self.entropy(targets + given) - self.entropy(given)
-        return _clamp_nonneg(h, "conditional entropy")
+        return float(_clamp_nonneg(np.float64(h), "conditional entropy"))
 
     def information_axes(self, a: Iterable[str], b: Iterable[str],
                          cond: Iterable[str] = ()) -> list[tuple[int, ...]]:
         """The axes each entropy of I(a; b | cond) sums out, in the order
-        ``array_information`` takes them."""
+        ``array_information`` takes them, numbered as axes of a batch of
+        joints like this one stacked on axis 0."""
         a, b, cond = tuple(a), tuple(b), tuple(cond)
         sets = (set(a), set(b), set(cond))
         if (sets[0] & sets[1]) or (sets[0] & sets[2]) or (sets[1] & sets[2]):
             raise OverlappingSets(f"A={a}, B={b}, cond={cond} must be disjoint")
         if not a or not b:
             raise UnknownVariable("A and B must be nonempty")
-        return [self._drop_axes(keep)
+        return [tuple(ax + 1 for ax in self._drop_axes(keep))
                 for keep in (a + cond, b + cond, a + b + cond, cond) if keep]
 
     def mutual_information(self, a: Iterable[str], b: Iterable[str],
                            cond: Iterable[str] = ()) -> float:
         """I(a; b | cond) in bits, clamped to be nonnegative."""
-        return array_information(self.probs, self.information_axes(a, b, cond))
+        return float(array_information(self.probs[None],
+                                       self.information_axes(a, b, cond))[0])
 
     def is_markov_chain(self, chain: Sequence[str],
                         tol: float = DEFAULT_TOL) -> bool:
@@ -219,26 +223,47 @@ class JointPmf:
         return JointPmf(self.variables, self.sizes, probs)
 
 
-def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> float:
-    """Entropy in bits of the marginal of ``probs`` that sums out ``drop``."""
-    p = (probs.sum(axis=drop) if drop else probs).reshape(-1)
-    pos = p[p > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
+    """Entropies in bits of the rows of ``probs``, a batch of joints stacked
+    on axis 0: row b's is that of the marginal of ``probs[b]`` left when
+    ``probs`` sums out its axes ``drop`` (never axis 0).
+
+    Every row's value equals the one-row computation bit for bit: the row
+    sums run on a C-contiguous array, where numpy sums each row in the same
+    pairwise order as a 1-D array.  Rows whose zero cells differ take a
+    per-row path.
+    """
+    marg = probs.sum(axis=drop) if drop else probs
+    p = np.ascontiguousarray(marg.reshape(marg.shape[0], -1))
+    live = p > 0.0
+    if (live == live[0]).all():
+        pos = np.ascontiguousarray(p[:, live[0]])
+        return -(pos * np.log2(pos)).sum(axis=1)
+    out = np.empty(p.shape[0])
+    for b, (row, keep) in enumerate(zip(p, live)):
+        pos = row[keep]
+        out[b] = -(pos * np.log2(pos)).sum()
+    return out
 
 
 def array_information(probs: np.ndarray,
-                      drops: Sequence[tuple[int, ...]]) -> float:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits of the joint
-    ``probs``, clamped to be nonnegative; ``drops`` gives the axes each of
-    those entropies sums out, without H(C)'s when C is empty."""
+                      drops: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits of each row of
+    ``probs`` (a batch of joints on axis 0, as ``array_entropy`` takes it),
+    clamped to be nonnegative; ``drops`` gives the axes each of those
+    entropies sums out, without H(C)'s when C is empty."""
     h = [array_entropy(probs, drop) for drop in drops] + [0.0]
     return _clamp_nonneg(h[0] + h[1] - h[2] - h[3], "mutual information")
 
 
-def _clamp_nonneg(value: float, what: str) -> float:
-    if value < -DEFAULT_TOL:
-        raise NotNormalized(f"{what} computed as {value}; pmf is inconsistent")
-    return max(0.0, float(value))
+def _clamp_nonneg(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` with round-off below 0 set to 0.0, never to -0.0, as
+    ``max(0.0, v)`` does; a value below -DEFAULT_TOL raises."""
+    low = values < -DEFAULT_TOL
+    if low.any():
+        raise NotNormalized(f"{what} computed as {float(values[low][0])}; "
+                            f"pmf is inconsistent")
+    return np.where(values > 0.0, values, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ vacuous (ratio +inf); if every hop is vacuous the rate is unbounded.
 
 The cut-set bound and the single-relay broadcast capacity are minima of the
 same terms.  The search objective and every report evaluate them through one
-array path, ``_hop_evaluator``, which matches ``JointPmf.mutual_information``
-bit for bit and builds no ``JointPmf`` per evaluation.
+array path, ``_hop_evaluator``, on batches of input joints: a search round
+hands it every point it polls, a report a batch of one.  Each row matches
+``JointPmf.mutual_information`` bit for bit, and no ``JointPmf`` is built
+per evaluation.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import optimize
 from .errors import (
     AlphabetMismatch,
     InvalidPlan,
@@ -251,30 +254,40 @@ def _hop_sets(spec: NetworkSpec, plan: CooperationPlan,
     return hops
 
 
-def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop],
-                   dens: Sequence[float]
-                   ) -> Callable[[np.ndarray], list[HopTerm]]:
-    """The hop terms I(a; b | cond) / den as a function of the joint over
-    every channel input, an array in channel input order (flat or shaped).
+def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The hop numerators I(a; b | cond) as a function of a batch of joints
+    over every channel input: (B, input cells) rows in channel input order
+    (or (B,) + input sizes) to a (B, hops) array.
 
-    It composes that array with the channel as ``compose_joint`` does and
-    runs the array kernel of ``pmf`` on axes found once, here.
+    It composes each row with the channel as ``compose_joint`` does and runs
+    the array kernel of ``pmf`` on axes found once, here, composing at most
+    ``optimize.BATCH_BYTES`` of joints at a time.  Each row's numerators
+    equal those of the row evaluated alone, bit for bit.
     """
     layout = compose_joint(spec.uniform_input(), spec.channel)
-    axes = [(terminal, den, layout.information_axes(a, b, cond))
-            for (terminal, a, b, cond), den in zip(hops, dens)]
+    drops = [layout.information_axes(a, b, cond) for _, a, b, cond in hops]
     shape = spec.input_sizes + (1,) * len(spec.output_sizes)
     channel = spec.channel.probs
 
-    def evaluate(full: np.ndarray) -> list[HopTerm]:
-        joint = full.reshape(shape) * channel
-        terms = []
-        for idx, (terminal, den, drops) in enumerate(axes, 1):
-            num = array_information(joint, drops)
-            ratio = math.inf if den <= ZERO_ENTROPY_TOL else num / den
-            terms.append(HopTerm(idx, terminal, num, den, ratio))
-        return terms
+    def evaluate(inputs: np.ndarray) -> np.ndarray:
+        out = np.empty((len(inputs), len(drops)))
+        chunk = max(1, optimize.BATCH_BYTES // channel.nbytes)
+        for lo in range(0, len(inputs), chunk):
+            joint = inputs[lo:lo + chunk].reshape((-1,) + shape) * channel
+            for k, d in enumerate(drops):
+                out[lo:lo + chunk, k] = array_information(joint, d)
+        return out
     return evaluate
+
+
+def _hop_terms(hops: Sequence[Hop], dens: Sequence[float],
+               numerators: np.ndarray) -> list[HopTerm]:
+    """The hop terms of one row of ``_hop_evaluator``'s numerators."""
+    return [HopTerm(idx, terminal, num, den,
+                    math.inf if den <= ZERO_ENTROPY_TOL else num / den)
+            for idx, ((terminal, _, _, _), num, den)
+            in enumerate(zip(hops, numerators.tolist(), dens), 1)]
 
 
 def _report_at(spec: NetworkSpec, mode: str, plan: CooperationPlan,
@@ -284,9 +297,9 @@ def _report_at(spec: NetworkSpec, mode: str, plan: CooperationPlan,
     over the non-constant ``participating`` inputs)."""
     full = spec.extend_input(input_pmf, participating)
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    terms = _hop_evaluator(spec, hops, dens)(np.transpose(
-        full.probs, [full.axis_of(v) for v in spec.input_labels()]))
-    return _report_from_terms(mode, plan, terms,
+    numerators = _hop_evaluator(spec, hops)(np.transpose(
+        full.probs, [full.axis_of(v) for v in spec.input_labels()])[None])[0]
+    return _report_from_terms(mode, plan, _hop_terms(hops, dens, numerators),
                               _shown_input(spec, input_pmf, participating))
 
 
@@ -372,31 +385,35 @@ def _maximin(spec: NetworkSpec, participating: Sequence[str],
     if dim > MAX_CELLS:
         raise TooLarge(f"input joint over {free} has {dim} cells "
                        f"(cap {MAX_CELLS})")
-    evaluate = _hop_evaluator(spec, hops, dens)
+    evaluate = _hop_evaluator(spec, hops)
     # a simplex point fills the cells of the full input joint (channel
     # order, flat) where every input outside ``free`` is at symbol 0
     coords = np.zeros((len(spec.input_sizes), dim), dtype=np.intp)
     coords[[int(v[1:]) for v in free]] = np.indices(sizes).reshape(-1, dim)
     cells = np.ravel_multi_index(coords, spec.input_sizes)
-    full = np.zeros(int(np.prod(spec.input_sizes)))
+    ncells = int(np.prod(spec.input_sizes))
+    live = [k for k, den in enumerate(dens) if den > ZERO_ENTROPY_TOL]
+    live_dens = np.array([dens[k] for k in live])
 
-    def terms_at(p: np.ndarray) -> list[HopTerm]:
-        full[cells] = p
+    def numerators(points: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(points), ncells))
+        full[:, cells] = points
         return evaluate(full)
 
-    def objective(p: np.ndarray) -> float:
-        return min((t.ratio for t in terms_at(p) if math.isfinite(t.ratio)),
-                   default=math.inf)
+    def objective(points: np.ndarray) -> np.ndarray:
+        """The smallest non-vacuous hop ratio at each simplex point."""
+        return (numerators(points)[:, live] / live_dens).min(axis=1)
 
-    if all(den <= ZERO_ENTROPY_TOL for den in dens):
+    if not live:
         uniform = np.full(dim, 1.0 / dim)
-        result = SearchResult(uniform, objective(uniform), 1, True)
+        result = SearchResult(uniform, math.inf, 1, True)
     elif opts.grid_step is not None:
         result = maximize_on_grid(objective, dim, opts.grid_step)
     else:
         result = maximize_over_simplex(objective, dim, opts, seed_salt)
     best_pmf = JointPmf(free, sizes, result.point) if free else None
-    return best_pmf, terms_at(result.point), result
+    terms = _hop_terms(hops, dens, numerators(result.point[None])[0])
+    return best_pmf, terms, result
 
 
 def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,

@@ -21,13 +21,28 @@ pool mix and ``PCG64`` jump-ahead, redone on arrays), and
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
+
+from .errors import SchemaError
+from .network import whole_number
 
 STREAM_SOURCE = 0
 STREAM_BINS = 1
 STREAM_CODEBOOK = 2
 STREAM_CHANNEL = 3
 STREAM_OPTIMIZER = 4
+
+
+def check_seed(seed: Any, what: str = "seed") -> int:
+    """``seed`` as a root seed.  numpy's ``SeedSequence`` takes only whole
+    numbers >= 0, so anything else raises :class:`SchemaError` here, before
+    any stream is derived."""
+    value = whole_number(seed, what)
+    if value < 0:
+        raise SchemaError(f"{what} must be non-negative, got {seed!r}")
+    return value
 
 
 def child_rng(root_seed: int, *path: int) -> np.random.Generator:

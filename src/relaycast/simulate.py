@@ -47,7 +47,7 @@ from .schedules import (
     sliding_encoder_args,
     sliding_num_source_blocks,
 )
-from .seeds import STREAM_CHANNEL, STREAM_SOURCE, child_rng
+from .seeds import STREAM_CHANNEL, STREAM_SOURCE, check_seed, child_rng
 from .typicality import (
     MAX_ALPHABET,
     TypicalityTest,
@@ -124,8 +124,10 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T],
 
     Threads pay only where a trial spends most of its time in numpy calls
     that release the GIL.  The point-to-point scheme, whose batches are the
-    largest, no longer does: at m=12, n=24 it ran no faster on two threads
-    than serially, at 1.6x the CPU time (README, ``--workers``).
+    largest, sits near that line: at m=12, n=24 (400 trials at each of its
+    two points) a pass took a median 1.26 s serially and 1.30 s on two
+    threads over 10 alternating pairs on a 2-vCPU VM, at 1.5x the CPU time
+    (README, ``--workers``).
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -273,9 +275,11 @@ def _aggregate(trial_fn: Callable[[int], dict[int, bool]], trials: int,
 
 
 def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
-                 plan: CooperationPlan | None = None) -> None:
+                 plan: CooperationPlan | None = None, seed: int = 0) -> None:
     """Raise the structural error the ``scheme`` simulator raises before it
-    builds anything: network shape, block count ``B``, sliding ``plan``."""
+    builds anything: network shape, block count ``B``, sliding ``plan``,
+    root ``seed``."""
+    check_seed(seed)
     if scheme == "ptp" and (spec.K != 0 or spec.L != 1):
         raise PlanMismatch("simulate_ptp requires K=0, L=1")
     if scheme == "sliding":
@@ -312,7 +316,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     resolves the channel stage alone first, then the source stage within
     the bin.
     """
-    check_scheme(spec, "ptp")
+    check_scheme(spec, "ptp", seed=seed)
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
     src_size = spec.sources.sizes[0]
@@ -390,7 +394,7 @@ def simulate_sliding_window(spec: NetworkSpec,
     """
     if not isinstance(plan, CooperationPlan):
         plan = CooperationPlan(tuple(plan))
-    check_scheme(spec, "sliding", B, plan)
+    check_scheme(spec, "sliding", B, plan, seed)
     order = plan.order
     depth = plan.num_hops - 1                 # number of cooperating relays
     Q = sliding_num_source_blocks(depth, B)
@@ -486,7 +490,7 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     unique sequence in that bin typical with the local side information.
     """
     K = spec.K
-    check_scheme(spec, "backward", B)
+    check_scheme(spec, "backward", B, seed=seed)
     Q, total_blocks = backward_num_blocks(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
     decoders = tuple(range(1, K + 2))

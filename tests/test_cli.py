@@ -295,6 +295,26 @@ class TestFlagValues:
         assert out == ""
         assert json.loads(err)["error_code"] == "SchemaError"
 
+    @pytest.mark.parametrize("flags", [
+        ["--restarts", "0"], ["--restarts", "-3"],
+        ["--certify-tol", "nan"], ["--certify-tol", "-1"],
+        ["--certify-tol", "inf"],
+    ])
+    @pytest.mark.parametrize("command", [
+        ["rate", "--net", "net-a", "--list-plans"],
+        ["bound", "--net", "net-a", "--certify"],
+        ["simulate", "--net", "net-a", "--scheme", "ptp", "--trials", "1"],
+    ])
+    def test_bad_optimizer_options(self, command, flags, capsys,
+                                   monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the options")
+        monkeypatch.setattr("relaycast.cli.simulate_ptp", no_simulation)
+        code, out, err = run_cli(command + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "SchemaError"
+
     @pytest.mark.parametrize("values", [
         {"restarts": 2.5}, {"seed": [1]}, {"seed": True}, {"seed": -3},
         {"epsilon": [3.0]}, {"certify_tol": False},

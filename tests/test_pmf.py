@@ -235,3 +235,29 @@ def test_entropy_chain_rule_against_convolution():
     pmf = cascade([0.1, 0.2])
     end = rc.conditional_entropy(pmf, {"S0"}, {"S2"})
     assert end == pytest.approx(h2(conv(0.1, 0.2)), abs=1e-12)
+
+
+def test_numpy_row_sums_match_one_dimensional_sums():
+    # the batched entropy kernel relies on numpy summing each row of a
+    # C-contiguous (B, n) array in the same pairwise order as the row alone;
+    # an installed numpy that changes either order fails here
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        rows = rng.random((5, n)) * rng.choice([1e-3, 1.0, 7.0], (5, 1))
+        assert rows.flags.c_contiguous
+        assert rows.sum(axis=1).tolist() == [row.sum() for row in rows]
+
+
+def test_array_entropy_rows_match_joint_pmf_entropy():
+    # shared zero cells (one path) and differing ones (the per-row path)
+    rng = np.random.default_rng(12)
+    batch = rng.random((6, 2, 3, 2))
+    batch[:3, 1, 2, :] = 0.0
+    for rows in (batch[:3], batch):
+        rows = rows / rows.sum(axis=(1, 2, 3), keepdims=True)
+        for drop in [(), (0,), (1, 2), (0, 2)]:
+            keep = [v for i, v in enumerate("ABC") if i not in drop]
+            got = rc.pmf.array_entropy(rows, tuple(a + 1 for a in drop))
+            got = got.tolist()
+            assert got == [make("ABC", (2, 3, 2), row).entropy(keep)
+                           for row in rows]

@@ -1,11 +1,13 @@
 """Rate engine: plans, achievable rates, optimization, bounds, capacities."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import relaycast as rc
+import relaycast.optimize as optimize
 from relaycast.errors import (
     AlphabetMismatch,
     InvalidPlan,
@@ -349,11 +351,9 @@ def _channel_order(full):
                                      for t in range(len(full.variables))])
 
 
-@pytest.mark.parametrize("name", sorted(rc.BUNDLED))
-def test_hop_evaluator_matches_joint_pmf_exactly(name):
-    # the rate engine's array evaluator against the labelled calculus on
-    # compose_joint's output: every plan and every cut, bit for bit
-    spec = rc.bundled_network(name)
+def _kernel_cases(spec):
+    """(hops, participating inputs) of every plan of ``spec`` and, for L=1,
+    of every cut of the ordered cut-set bound."""
     mode = default_mode(spec)
     cases = [(_hop_sets(spec, plan, mode), participating_inputs(spec, plan,
                                                                 mode))
@@ -364,20 +364,121 @@ def test_hop_evaluator_matches_joint_pmf_exactly(name):
                      [f"Y{t}" for t in range(i, spec.K + 2)],
                      list(everyone[i:]))], everyone)
                   for i in range(1, spec.K + 2)]
+    return cases
+
+
+def _input_rows(spec, participating, pmfs):
+    """Each input pmf (None: uniform) extended to every channel input and
+    stacked in channel input order, one row per pmf."""
+    return np.stack([_channel_order(spec.extend_input(pmf, participating))
+                     for pmf in pmfs])
+
+
+def _labelled_numerators(spec, hops, participating, pmf):
+    composed = rc.compose_joint(spec.extend_input(pmf, participating),
+                                spec.channel)
+    return [composed.mutual_information(a, b, cond)
+            for _, a, b, cond in hops]
+
+
+def _assert_rows_match_labelled(spec, hops, participating, pmfs):
+    got = _hop_evaluator(spec, hops)(_input_rows(spec, participating, pmfs))
+    assert got.shape == (len(pmfs), len(hops))
+    for row, pmf in zip(got.tolist(), pmfs):
+        assert row == _labelled_numerators(spec, hops, participating, pmf)
+
+
+@pytest.mark.parametrize("name", sorted(rc.BUNDLED))
+def test_hop_evaluator_matches_joint_pmf_exactly(name):
+    # the rate engine's batched evaluator against the labelled calculus on
+    # compose_joint's output, row by row: every plan and every cut, bit for
+    # bit, on a batch of seeded random rows and the uniform row
+    spec = rc.bundled_network(name)
     rng = np.random.default_rng(41)
-    for hops, participating in cases:
+    for hops, participating in _kernel_cases(spec):
         free = tuple(v for v in participating
                      if spec.input_sizes[int(v[1:])] > 1)
         sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
-        evaluate = _hop_evaluator(spec, hops, [1.0] * len(hops))
-        for pmf in [None] + [rc.random_pmf(free, sizes, rng)
-                             for _ in range(3)]:
-            composed = rc.compose_joint(
-                spec.extend_input(pmf, participating), spec.channel)
-            got = [t.numerator for t in evaluate(_channel_order(
-                spec.extend_input(pmf, participating)))]
-            assert got == [composed.mutual_information(a, b, cond)
-                           for _, a, b, cond in hops]
+        pmfs = [None] + [rc.random_pmf(free, sizes, rng) for _ in range(12)]
+        _assert_rows_match_labelled(spec, hops, participating, pmfs)
+
+
+def test_hop_evaluator_rows_with_different_zero_patterns(net_d):
+    # point masses and rows with zero cells in different places make the
+    # rows' marginals differ in their zero cells, so the kernel's per-row
+    # path runs; every row still equals its own evaluation
+    rng = np.random.default_rng(5)
+    free, sizes = ("X0", "X1", "X2"), (2, 2, 2)
+    pmfs = [rc.point_mass(free, sizes, idx) for idx in np.ndindex(sizes)]
+    for zeros in (1, 3, 6):
+        w = rng.random(8)
+        w[rng.choice(8, zeros, replace=False)] = 0.0
+        pmfs.append(rc.JointPmf(free, sizes, w / w.sum()))
+    pmfs += [rc.random_pmf(free, sizes, rng) for _ in range(3)]
+    for hops, participating in _kernel_cases(net_d):
+        if set(participating) >= set(free):
+            _assert_rows_match_labelled(net_d, hops, participating, pmfs)
+
+
+def test_information_round_off_below_zero_reports_positive_zero():
+    # the output ignores the input, so I(X0; Y1) is 0 and the entropy sums
+    # leave a round-off residue of either sign; a residue at or below zero
+    # must be reported as +0.0 (as max(0.0, v) does), never as -0.0
+    ch = np.zeros((3, 1, 3))
+    ch[:, 0, :] = [0.2, 0.3, 0.5]
+    spec = NetworkSpec(K=0, L=1, channel=ChannelModel((3, 1), (3,), ch),
+                       sources=rc.JointPmf(("S0", "S1"), (2, 2),
+                                           dsbs_chain([0.25])))
+    hops = _hop_sets(spec, rc.CooperationPlan((0, 1)), default_mode(spec))
+    rng = np.random.default_rng(3)
+    pmfs = [rc.random_pmf(("X0",), (3,), rng) for _ in range(64)]
+    rows = _input_rows(spec, ("X0",), pmfs)
+    joint = rows.reshape(64, 3, 1, 1) * ch
+    drops = rc.compose_joint(spec.uniform_input(), spec.channel
+                             ).information_axes(["X0"], ["Y1"])
+    h = [rc.pmf.array_entropy(joint, d) for d in drops]
+    raw = h[0] + h[1] - h[2] - 0.0
+    assert (raw < 0.0).any() and (raw > 0.0).any()
+    got = _hop_evaluator(spec, hops)(rows)[:, 0]
+    assert got.tolist() == [max(0.0, v) for v in raw.tolist()]
+    assert not np.signbit(got).any()
+    clamped = rc.pmf._clamp_nonneg(np.array([-0.0, -1e-17, 0.0, 0.25]),
+                                   "mutual information")
+    assert clamped.tolist() == [0.0, 0.0, 0.0, 0.25]
+    assert not np.signbit(clamped).any()
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+def test_hop_evaluator_chunks_equal_one_batch(net_d, monkeypatch,
+                                              rows_per_chunk):
+    rng = np.random.default_rng(17)
+    for hops, participating in _kernel_cases(net_d):
+        free = tuple(v for v in participating
+                     if net_d.input_sizes[int(v[1:])] > 1)
+        sizes = tuple(net_d.input_sizes[int(v[1:])] for v in free)
+        rows = _input_rows(net_d, participating, [
+            rc.random_pmf(free, sizes, rng) for _ in range(10)])
+        monkeypatch.setattr(optimize, "BATCH_BYTES", 2**40)
+        whole = _hop_evaluator(net_d, hops)(rows)
+        monkeypatch.setattr(optimize, "BATCH_BYTES",
+                            rows_per_chunk * net_d.channel.probs.nbytes)
+        assert (_hop_evaluator(net_d, hops)(rows) == whole).all()
+
+
+@pytest.mark.parametrize("cap", [1, 3 * 8 * 4])
+def test_reports_do_not_depend_on_the_batch_cap(net_b, monkeypatch, cap):
+    # a cap of one byte evaluates one point per call; 96 bytes three points
+    # of net-b's 4-cell simplex per search call
+    def reports():
+        opts = rc.OptimizerOptions(restarts=3, seed=2)
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in (
+            rc.optimize_rate(net_b, [0, 1, 2], opts),
+            rc.degraded_capacity(net_b, opts),
+            rc.optimize_rate(net_b, [0, 1, 2],
+                             rc.OptimizerOptions(grid_step=0.1)))]
+    want = reports()
+    monkeypatch.setattr(optimize, "BATCH_BYTES", cap)
+    assert reports() == want
 
 
 def test_rate_invariant_under_symbol_relabeling(net_b):

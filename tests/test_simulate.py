@@ -285,6 +285,24 @@ def test_simulators_reject_alphabets_beyond_int8(net_a):
         rc.simulate_backward(wide, B=1, **kw)
 
 
+def test_ptp_rejects_negative_seed(net_a):
+    with pytest.raises(SchemaError):
+        rc.simulate_ptp(net_a, m=4, n=8, R=None, epsilon=3.0, trials=1,
+                        seed=-1)
+
+
+def test_sliding_rejects_negative_seed(net_c):
+    with pytest.raises(SchemaError):
+        rc.simulate_sliding_window(net_c, [0, 1, 2], m=4, n=6, B=2,
+                                   epsilon=3.0, trials=1, seed=-1)
+
+
+def test_backward_rejects_negative_seed(net_c):
+    with pytest.raises(SchemaError):
+        rc.simulate_backward(net_c, m=4, n=6, B=2, epsilon=3.0, trials=1,
+                             seed=-1)
+
+
 def test_ptp_rejects_out_of_range_rate(net_a):
     with pytest.raises(TooLarge):
         rc.simulate_ptp(net_a, m=4, n=8, R=1.5, epsilon=3.0, trials=5, seed=0)
