@@ -69,10 +69,25 @@ def _optimizer_options(args) -> OptimizerOptions:
         seed=args.seed, grid_step=args.grid_step)
 
 
+def _finite(value: Any) -> Any:
+    """``value`` with every non-finite float replaced by None: RFC 8259 JSON
+    has no Infinity or NaN.  The reports already say why a value is
+    infinite: a vacuous hop shows its zero denominator, an unbounded rate
+    its ``unbounded`` flag."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _json_payload(command: str, config: dict[str, Any],
                   result: dict[str, Any]) -> str:
     payload = {"command": command, "config": config, "result": result}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def cmd_rate(args) -> str:

@@ -431,8 +431,7 @@ def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,
 def optimize_plans(spec: NetworkSpec,
                    plan: CooperationPlan | Sequence[int] | str = "auto",
                    opts: OptimizerOptions | None = None,
-                   mode: str | None = None,
-                   plan_cap: int = DEFAULT_PLAN_CAP) -> list[RateReport]:
+                   mode: str | None = None) -> list[RateReport]:
     """Optimized report of every candidate plan, in enumeration order.
 
     ``plan="auto"`` means every enumerated plan; otherwise the one plan
@@ -441,7 +440,7 @@ def optimize_plans(spec: NetworkSpec,
     opts = opts or OptimizerOptions()
     mode = mode or default_mode(spec)
     if isinstance(plan, str) and plan == "auto":
-        plans = enumerate_plans(spec, mode, plan_cap)
+        plans = enumerate_plans(spec, mode)
     else:
         if not isinstance(plan, CooperationPlan):
             plan = plan_from_string(plan) if isinstance(plan, str) \
@@ -465,15 +464,14 @@ def best_report(reports: Sequence[RateReport]) -> RateReport:
 def optimize_rate(spec: NetworkSpec,
                   plan: CooperationPlan | Sequence[int] | str = "auto",
                   opts: OptimizerOptions | None = None,
-                  mode: str | None = None,
-                  plan_cap: int = DEFAULT_PLAN_CAP) -> RateReport:
+                  mode: str | None = None) -> RateReport:
     """Maximize the plan rate over the participating-input simplex.
 
     ``plan="auto"`` additionally maximizes over every enumerated plan; ties
     go to the earlier plan in enumeration order.  Deterministic for a fixed
     ``opts.seed`` and monotone in ``opts.restarts``.
     """
-    return best_report(optimize_plans(spec, plan, opts, mode, plan_cap))
+    return best_report(optimize_plans(spec, plan, opts, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -52,25 +52,18 @@ def sliding_encoder_args(position: int, block: int, depth: int,
 
 @dataclass(frozen=True)
 class SlidingWindow:
-    """One joint-typicality window of a sliding-window decode."""
+    """One joint-typicality window of a sliding-window decode: the candidate
+    is the newest argument of codeword ``level`` in channel ``block``, and
+    the levels above it carry the arguments ``sliding_encoder_args`` gives
+    for that block."""
 
     block: int                  # channel block tested
     level: int                  # candidate codeword level (plan position)
-    candidate_args: tuple[int, ...]   # args of the candidate level, newest=q
-    deeper_args: tuple[tuple[int, ...], ...]  # args of levels level+1..D
 
 
-def sliding_decode_windows(position: int, block: int, depth: int,
-                           source_blocks: int) -> list[SlidingWindow]:
-    windows = []
-    for lag in range(position):
-        beta = block - lag
-        level = position - 1 - lag
-        cand = sliding_encoder_args(level, beta, depth, source_blocks)
-        deeper = tuple(sliding_encoder_args(p, beta, depth, source_blocks)
-                       for p in range(level + 1, depth + 1))
-        windows.append(SlidingWindow(beta, level, cand, deeper))
-    return windows
+def sliding_decode_windows(position: int, block: int) -> list[SlidingWindow]:
+    return [SlidingWindow(block - lag, position - 1 - lag)
+            for lag in range(position)]
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ def sliding_decode_events(depth: int,
     Q = sliding_num_source_blocks(depth, num_blocks)
     return [SlidingDecodeEvent(
                 i, b, b - i + 1,
-                tuple(sliding_decode_windows(i, b, depth, Q)))
+                tuple(sliding_decode_windows(i, b)))
             for b in range(1, num_blocks + 1)
             for i in range(1, depth + 2)
             if i <= b <= Q + i - 1]

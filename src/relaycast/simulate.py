@@ -1,21 +1,27 @@
 """Monte-Carlo execution of the decode-and-forward protocols at desk scale.
 
-Three schemes:
+Both decode-and-forward schemes send one block-Markov superposition code
+under two schedules, and single-hop transmission is the one-block, no-relay
+case of either:
 
 * ``simulate_ptp``: single-hop transmission with tunable source binning and
   either the joint decoder (channel typicality and side-information
-  typicality resolved together) or the separate two-stage decoder.
+  typicality resolved together) or the separate two-stage decoder; it runs
+  as the K=0, B=1 backward schedule.
 * ``simulate_sliding_window``: block-Markov regular encoding without
   explicit binning; every cooperating terminal decodes each source block by
   joint typicality over a sliding window of received blocks.
 * ``simulate_backward``: semi-regular encoding with per-terminal binning
   and nested backward decoding (K <= 2).
 
-Every trial redraws the bin assignments and channel codebooks from its own
-seed streams, so the empirical error rate estimates the random-coding
-ensemble average.  Decoding ties (zero or multiple surviving candidates)
-count as errors, and trials whose source realization falls outside the
-typical set are errors by construction.
+Each simulator checks its inputs and picks a schedule, bins and a decoding
+rule; one trial engine, :class:`_Engine`, runs every trial and one decision
+function, :func:`_decide`, settles every decode.  Every trial redraws the
+bin assignments and channel codebooks from its own seed streams, so the
+empirical error rate estimates the random-coding ensemble average.
+Decoding ties (zero or multiple surviving candidates) count as errors, and
+trials whose source realization falls outside the typical set are errors
+by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,7 +40,13 @@ from .codebooks import (
     inverse_cdf,
 )
 from .errors import BTooSmall, PlanMismatch, SchemaError, TooLarge
-from .network import NetworkSpec, input_label, output_label, source_label
+from .network import (
+    NetworkSpec,
+    input_label,
+    output_label,
+    source_label,
+    whole_number,
+)
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, validate_plan
 from .schedules import (
@@ -68,6 +80,13 @@ __all__ = [
     "render_sliding_schedule",
     "render_backward_schedule",
 ]
+
+#: Desk-scale cap, in cells, on one codeword table (codewords x n) and on
+#: one channel block (n positions x the joint output alphabet: the
+#: cumulative laws the channel sampler gathers per block).  Larger requests
+#: raise :class:`TooLarge` before the first trial.  The largest table the
+#: tests and the benchmark build is criterion 6's 4096 x 24.
+MAX_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -123,11 +142,11 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T],
     """Order-preserving map over trials; thread pool when workers > 1.
 
     Threads pay only where a trial spends most of its time in numpy calls
-    that release the GIL.  The point-to-point scheme, whose batches are the
-    largest, sits near that line: at m=12, n=24 (400 trials at each of its
-    two points) a pass took a median 1.26 s serially and 1.30 s on two
-    threads over 10 alternating pairs on a 2-vCPU VM, at 1.5x the CPU time
-    (README, ``--workers``).
+    that release the GIL, as in the point-to-point scheme: at m=12, n=24
+    (400 trials at each of its two points) a pass took a median 0.96 s
+    serially and 0.82 s on two threads over 12 alternating pairs on a
+    2-vCPU VM, serial slower in 10 of 12, at 1.36x the CPU time (README,
+    ``--workers``).
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -179,107 +198,252 @@ class _ChannelSampler:
         return out
 
 
-class _Setup:
-    """What every scheme builds once before its first trial.
+class _Decode(NamedTuple):
+    """One decode event: after channel block ``after``, plan position
+    ``position`` resolves source block ``q`` from ``windows``, each (channel
+    block, first tested level, levels carrying the candidate)."""
 
-    ``senders`` are the transmitting terminals in codeword-level order
-    (level 0 is the source) and ``decoders`` the terminals that test their
-    side information; single-hop is senders ``(0,)`` with decoder 1.  Trials
+    position: int
+    q: int
+    after: int
+    windows: tuple[tuple[int, int, int], ...]
+
+
+class _Schedule(NamedTuple):
+    """A block-Markov schedule in the engine's terms.
+
+    ``slots[b][p]`` are the argument slots of level p's codeword in channel
+    block b, own index first, each (source block, bin type); source block 0
+    is the padding index.  ``copies`` codebook copies are cycled by block.
+    """
+
+    source_blocks: int
+    slots: dict[int, list[tuple[tuple[int, int], ...]]]
+    events: list[_Decode]
+    copies: int = 1
+
+
+def _backward_schedule(K: int, B: int) -> _Schedule:
+    """The backward schedule: each decoder tests every level in one window,
+    its candidate bin in the slots of its own bin type."""
+    Q, total = backward_num_blocks(K, B)
+    return _Schedule(
+        Q, {b: backward_encoder_args(K, B, b) for b in range(1, total + 1)},
+        [_Decode(ev.terminal, ev.q, ev.after, ((ev.block, 0, ev.terminal),))
+         for ev in backward_decode_events(K, B)])
+
+
+def _decide(survivors: np.ndarray, bin_map: np.ndarray | None, joint: bool,
+            side_typical: Callable[[np.ndarray], np.ndarray]) -> int | None:
+    """The codebook index a decoder settles on, or None (a decoding error).
+
+    ``survivors`` marks the bins whose codewords pass the channel stage and
+    ``bin_map`` sends each codebook index to its bin (None: the identity).
+    The joint rule needs exactly one surviving bin that holds exactly one
+    sequence typical with the side information; the separate rule needs
+    exactly one surviving bin, then exactly one side-typical sequence in
+    it.  ``side_typical`` checks a batch of codebook indices; it runs once,
+    on the members of the surviving bins, if they have any.
+    """
+    hits = np.flatnonzero(survivors)
+    if hits.size == 0 or (not joint and hits.size > 1):
+        return None
+    members = hits if bin_map is None else np.flatnonzero(survivors[bin_map])
+    typical = members[side_typical(members)] if members.size else members
+    if joint and bin_map is not None:
+        single = np.flatnonzero(np.bincount(bin_map[typical]) == 1)
+        if single.size != 1:
+            return None
+        typical = typical[bin_map[typical] == single[0]]
+    return int(typical[0]) if typical.size == 1 else None
+
+
+class _Engine:
+    """Every trial of one simulation, and what it builds once before the
+    first.
+
+    Level p of the superposition code is sent by terminal ``order[p]``
+    (level 0 is the source); the terminal at plan position i >= 1 decodes
+    and sends level i from its own estimates.  ``bins`` maps each bin type
+    to a rate, or to None for the identity map; a level carries one
+    codeword per bin of its own slot's type.  A window's candidate sits in
+    slot ``first + lead - 1 - p`` of each level p it spans; every other
+    slot, and every level above, holds the decoder's own estimates.  Trials
     may run on pool threads, so nothing here changes after construction.
     """
 
-    def __init__(self, spec: NetworkSpec, senders: Sequence[int],
-                 decoders: Sequence[int], m: int, n: int, epsilon: float,
+    def __init__(self, spec: NetworkSpec, order: Sequence[int],
+                 schedule: _Schedule, bins: dict[int, float | None],
+                 joint: bool, m: int, n: int, epsilon: float, seed: int,
                  input_pmf: JointPmf | None):
         sizes = spec.sources.sizes + spec.input_sizes + spec.output_sizes
         if max(sizes) > MAX_ALPHABET:
             raise TooLarge(f"an alphabet of {max(sizes)} symbols exceeds the "
                            f"int8 symbol storage ({MAX_ALPHABET})")
-        self.m, self.n = m, n
+        if n * int(np.prod(spec.output_sizes)) > MAX_CELLS:
+            raise TooLarge(f"a channel block of n={n} exceeds {MAX_CELLS} "
+                           f"cells")
+        self.order, self.schedule, self.bins = tuple(order), schedule, bins
+        self.joint, self.m, self.n, self.seed = joint, m, n, seed
         self.codebook = build_typical_source_codebook(
             spec.sources.marginalize([source_label(0)]), m, epsilon)
+        self.num_bins = {t: self.codebook.M if r is None
+                         else num_bins_for_rate(m, r) for t, r in bins.items()}
+        self.level_bins = [args[0][1] for args in schedule.slots[1]]
+        self.level_sizes = [self.num_bins[t] for t in self.level_bins]
+        if max(self.level_sizes) * n > MAX_CELLS:
+            raise TooLarge(f"a {max(self.level_sizes)} x {n} codeword table "
+                           f"exceeds {MAX_CELLS} cells")
         self.lookup = {seq.tobytes(): w
                        for w, seq in enumerate(self.codebook.sequences)}
-        self.labels = tuple(input_label(t) for t in senders)
-        full = spec.extend_input(input_pmf, self.labels)
-        self.laws = conditional_input_laws(full.marginalize(self.labels),
-                                           self.labels)
+        labels = tuple(input_label(t) for t in self.order[:-1])
+        full = spec.extend_input(input_pmf, labels)
+        self.laws = conditional_input_laws(full.marginalize(labels), labels)
         # looked up on the module, where perfbench's tracer patches it
-        self.composed = network.compose_joint(full, spec.channel)
+        composed = network.compose_joint(full, spec.channel)
+        windows = {(ev.position, first, lead)
+                   for ev in schedule.events for _, first, lead in ev.windows}
+        self.channel_tests = {
+            (i, first, lead): TypicalityTest(
+                composed, labels[first:] + (output_label(self.order[i]),),
+                n, epsilon, lead)
+            for i, first, lead in windows}
         self.side_tests = {
-            k: TypicalityTest(spec.sources,
-                              (source_label(0), source_label(k)), m, epsilon)
-            for k in decoders
-        }
+            i: TypicalityTest(spec.sources, (source_label(0),
+                                             source_label(self.order[i])),
+                              m, epsilon)
+            for i in range(1, len(self.order))}
         self.source_sampler = _SourceSampler(spec.sources)
         self.channel = _ChannelSampler(spec)
-        self.strides = [self.channel.in_strides[t] for t in senders]
+        self.strides = [self.channel.in_strides[t] for t in self.order[:-1]]
 
-    def draw_sources(self, seed: int, trial: int, Q: int
+    def run(self, trials: int, workers: int,
+            config: dict[str, Any]) -> SimResult:
+        flags = parallel_map(self.trial, list(range(trials)), workers)
+        per_terminal = {t: sum(f[t] for f in flags) for t in self.order[1:]}
+        return SimResult(trials=trials,
+                         errors_total=sum(any(f.values()) for f in flags),
+                         per_terminal_errors=per_terminal, config=config)
+
+    def draw_sources(self, trial: int
                      ) -> tuple[dict[int, np.ndarray], np.ndarray]:
         """Source blocks 1..Q of one trial, one row per terminal, and the
         codebook index of each block's S_0 row (-1: atypical; row 0 is
         unused and holds -1)."""
+        Q = self.schedule.source_blocks
         src = {q: self.source_sampler.draw(
-            child_rng(seed, trial, STREAM_SOURCE, q), self.m)
+            child_rng(self.seed, trial, STREAM_SOURCE, q), self.m)
             for q in range(1, Q + 1)}
         idx = np.full(Q + 1, -1, dtype=np.int64)
         for q in range(1, Q + 1):
             idx[q] = self.lookup.get(src[q][0].tobytes(), -1)
         return src, idx
 
-    def transmit(self, stack: ChannelCodebookStack,
-                 level_args: Sequence[Sequence[int]], seed: int, trial: int,
+    def transmit(self, rows: Sequence[np.ndarray], trial: int,
                  block: int) -> np.ndarray:
-        """Channel outputs of one block: the codeword rows of every level
-        (arguments own index first, then the upper indices) superposed into
-        channel inputs, sampled on the stream ``(STREAM_CHANNEL, block)``."""
-        copy = stack.copy_for_block(block)
+        """Channel outputs of one block: each level's codeword row
+        superposed into channel inputs, sampled on the stream
+        ``(STREAM_CHANNEL, block)``."""
         in_idx = np.zeros(self.n, dtype=np.int64)
-        for p, args in enumerate(level_args):
-            row = stack.row(p, copy, tuple(args[1:]), args[0])
-            in_idx += row.astype(np.int64) * self.strides[p]
+        for row, stride in zip(rows, self.strides):
+            in_idx += row.astype(np.int64) * stride
         return self.channel.sample(
-            in_idx, child_rng(seed, trial, STREAM_CHANNEL, block))
+            in_idx, child_rng(self.seed, trial, STREAM_CHANNEL, block))
 
-    def run_blocks(self, stack: ChannelCodebookStack, seed: int, trial: int,
-                   num_blocks: int,
-                   level_args: Callable[[int], Sequence[Sequence[int]]],
-                   events: Sequence, decode: Callable) -> None:
-        """One trial's block loop: transmit each block, then run the decode
-        events scheduled after it (``events`` in execution order, each with
-        an ``after`` block)."""
+    def trial(self, trial: int) -> dict[int, bool]:
+        """One trial: whether each decoding terminal mis-estimates any
+        source block (relays forward their own estimates)."""
+        sched, codebook = self.schedule, self.codebook
+        src, idx = self.draw_sources(trial)
+        maps = {t: None if r is None else
+                assign_bins(codebook, r, self.seed, t, trial=trial).map
+                for t, r in self.bins.items()}
+        stack = ChannelCodebookStack(self.n, self.level_sizes, self.laws,
+                                     sched.copies, self.seed, trial)
+        levels = len(self.level_sizes)
+        # per plan position, the codebook index of each source block it
+        # sends: the source's own and the decoders' estimates (-1: atypical,
+        # unknown or failed, sent as index 0, as is the padding block 0)
+        est = [idx] + [np.full(sched.source_blocks + 1, -1, dtype=np.int64)
+                       for _ in self.order[1:]]
+        erred = {t: False for t in self.order[1:]}
+
+        def codeword(own: np.ndarray, block: int, level: int,
+                     skip: int = -1, C: int = 0) -> np.ndarray:
+            """``level``'s codeword in ``block`` under the estimates
+            ``own``; (C, n) rows with slot ``skip`` ranging over 0..C-1."""
+            vals = []
+            for s, (q, t) in enumerate(sched.slots[block][level]):
+                w = int(own[q])
+                vals.append(None if s == skip else 0 if w < 0
+                            else w if maps[t] is None else int(maps[t][w]))
+            return stack.row(level, stack.copy_for_block(block),
+                             tuple(vals[1:]), vals[0], C)
+
         y_blocks: dict[int, np.ndarray] = {}
         pending = 0
-        for b in range(1, num_blocks + 1):
-            y_blocks[b] = self.transmit(stack, level_args(b), seed, trial, b)
-            while pending < len(events) and events[pending].after == b:
-                decode(events[pending], y_blocks)
+        for b in sched.slots:
+            y_blocks[b] = self.transmit(
+                [codeword(est[p], b, p) for p in range(levels)], trial, b)
+            while (pending < len(sched.events)
+                   and sched.events[pending].after == b):
+                ev = sched.events[pending]
                 pending += 1
+                own, terminal = est[ev.position], self.order[ev.position]
+                survivors = None
+                for block, first, lead in ev.windows:
+                    if survivors is not None and not survivors.any():
+                        break
+                    top = first + lead - 1
+                    test = self.channel_tests[ev.position, first, lead]
+                    cand = None
+                    for p in range(first, top + 1):
+                        rows = codeword(own, block, p, top - p,
+                                        self.level_sizes[top])
+                        # one level: the int8 table goes to the test as is
+                        cand = rows if cand is None else np.multiply(
+                            cand, test.sizes[p - first],
+                            dtype=np.int64) + rows
+                    fixed = [codeword(own, block, p)
+                             for p in range(top + 1, levels)]
+                    hits = test.check_batch(cand, test.flatten(
+                        fixed + [y_blocks[block][terminal - 1]]))
+                    survivors = hits if survivors is None \
+                        else survivors & hits
+                side = self.side_tests[ev.position]
+                side_flat = side.flatten([src[ev.q][terminal]])
+                decoded = _decide(
+                    survivors, maps[self.level_bins[top]], self.joint,
+                    lambda w: side.check_batch(codebook.sequences[w],
+                                               side_flat))
+                own[ev.q] = -1 if decoded is None else decoded
+                if decoded is None or not np.array_equal(
+                        codebook.sequences[decoded], src[ev.q][0]):
+                    erred[terminal] = True
+        return erred
 
 
-def _aggregate(trial_fn: Callable[[int], dict[int, bool]], trials: int,
-               terminals: Sequence[int], workers: int,
-               config: dict[str, Any]) -> SimResult:
-    flags = parallel_map(trial_fn, list(range(trials)), workers)
-    per_terminal = {t: 0 for t in terminals}
-    errors_total = 0
-    for flag in flags:
-        if any(flag.values()):
-            errors_total += 1
-        for t, erred in flag.items():
-            if erred:
-                per_terminal[t] += 1
-    return SimResult(trials=trials, errors_total=errors_total,
-                     per_terminal_errors=per_terminal, config=config)
+def _count(value: Any, what: str, least: int) -> int:
+    count = whole_number(value, what)
+    if count < least:
+        raise SchemaError(f"{what} must be >= {least}, got {value!r}")
+    return count
 
 
 def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
-                 plan: CooperationPlan | None = None, seed: int = 0) -> None:
-    """Raise the structural error the ``scheme`` simulator raises before it
-    builds anything: network shape, block count ``B``, sliding ``plan``,
-    root ``seed``."""
+                 plan: CooperationPlan | None = None, seed: int = 0,
+                 m: int = 1, n: int = 1, trials: int = 0,
+                 bin_rates: dict[int, float] | None = None
+                 ) -> tuple[int, int, int, int]:
+    """Raise the input error the ``scheme`` simulator raises before it
+    builds anything: root ``seed``; m, n and ``B`` whole numbers >= 1 and
+    ``trials`` >= 0; network shape, sliding ``plan`` and block count;
+    backward ``bin_rates`` keys that name no decoder.  Returns (m, n, B,
+    trials) as ints."""
     check_seed(seed)
+    m, n, B = (_count(v, what, 1) for v, what in ((m, "m"), (n, "n"),
+                                                  (B, "B")))
+    trials = _count(trials, "trials", 0)
     if scheme == "ptp" and (spec.K != 0 or spec.L != 1):
         raise PlanMismatch("simulate_ptp requires K=0, L=1")
     if scheme == "sliding":
@@ -293,10 +457,15 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
         if spec.L != 1:
             raise PlanMismatch("backward simulation requires L=1")
         backward_num_blocks(spec.K, B)
+        unknown = [k for k in bin_rates or {} if k not in range(1, spec.K + 2)]
+        if unknown:
+            raise SchemaError(f"bin_rates keys {unknown!r} name no decoder "
+                              f"(1..{spec.K + 1})")
+    return m, n, B, trials
 
 
 # ---------------------------------------------------------------------------
-# Point-to-point scheme with tunable binning
+# The three schemes
 # ---------------------------------------------------------------------------
 
 def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
@@ -316,69 +485,27 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     resolves the channel stage alone first, then the source stage within
     the bin.
     """
-    check_scheme(spec, "ptp", seed=seed)
+    m, n, _, trials = check_scheme(spec, "ptp", seed=seed, m=m, n=n,
+                                   trials=trials)
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
     src_size = spec.sources.sizes[0]
     if R is not None and not 0.0 <= R <= math.log2(src_size) + 1e-9:
         raise TooLarge(f"bin rate {R} outside [0, log2 {src_size}]")
-    setup = _Setup(spec, (0,), (1,), m, n, epsilon, input_pmf)
-    codebook = setup.codebook
     if R is not None and R >= spec.sources.marginalize(
             [source_label(0)]).entropy() - 1e-9:
         R = None
-    num_bins = codebook.M if R is None else num_bins_for_rate(m, R)
-    ch_test = TypicalityTest(setup.composed, (input_label(0), output_label(1)),
-                             n, epsilon)
-    side_test = setup.side_tests[1]
-    identity = np.arange(codebook.M)
-
-    def trial_fn(trial: int) -> dict[int, bool]:
-        src, idx = setup.draw_sources(seed, trial, 1)
-        if R is None:
-            bin_map = identity
-        else:
-            bin_map = assign_bins(codebook, R, seed, 1, trial=trial).map
-        stack = ChannelCodebookStack(n, [num_bins], setup.laws, 1, seed, trial)
-        sent_bin = 0 if idx[1] < 0 else int(bin_map[idx[1]])
-        table = stack.rows(0, 0, ())
-        y = setup.transmit(stack, [(sent_bin,)], seed, trial, 1)
-        ch_mask = ch_test.check_batch(table, ch_test.flatten([y[0]]))
-        side_mask = side_test.check_batch(codebook.sequences,
-                                          side_test.flatten([src[1][1]]))
-        decoded: int | None = None
-        side_hits = np.flatnonzero(side_mask)
-        counts = np.bincount(bin_map[side_hits], minlength=num_bins)
-        if decoder == "joint":
-            qualifying = np.flatnonzero(ch_mask & (counts == 1))
-            if qualifying.size == 1:
-                members = np.flatnonzero(side_mask
-                                         & (bin_map == qualifying[0]))
-                decoded = int(members[0])
-        else:
-            ch_hits = np.flatnonzero(ch_mask)
-            if ch_hits.size == 1:
-                members = np.flatnonzero(side_mask
-                                         & (bin_map == ch_hits[0]))
-                if members.size == 1:
-                    decoded = int(members[0])
-        ok = decoded is not None and np.array_equal(
-            codebook.sequences[decoded], src[1][0])
-        return {1: not ok}
-
+    engine = _Engine(spec, (0, 1), _backward_schedule(0, 1), {1: R},
+                     decoder == "joint", m, n, epsilon, seed, input_pmf)
     config = {
         "scheme": "ptp",
         "m": m, "n": n, "B": 1, "trials": trials, "seed": seed,
         "epsilon": epsilon, "rate": m / n,
-        "bin_rate": R, "num_bins": num_bins, "decoder": decoder,
-        "codebook_size": codebook.M,
+        "bin_rate": R, "num_bins": engine.num_bins[1], "decoder": decoder,
+        "codebook_size": engine.codebook.M,
     }
-    return _aggregate(trial_fn, trials, (1,), workers, config)
+    return engine.run(trials, workers, config)
 
-
-# ---------------------------------------------------------------------------
-# Regular encoding / sliding-window decoding
-# ---------------------------------------------------------------------------
 
 def simulate_sliding_window(spec: NetworkSpec,
                             plan: CooperationPlan | Sequence[int],
@@ -394,86 +521,30 @@ def simulate_sliding_window(spec: NetworkSpec,
     """
     if not isinstance(plan, CooperationPlan):
         plan = CooperationPlan(tuple(plan))
-    check_scheme(spec, "sliding", B, plan, seed)
-    order = plan.order
+    m, n, B, trials = check_scheme(spec, "sliding", B, plan, seed, m, n,
+                                   trials)
     depth = plan.num_hops - 1                 # number of cooperating relays
     Q = sliding_num_source_blocks(depth, B)
-    events = sliding_decode_events(depth, B)
-    # plan positions 0..depth transmit; positions 1..depth+1 decode
-    setup = _Setup(spec, order[:-1], order[1:], m, n, epsilon, input_pmf)
-    codebook = setup.codebook
-    copies = max(1, depth)
-    positions = range(1, plan.num_hops + 1)
-    ref_tests = {
-        i: [TypicalityTest(
-            setup.composed,
-            setup.labels[i - 1 - j:] + (output_label(order[i]),), n, epsilon)
-            for j in range(i)]
-        for i in positions
-    }
-
-    def trial_fn(trial: int) -> dict[int, bool]:
-        src, idx = setup.draw_sources(seed, trial, Q)
-        # per plan position, the source-block indices it resolves; the
-        # source sends its own (atypical blocks as the padding row), and
-        # row 0 holds the padding index
-        est = {0: np.maximum(idx, 0)}
-        est.update({i: np.zeros(Q + 1, dtype=np.int64) for i in positions})
-        stack = ChannelCodebookStack(n, [codebook.M] * (depth + 1),
-                                     setup.laws, copies, seed, trial)
-        erred = {order[i]: False for i in positions}
-
-        def level_args(b: int) -> list[list[int]]:
-            return [[int(est[p][q])
-                     for q in sliding_encoder_args(p, b, depth, Q)]
-                    for p in range(depth + 1)]
-
-        def decode(ev, y_blocks: dict[int, np.ndarray]) -> None:
-            i, q = ev.position, ev.q
-            own = est[i]
-            side = setup.side_tests[order[i]]
-            mask = side.check_batch(codebook.sequences,
-                                    side.flatten([src[q][order[i]]]))
-            for ref, window in zip(ref_tests[i], ev.windows):
-                if not mask.any():
-                    break
-                wcopy = stack.copy_for_block(window.block)
-                cond = tuple(int(own[qq]) for qq in window.candidate_args[1:])
-                cand_rows = stack.rows(window.level, wcopy, cond)
-                deeper_rows = [
-                    stack.row(p, wcopy, tuple(int(own[qq]) for qq in args[1:]),
-                              int(own[args[0]]))
-                    for p, args in zip(range(window.level + 1, depth + 1),
-                                       window.deeper_args)]
-                y_row = y_blocks[window.block][order[i] - 1]
-                fixed = ref.flatten(deeper_rows + [y_row])
-                mask &= ref.check_batch(cand_rows, fixed)
-            hits = np.flatnonzero(mask)
-            if hits.size == 1:
-                own[q] = int(hits[0])
-                ok = np.array_equal(codebook.sequences[own[q]], src[q][0])
-            else:
-                own[q] = 0
-                ok = False
-            if not ok:
-                erred[order[i]] = True
-
-        setup.run_blocks(stack, seed, trial, B, level_args, events, decode)
-        return erred
-
+    # one identity bin type (0); each lag tests one level with the candidate
+    # in its own slot
+    schedule = _Schedule(
+        Q, {b: [tuple((q, 0) for q in sliding_encoder_args(p, b, depth, Q))
+                for p in range(depth + 1)] for b in range(1, B + 1)},
+        [_Decode(ev.position, ev.q, ev.after,
+                 tuple((w.block, w.level, 1) for w in ev.windows))
+         for ev in sliding_decode_events(depth, B)],
+        max(1, depth))
+    engine = _Engine(spec, plan.order, schedule, {0: None}, True, m, n,
+                     epsilon, seed, input_pmf)
     config = {
         "scheme": "sliding",
         "m": m, "n": n, "B": B, "trials": trials, "seed": seed,
         "epsilon": epsilon, "rate": m / n,
-        "plan": list(order), "codebook_size": codebook.M,
-        "codebook_copies": copies, "source_blocks": Q,
+        "plan": list(plan.order), "codebook_size": engine.codebook.M,
+        "codebook_copies": schedule.copies, "source_blocks": Q,
     }
-    return _aggregate(trial_fn, trials, tuple(order[1:]), workers, config)
+    return engine.run(trials, workers, config)
 
-
-# ---------------------------------------------------------------------------
-# Semi-regular encoding / backward decoding (K <= 2)
-# ---------------------------------------------------------------------------
 
 def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
                       epsilon: float, trials: int, seed: int,
@@ -489,94 +560,23 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     alone (unique typical candidate), then the source decoder picks the
     unique sequence in that bin typical with the local side information.
     """
+    m, n, B, trials = check_scheme(spec, "backward", B, seed=seed, m=m, n=n,
+                                   trials=trials, bin_rates=bin_rates)
     K = spec.K
-    check_scheme(spec, "backward", B, seed=seed)
-    Q, total_blocks = backward_num_blocks(K, B)
+    schedule = _backward_schedule(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
-    decoders = tuple(range(1, K + 2))
     rates = {k: (bin_rates or {}).get(k, spec.source_entropy_given(k) + delta)
-             for k in decoders}
-    bin_sizes = {k: num_bins_for_rate(m, rates[k]) for k in decoders}
-    setup = _Setup(spec, range(K + 1), decoders, m, n, epsilon, input_pmf)
-    codebook = setup.codebook
-    level_sizes = [bin_sizes[p + 1] for p in range(K + 1)]
-    ref_tests = {
-        k: TypicalityTest(setup.composed, setup.labels + (output_label(k),),
-                          n, epsilon, lead=k)
-        for k in decoders
-    }
-    events = backward_decode_events(K, B)
-
-    def trial_fn(trial: int) -> dict[int, bool]:
-        src, true_idx = setup.draw_sources(seed, trial, Q)
-        bins = {k: assign_bins(codebook, rates[k], seed, k, trial=trial).map
-                for k in decoders}
-        stack = ChannelCodebookStack(n, level_sizes, setup.laws, 1, seed,
-                                     trial)
-        # per terminal, the source-block indices it knows (the source) or
-        # has decoded (-1: unknown or failed, and the padding row 0)
-        est = {0: true_idx}
-        est.update({k: np.full(Q + 1, -1, dtype=np.int64) for k in decoders})
-        erred = {k: False for k in decoders}
-
-        def bin_of(refs: np.ndarray, q: int, bintype: int) -> int:
-            idx = int(refs[q])
-            return 0 if idx < 0 else int(bins[bintype][idx])
-
-        def level_args(b: int) -> list[list[int]]:
-            return [[bin_of(est[p], q, bt) for q, bt in args]
-                    for p, args in enumerate(backward_encoder_args(K, B, b))]
-
-        def decode(ev, y_blocks: dict[int, np.ndarray]) -> None:
-            k_dec = ev.terminal
-            args = backward_encoder_args(K, B, ev.block)
-            own_refs = est[k_dec]
-            C = bin_sizes[k_dec]
-            lead_rows_idx = np.zeros((C, n), dtype=np.int64)
-            # levels 0..k_dec-1 carry the candidate; deeper levels are fixed
-            for p in range(k_dec):
-                slot = k_dec - 1 - p
-                vals = [None if s == slot else bin_of(own_refs, *arg)
-                        for s, arg in enumerate(args[p])]
-                rows = stack.row(p, 0, tuple(vals[1:]), vals[0], C)  # (C, n)
-                lead_rows_idx = lead_rows_idx * spec.input_sizes[p] + rows
-            fixed_rows = []
-            for p in range(k_dec, K + 1):
-                vals = [bin_of(own_refs, *arg) for arg in args[p]]
-                fixed_rows.append(stack.row(p, 0, tuple(vals[1:]), vals[0]))
-            ref = ref_tests[k_dec]
-            fixed = ref.flatten(fixed_rows + [y_blocks[ev.block][k_dec - 1]])
-            mask = ref.check_batch(lead_rows_idx, fixed)
-            hits = np.flatnonzero(mask)
-            decoded: int | None = None
-            if hits.size == 1:
-                bin_hat = int(hits[0])
-                members = np.flatnonzero(bins[k_dec] == bin_hat)
-                if members.size:
-                    side = setup.side_tests[k_dec]
-                    smask = side.check_batch(
-                        codebook.sequences[members],
-                        side.flatten([src[ev.q][k_dec]]))
-                    shits = np.flatnonzero(smask)
-                    if shits.size == 1:
-                        decoded = int(members[shits[0]])
-            own_refs[ev.q] = -1 if decoded is None else decoded
-            ok = decoded is not None and np.array_equal(
-                codebook.sequences[decoded], src[ev.q][0])
-            if not ok:
-                erred[k_dec] = True
-
-        setup.run_blocks(stack, seed, trial, total_blocks, level_args, events,
-                         decode)
-        return erred
-
+             for k in range(1, K + 2)}
+    engine = _Engine(spec, range(K + 2), schedule, rates, False, m, n,
+                     epsilon, seed, input_pmf)
     config = {
         "scheme": "backward",
         "m": m, "n": n, "B": B, "trials": trials, "seed": seed,
         "epsilon": epsilon, "rate": m / n,
         "bin_rates": {str(k): rates[k] for k in sorted(rates)},
-        "num_bins": {str(k): bin_sizes[k] for k in sorted(bin_sizes)},
-        "codebook_size": codebook.M, "source_blocks": Q,
-        "channel_blocks": total_blocks,
+        "num_bins": {str(k): engine.num_bins[k] for k in sorted(rates)},
+        "codebook_size": engine.codebook.M,
+        "source_blocks": schedule.source_blocks,
+        "channel_blocks": len(schedule.slots),
     }
-    return _aggregate(trial_fn, trials, decoders, workers, config)
+    return engine.run(trials, workers, config)

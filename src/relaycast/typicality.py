@@ -67,14 +67,6 @@ def count_bounds(probs: np.ndarray, n: int,
     return lo, hi
 
 
-def counts_typical(counts: np.ndarray, probs: np.ndarray, n: int,
-                   epsilon: float) -> np.ndarray:
-    """Vectorized bound check; reduces over the last axis."""
-    lo, hi = count_bounds(probs, n, epsilon)
-    ok = (counts >= lo) & (counts <= hi)
-    return ok.all(axis=-1)
-
-
 def all_sequences(alphabet: int, m: int) -> np.ndarray:
     """All length-m words over {0..alphabet-1}, lexicographic, shape (A^m, m)."""
     if alphabet > MAX_ALPHABET:
@@ -117,20 +109,17 @@ def build_typical_source_codebook(source_marginal: JointPmf | np.ndarray,
     if isinstance(source_marginal, JointPmf):
         if len(source_marginal.variables) != 1:
             raise UnknownVariable("source marginal must be a single variable")
-        probs = source_marginal.probs.reshape(-1)
+        marginal = source_marginal
     else:
         probs = np.asarray(source_marginal, dtype=np.float64).reshape(-1)
-    alphabet = probs.size
-    seqs = all_sequences(alphabet, m)
-    counts = np.zeros((seqs.shape[0], alphabet), dtype=np.int64)
-    for a in range(alphabet):
-        counts[:, a] = (seqs == a).sum(axis=1)
-    mask = counts_typical(counts, probs, m, epsilon)
-    typical = seqs[mask]
+        marginal = JointPmf(("S",), (probs.size,), probs)
+    seqs = all_sequences(marginal.sizes[0], m)
+    test = TypicalityTest(marginal, marginal.variables, m, epsilon)
+    typical = seqs[test.check_batch(seqs, test.flatten([]))]
     if typical.shape[0] == 0:
         raise DegenerateTypicalSet(
             f"no length-{m} sequence is typical at epsilon={epsilon}")
-    return SourceCodebook(m=m, epsilon=epsilon, alphabet=alphabet,
+    return SourceCodebook(m=m, epsilon=epsilon, alphabet=marginal.sizes[0],
                           sequences=np.ascontiguousarray(typical))
 
 
@@ -191,18 +180,11 @@ def joint_typicality(sequences: Mapping[str, Sequence[int] | np.ndarray],
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise LengthMismatch("sequences must share one length")
-    marg = reference.marginalize(labels)
-    # reorder axes so that probs axes follow `labels` order
-    probs = np.transpose(marg.probs,
-                         [marg.variables.index(v) for v in labels])
-    sizes = probs.shape
-    flat = np.zeros(n, dtype=np.int64)
-    for a, size in zip(arrays, sizes):
+    test = TypicalityTest(reference, labels, n, epsilon)
+    for a, size in zip(arrays, test.sizes):
         if a.min() < 0 or a.max() >= size:
             raise LengthMismatch(f"symbol out of range for alphabet {size}")
-        flat = flat * size + a
-    counts = np.bincount(flat, minlength=int(np.prod(sizes)))
-    return bool(counts_typical(counts, probs.reshape(-1), n, epsilon))
+    return bool(test.check_batch(arrays[0][None], test.flatten(arrays[1:]))[0])
 
 
 class TypicalityTest:

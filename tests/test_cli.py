@@ -7,6 +7,7 @@ import pytest
 
 import relaycast as rc
 from relaycast.cli import main, parse_report
+from relaycast.nets import dsbs_chain
 
 from conftest import conv, h2
 
@@ -153,6 +154,28 @@ class TestBound:
         want = (1 - h2(0.1)) / h2(0.25)
         assert payload["result"]["cutset"]["bound"] == pytest.approx(
             want, abs=1e-3)
+
+
+@pytest.mark.parametrize("command", [
+    ["rate", "--plan", "0,1,2"],
+    ["bound", "--certify"],
+])
+def test_reports_are_strict_json(command, tmp_path, capsys):
+    # S1 = S0 makes hop 1 vacuous: its ratio is infinite, printed as null
+    doc = rc.bundled_network("net-b").to_document()
+    doc["sources"] = dsbs_chain([0.0, 0.2]).reshape(-1).tolist()
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(command + ["--net", str(path), "--restarts", "2"],
+                           capsys)
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    payload = json.loads(out, parse_constant=reject)
+    hops = payload["result"]["per_hop"] if command[0] == "rate" \
+        else payload["result"]["achievable"]["per_hop"]
+    assert hops[0]["denominator"] == 0.0 and hops[0]["ratio"] is None
 
 
 class TestSimulate:

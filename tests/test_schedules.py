@@ -57,15 +57,16 @@ def test_sliding_encoder_args_identity_depth2():
 
 def test_sliding_decode_windows_shape():
     # destination (position 3) at block b tests lags 0..2 with levels 2,1,0
-    windows = sliding_decode_windows(3, 5, 2, 3)
+    windows = sliding_decode_windows(3, 5)
     assert [w.level for w in windows] == [2, 1, 0]
     assert [w.block for w in windows] == [5, 4, 3]
     # the candidate slot always names the block being decoded
-    assert all(w.candidate_args[0] == 3 for w in windows)
+    assert all(sliding_encoder_args(w.level, w.block, 2, 3)[0] == 3
+               for w in windows)
     # deeper levels only reference older blocks
     for w in windows:
-        for args in w.deeper_args:
-            assert all(q < 3 for q in args)
+        for p in range(w.level + 1, 3):
+            assert all(q < 3 for q in sliding_encoder_args(p, w.block, 2, 3))
 
 
 def test_backward_counts():
@@ -131,5 +132,5 @@ def test_sliding_decode_events_timing():
     assert [(ev.position, ev.after, ev.q) for ev in events] == [
         (1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 3, 2), (3, 3, 1), (3, 4, 2)]
     for ev in events:
-        assert list(ev.windows) == sliding_decode_windows(
-            ev.position, ev.after, 2, 2)
+        assert list(ev.windows) == sliding_decode_windows(ev.position,
+                                                          ev.after)

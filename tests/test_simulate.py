@@ -83,6 +83,47 @@ class TestReductions:
         assert b.errors_total == p.errors_total
         assert b.per_terminal_errors == p.per_terminal_errors
 
+    # Seeded random K=0 networks: a 3x3 channel and a binary source joint.
+    # Seed 2 is left out: every likelihood ratio of its channel lies within
+    # a factor of two of 1, so at any epsilon loose enough for the source
+    # stage every codeword passes the channel test and all trials err on
+    # both sides of each identity, which would show nothing.
+    RANDOM_SEEDS = (0, 1, 3, 12)
+
+    @staticmethod
+    def random_network(s: int) -> NetworkSpec:
+        rng = np.random.default_rng(s)
+        ch = rng.dirichlet(np.ones(3), size=3).reshape(3, 1, 3)
+        sources = rc.JointPmf(("S0", "S1"), (2, 2), rng.dirichlet(np.ones(4)))
+        return NetworkSpec(K=0, L=1, channel=ChannelModel((3, 1), (3,), ch),
+                           sources=sources)
+
+    @pytest.mark.parametrize("s", RANDOM_SEEDS)
+    def test_random_sliding_k0_equals_ptp_no_binning(self, s):
+        spec = self.random_network(s)
+        kw = dict(m=8, n=24, epsilon=3.0, trials=60, seed=s)
+        sliding = rc.simulate_sliding_window(spec, [0, 1], B=1, **kw)
+        ptp = rc.simulate_ptp(spec, R=None, **kw)
+        assert 0 < ptp.errors_total < kw["trials"]
+        assert sliding.errors_total == ptp.errors_total
+        assert sliding.per_terminal_errors == ptp.per_terminal_errors
+
+    @pytest.mark.parametrize("s", RANDOM_SEEDS)
+    def test_random_backward_k0_equals_ptp_separate(self, s):
+        # R = H(S0|S1) + delta stays below H(S0), where ptp would switch to
+        # the identity map
+        spec = self.random_network(s)
+        h_cond = spec.source_entropy_given(1)
+        delta = (spec.sources.entropy(["S0"]) - h_cond) / 2
+        kw = dict(m=8, n=24, epsilon=3.0, trials=60, seed=s)
+        backward = rc.simulate_backward(spec, B=1, bin_rate_delta=delta, **kw)
+        ptp = rc.simulate_ptp(spec, R=h_cond + delta, decoder="separate",
+                              **kw)
+        assert ptp.config["bin_rate"] is not None
+        assert 0 < ptp.errors_total < kw["trials"]
+        assert backward.errors_total == ptp.errors_total
+        assert backward.per_terminal_errors == ptp.per_terminal_errors
+
     def test_ptp_at_source_entropy_is_no_binning(self, net_a_noiseless):
         # R = H(S0) is the no-binning regime: identical to R=None
         a = rc.simulate_ptp(net_a_noiseless, m=8, n=12, R=1.0, epsilon=3.0,
@@ -326,6 +367,9 @@ GOLDEN_CASES = [
     ("ptp-separate", "ptp", "net-a-noiseless",
      dict(m=8, n=10, R=0.85, epsilon=3.0, trials=40, seed=3,
           decoder="separate")),
+    ("ptp-separate-none", "ptp", "net-a-noiseless",
+     dict(m=6, n=8, R=None, epsilon=3.0, trials=40, seed=3,
+          decoder="separate")),
     ("sliding-k1", "sliding", "net-c",
      dict(plan=[0, 1, 2], m=5, n=7, B=3, epsilon=4.0, trials=30, seed=3)),
     ("sliding-k2", "sliding", "net-d",
@@ -365,3 +409,32 @@ def test_backward_bin_count_cap(net_c):
     with pytest.raises(TooLarge):
         rc.simulate_backward(net_c, m=6, n=8, B=1, epsilon=4.0, trials=0,
                              seed=0, bin_rates={1: 3.5})
+
+
+NET_A = rc.bundled_network("net-a")
+NET_C = rc.bundled_network("net-c")
+
+
+@pytest.mark.parametrize("simulate,spec,kwargs,error", [
+    (rc.simulate_ptp, NET_A, dict(m=0), SchemaError),
+    (rc.simulate_ptp, NET_A, dict(trials=-1), SchemaError),
+    (rc.simulate_ptp, NET_A, dict(n=0), SchemaError),
+    (rc.simulate_ptp, NET_A, dict(m=4.5), SchemaError),
+    (rc.simulate_backward, NET_C, dict(n=7.5, B=2), SchemaError),
+    (rc.simulate_sliding_window, NET_C, dict(plan=[0, 1, 2], B=2.5),
+     SchemaError),
+    (rc.simulate_backward, NET_C, dict(trials=2.5, B=2), SchemaError),
+    (rc.simulate_backward, NET_C, dict(B=2, bin_rates={3: 1.0}),
+     SchemaError),
+    # a 10^9-symbol channel block and a 4096 x 2048 codeword table
+    (rc.simulate_ptp, NET_A, dict(n=10 ** 9), TooLarge),
+    (rc.simulate_ptp, NET_A, dict(m=12, n=2048, trials=0), TooLarge),
+], ids=["m=0", "trials=-1", "n=0", "m=4.5", "n=7.5", "B=2.5", "trials=2.5",
+        "bin_rates-key", "channel-block-cap", "table-cap"])
+def test_simulators_reject_bad_inputs(simulate, spec, kwargs, error):
+    args = dict(m=4, n=8, epsilon=3.0, trials=2, seed=0)
+    if simulate is rc.simulate_ptp:
+        args["R"] = None
+    args.update(kwargs)
+    with pytest.raises(error):
+        simulate(spec, **args)
