@@ -212,7 +212,8 @@ def cmd_simulate(args) -> str:
     # every point's structural errors surface before the rate search, which
     # runs once, and only after the simulations when no point needs it
     for point in ladder:
-        check_scheme(spec, scheme, point["B"], sim_plan)
+        check_scheme(spec, scheme, point["B"], sim_plan,
+                     epsilon=args.epsilon, workers=args.workers)
     opts = _optimizer_options(args)
     r_star = functools.cache(
         lambda: optimize_rate(spec, rate_plan, opts).rate)

@@ -8,12 +8,14 @@ are cycled by block index.
 
 Codewords are pure functions of (root seed, trial, level, copy, upper
 indices), so any access order and any parallel schedule reproduce the same
-codebooks; a per-trial cache avoids regeneration.  Every slice is one
-``child_rng`` stream, read in only two ways: whole from its start by
-``rows``, or one row from many sibling slices at once by ``row`` through
-:func:`~relaycast.seeds.uniforms`, which reproduces those streams bit for
-bit (pinned against the installed numpy by ``tests/test_seeds.py``), so a
-gathered row is exactly the row of the materialized table.
+codebooks.  One stack serves a chunk of trials run in lockstep and caches
+its small tables.  Every slice is one ``child_rng`` stream, read in only
+two ways: whole from its start by ``rows``, one trial at a time, or one row
+from many slices at once by ``row``, across the chunk's trials and sibling
+slices, through :func:`~relaycast.seeds.uniforms`, which reproduces those
+streams bit for bit (pinned against the installed numpy by
+``tests/test_seeds.py``), so a gathered row is exactly the row of the
+materialized table.
 """
 
 from __future__ import annotations
@@ -31,18 +33,36 @@ from .seeds import STREAM_CODEBOOK, child_rng, uniforms
 #: point-to-point pass by a fifth (2-vCPU x86 VM, numpy 2.4).
 ROWS_DRAW_BYTES = 2 ** 20
 
+#: Cap, in bytes, on what a lockstep chunk of trials holds for all its
+#: trials (bin maps, cached tables, source and noise uniforms) and on the
+#: candidates one decoding group builds at once.
+CHUNK_BYTES = 2 ** 17
+
+#: Largest slice table a stack keeps for later reads, in bytes.  Small
+#: tables are read again across a trial's decodes and cost mostly the
+#: stream's set-up to draw again; criterion 6's 98 KB tables are read once.
+CACHED_TABLE_BYTES = 2 ** 12
+
+#: Largest uniform block one :meth:`ChannelCodebookStack.row` gather draws
+#: at once, in float64 cells.  :func:`~relaycast.seeds.uniforms` holds
+#: several arrays of its output's size while it works, so a chunk-wide
+#: gather is drawn in blocks of whole trials under this cap.
+GATHER_CELLS = 2 ** 13
+
 
 def inverse_cdf(u: np.ndarray, cum: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, at: tuple = ()) -> np.ndarray:
     """Symbol drawn by each uniform in ``u`` from its cumulative law: the
-    number of entries of ``cum`` (symbols along the last axis, the other
+    number of entries of ``cum[at]`` (symbols along the last axis, the other
     axes broadcast against ``u``) that the uniform exceeds.
 
     One compare per symbol is added into a small-integer accumulator, so no
-    (..., symbols) temporary is built.  The last ``cum`` entry stays in the
-    loop: it can round to just under 1, and a uniform above it then counts
-    past the last symbol, exactly as ``(u[..., None] > cum).sum(-1)`` does.
-    ``out``, of ``u``'s shape, receives the symbols in place of a new array.
+    (..., symbols) temporary is built; ``at``, index arrays into the leading
+    axes of ``cum``, picks each uniform's law one symbol at a time.  The
+    last ``cum`` entry stays in the loop: it can round to just under 1, and
+    a uniform above it then counts past the last symbol, exactly as
+    ``(u[..., None] > cum).sum(-1)`` does.  ``out``, of ``u``'s shape,
+    receives the symbols in place of a new array.
     """
     symbols = cum.shape[-1]
     if out is None:
@@ -50,7 +70,7 @@ def inverse_cdf(u: np.ndarray, cum: np.ndarray,
     else:
         out[...] = 0
     for a in range(symbols):
-        out += u > cum[..., a]
+        out += u > cum[..., a][at]
     return out
 
 
@@ -79,91 +99,110 @@ def conditional_input_laws(joint: JointPmf,
 
 
 class ChannelCodebookStack:
-    """Lazily generated codeword tables for one trial.
+    """Lazily generated codeword tables for a chunk of trials.
 
     ``level_sizes[p]`` is the number of codeword indices at level p and
     ``laws[p]`` the conditional symbol law from
-    :func:`conditional_input_laws`.  ``rows(p, copy, upper)`` returns the
-    full (level_sizes[p], n) int8 table for one tuple of upper indices;
-    ``row`` serves every partial read.
+    :func:`conditional_input_laws`; ``trials`` are the trial numbers the
+    stack serves (one int for a single trial).  ``rows(p, copy, upper,
+    trial)`` returns one trial's full (level_sizes[p], n) int8 table for
+    one tuple of upper indices; ``row`` serves every partial read, for many
+    trials at once.
     """
 
     def __init__(self, n: int, level_sizes: list[int],
                  laws: list[np.ndarray], copies: int, root_seed: int,
-                 trial: int):
+                 trials: int | np.ndarray):
         self.n = int(n)
         self.level_sizes = [int(s) for s in level_sizes]
-        self.laws = laws
+        # per level, the cumulative symbol law under each upper tuple
+        self.cum = [np.cumsum(law, axis=-1) for law in laws]
         self.copies = max(1, int(copies))
         self.root_seed = int(root_seed)
-        self.trial = int(trial)
-        self.num_levels = len(level_sizes)
-        self._cache: dict[tuple, np.ndarray] = {}     # whole slices
-        self._row_cache: dict[tuple, np.ndarray] = {}  # gathers
+        self.trials = np.atleast_1d(np.asarray(trials, dtype=np.int64))
+        self._cache: dict[tuple, np.ndarray] = {}
 
     def copy_for_block(self, block: int) -> int:
         return (block - 1) % self.copies
 
-    def _symbol_cdf(self, level: int, copy: int, upper: tuple,
-                    C: int = 0) -> np.ndarray:
-        """Per-position cumulative symbol law under the upper codewords,
-        (n, symbols); (C, n, symbols) when one ``upper`` entry is ``None``
-        and ranges over the indices 0..C-1."""
-        law = self.laws[level]
-        if law.ndim == 1:
-            cond = np.broadcast_to(law, (self.n, law.size))
-        else:
-            upper_rows = [self.row(level + 1 + d, copy, upper[d + 1:],
-                                   upper[d], C)
-                          for d in range(self.num_levels - level - 1)]
-            cond = law[tuple(upper_rows)]    # (n | C, n, own_alphabet)
-        return np.cumsum(cond, axis=-1)
+    def rows(self, level: int, copy: int, upper: tuple[int, ...] = (),
+             trial: int | None = None) -> np.ndarray:
+        """All codewords of ``level`` under the given upper-level indices,
+        in ``trial`` (default: the stack's first).
 
-    def rows(self, level: int, copy: int,
-             upper: tuple[int, ...] = ()) -> np.ndarray:
-        """All codewords of ``level`` under the given upper-level indices."""
-        key = (level, copy, upper)
+        Tables up to ``CACHED_TABLE_BYTES`` are cached; a larger one is
+        drawn again if read again, with the same bytes.
+        """
+        trial = int(self.trials[0] if trial is None else trial)
+        key = (trial, level, copy, upper)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        cum = self._symbol_cdf(level, copy, upper)
-        rng = child_rng(self.root_seed, self.trial, STREAM_CODEBOOK,
-                        level, copy, *upper)
+        above = tuple(
+            self.rows(level + 1 + d, copy, upper[d + 1:], trial)[upper[d]]
+            for d in range(len(upper)))
+        rng = child_rng(self.root_seed, trial, STREAM_CODEBOOK, level, copy,
+                        *upper)
         size = self.level_sizes[level]
         table = np.empty((size, self.n), dtype=np.int8)
         blocks = max(1, -(-size * self.n * 8 // ROWS_DRAW_BYTES))
         step = -(-size // blocks)
         for i in range(0, size, step):
             block = table[i:i + step]
-            inverse_cdf(rng.random(block.shape), cum, out=block)
-        self._cache[key] = table
+            inverse_cdf(rng.random(block.shape), self.cum[level], block, above)
+        if table.nbytes <= CACHED_TABLE_BYTES:
+            self._cache[key] = table
         return table
 
-    def row(self, level: int, copy: int, upper: tuple, index: int | None,
-            C: int = 0) -> np.ndarray:
-        """Codeword ``index`` of the slice under ``upper``, as (n,) int8.
+    def row(self, level: int, copy: int, upper: tuple, index, C: int = 0,
+            trials: np.ndarray | None = None) -> np.ndarray:
+        """Codeword ``index`` of the slice under ``upper`` in each of
+        ``trials`` (default: the stack's), as (T, n) int8.
 
-        When ``index`` or one ``upper`` entry is ``None``, that entry ranges
-        over the indices 0..C-1 and the result is the (C, n) int8 rows it
-        addresses: rows 0..C-1 of the slice, or row ``index`` of each of C
-        sibling slices, drawn from their streams by one :func:`uniforms`
-        gather.
+        ``index`` and each ``upper`` entry give one value per trial: an int
+        for all of them or a sequence of T ints.  When ``index`` or one
+        ``upper`` entry is ``None``, that entry ranges over the indices
+        0..C-1 and the result is the (T, C, n) rows it addresses: rows
+        0..C-1 of each trial's slice table, or row ``index`` of each of C
+        sibling slices.  Every read but the tables is drawn from the
+        slices' streams by :func:`uniforms` gathers keyed by trial (and
+        sibling), each trial from its own row's start.
         """
-        if None not in upper:
-            table = self.rows(level, copy, upper)
-            return table[:C] if index is None else table[index]
-        key = (level, copy, upper, index, C)
-        rows = self._row_cache.get(key)
-        if rows is not None:
-            return rows
-        varying = level + 1 + upper.index(None)
-        if not 0 < C <= self.level_sizes[varying]:
-            raise ValueError(f"C={C} outside 1..{self.level_sizes[varying]}, "
-                             f"the indices of level {varying}")
-        cum = self._symbol_cdf(level, copy, upper, C)
-        path = (self.trial, STREAM_CODEBOOK, level, copy) + tuple(
-            np.arange(C) if u is None else u for u in upper)
-        u = uniforms(self.root_seed, path, index * self.n, self.n)
-        rows = inverse_cdf(u, cum).astype(np.int8, copy=False)
-        self._row_cache[key] = rows
-        return rows
+        trials = self.trials if trials is None else np.asarray(trials)
+        T = trials.size
+        cols = [None if u is None else np.broadcast_to(np.asarray(u), (T,))
+                for u in upper]
+        if index is None:
+            uppers = zip(*(c.tolist() for c in cols)) if cols else [()] * T
+            tables = [self.rows(level, copy, above, trial)[:C]
+                      for above, trial in zip(uppers, trials.tolist())]
+            # one trial's table is handed over as it is, not copied
+            return tables[0][None] if T == 1 else np.stack(tables)
+        ranging = [level + 1 + d for d, u in enumerate(upper) if u is None]
+        width = C if ranging else 1
+        if ranging and not 0 < C <= self.level_sizes[ranging[0]]:
+            raise ValueError(f"C={C} outside 1..{self.level_sizes[ranging[0]]}"
+                             f", the indices of level {ranging[0]}")
+        index = np.broadcast_to(np.asarray(index, dtype=np.int64), (T,))
+        out = np.empty((T, width, self.n), dtype=np.int8)
+        step = max(1, GATHER_CELLS // (width * self.n))
+        for i in range(0, T, step):
+            part = slice(i, i + step)
+            size = trials[part].size
+            # the part's rows of the levels above, (size, width or 1, n);
+            # upper entries stay tuples: perfbench's tracer hashes them
+            values = [None if c is None else tuple(c[part].tolist())
+                      for c in cols]
+            above = tuple(
+                self.row(level + 1 + d, copy, tuple(values[d + 1:]),
+                         values[d], C, trials[part]).reshape(size, -1, self.n)
+                for d in range(len(upper)))
+            # one stream per trial (rows) and sibling (columns)
+            u = uniforms(self.root_seed,
+                         (trials[part, None], STREAM_CODEBOOK, level, copy,
+                          *(np.arange(width) if c is None else c[part, None]
+                            for c in cols)),
+                         index[part, None] * self.n, self.n)
+            inverse_cdf(u.reshape(size, width, self.n), self.cum[level],
+                        out[part], above)
+        return out if ranging else out[:, 0]

@@ -22,6 +22,15 @@ empirical error rate estimates the random-coding ensemble average.
 Decoding ties (zero or multiple surviving candidates) count as errors, and
 trials whose source realization falls outside the typical set are errors
 by construction.
+
+The engine runs trials in lockstep chunks: a chunk walks the schedule block
+by block, and each short stream is read once for the whole chunk by a
+:func:`~relaycast.seeds.uniforms` gather keyed by trial (source blocks,
+channel noise, every partial codeword read), and each decoding window is
+checked by one ``check_batch`` call per group of trials.  Whole codeword
+slices and bin maps are drawn per trial from their native streams (see
+:mod:`relaycast.seeds` for why).  Streams are addressed by their paths, not
+by the order they are read, so results do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from . import network
+from . import codebooks, network
 from .codebooks import (
     ChannelCodebookStack,
     conditional_input_laws,
@@ -59,7 +68,14 @@ from .schedules import (
     sliding_encoder_args,
     sliding_num_source_blocks,
 )
-from .seeds import STREAM_CHANNEL, STREAM_SOURCE, check_seed, child_rng
+# child_rng is unused here but stays bound: perfbench's tracer patches it
+from .seeds import (  # noqa: F401
+    STREAM_CHANNEL,
+    STREAM_SOURCE,
+    check_seed,
+    child_rng,
+    uniforms,
+)
 from .typicality import (
     MAX_ALPHABET,
     TypicalityTest,
@@ -139,13 +155,14 @@ def blocklength_for_scale(m: int, r_star: float, scale: float) -> int:
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T],
                  workers: int = 1) -> list[U]:
-    """Order-preserving map over trials; thread pool when workers > 1.
+    """Order-preserving map over chunks of trials; thread pool when
+    workers > 1.
 
-    Threads pay only where a trial spends most of its time in numpy calls
-    that release the GIL, as in the point-to-point scheme: at m=12, n=24
-    (400 trials at each of its two points) a pass took a median 0.96 s
-    serially and 0.82 s on two threads over 12 alternating pairs on a
-    2-vCPU VM, serial slower in 10 of 12, at 1.36x the CPU time (README,
+    Threads pay where a chunk spends most of its time in numpy calls that
+    release the GIL, as in the point-to-point scheme: at m=12, n=24 (400
+    trials at each of its two points) a pass took a median 0.95 s serially
+    and 0.73 s on two threads over 12 alternating pairs on a 2-vCPU VM,
+    serial slower in 12 of 12, at 1.17x the CPU time (README,
     ``--workers``).
     """
     if workers <= 1 or len(items) <= 1:
@@ -155,17 +172,18 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T],
 
 
 class _SourceSampler:
-    """Draws length-m blocks of the (S_0..S_{K+L}) joint, one row per
-    terminal."""
+    """Draws blocks of the (S_0..S_{K+L}) joint, one row per terminal."""
 
     def __init__(self, sources: JointPmf):
         self.sizes = sources.sizes
         self.cum = np.cumsum(sources.probs.reshape(-1))
         self.num_vars = len(self.sizes)
 
-    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        flat = np.searchsorted(self.cum, rng.random(m), side="right")
-        out = np.empty((self.num_vars, m), dtype=np.int8)
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The symbols that the uniforms ``u`` draw, as
+        (num_vars, *u.shape) int8."""
+        flat = np.searchsorted(self.cum, u, side="right")
+        out = np.empty((self.num_vars,) + u.shape, dtype=np.int8)
         for axis in range(self.num_vars - 1, -1, -1):
             out[axis] = flat % self.sizes[axis]
             flat //= self.sizes[axis]
@@ -187,11 +205,11 @@ class _ChannelSampler:
             acc *= size
         self.in_strides = list(reversed(strides))
 
-    def sample(self, in_idx: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        """(num_outputs, n) output symbol rows for per-symbol input indices."""
-        flat = inverse_cdf(rng.random(in_idx.size), self.cum[in_idx])
-        out = np.empty((len(self.out_sizes), in_idx.size), dtype=np.int8)
+    def sample(self, in_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(num_outputs, *in_idx.shape) output symbols for per-symbol input
+        indices, drawn by the uniforms ``u`` of ``in_idx``'s shape."""
+        flat = inverse_cdf(u, self.cum, at=(in_idx,))
+        out = np.empty((len(self.out_sizes),) + in_idx.shape, dtype=np.int8)
         for axis in range(len(self.out_sizes) - 1, -1, -1):
             out[axis] = flat % self.out_sizes[axis]
             flat //= self.out_sizes[axis]
@@ -259,8 +277,8 @@ def _decide(survivors: np.ndarray, bin_map: np.ndarray | None, joint: bool,
 
 
 class _Engine:
-    """Every trial of one simulation, and what it builds once before the
-    first.
+    """Every trial of one simulation, run in lockstep chunks, and what it
+    builds once before the first.
 
     Level p of the superposition code is sent by terminal ``order[p]``
     (level 0 is the source); the terminal at plan position i >= 1 decodes
@@ -268,8 +286,11 @@ class _Engine:
     to a rate, or to None for the identity map; a level carries one
     codeword per bin of its own slot's type.  A window's candidate sits in
     slot ``first + lead - 1 - p`` of each level p it spans; every other
-    slot, and every level above, holds the decoder's own estimates.  Trials
-    may run on pool threads, so nothing here changes after construction.
+    slot, and every level above, holds the decoder's own estimates.
+    Chunks may run on pool threads, so nothing here changes after
+    construction.  A chunk holds ``trial_bytes`` per trial for its whole
+    run; chunks are sized so that this stays under ``codebooks.CHUNK_BYTES``,
+    with at least one chunk per worker.
     """
 
     def __init__(self, spec: NetworkSpec, order: Sequence[int],
@@ -316,111 +337,161 @@ class _Engine:
         self.source_sampler = _SourceSampler(spec.sources)
         self.channel = _ChannelSampler(spec)
         self.strides = [self.channel.in_strides[t] for t in self.order[:-1]]
+        # bytes a trial holds for its whole chunk: bin maps, a cached table
+        # per level, source uniforms and a block's channel uniforms
+        self.map_type = np.min_scalar_type(max(self.num_bins.values()) - 1)
+        binned = sum(r is not None for r in bins.values())
+        self.trial_bytes = (
+            self.map_type.itemsize * self.codebook.M * binned
+            + sum(c * n for c in self.level_sizes
+                  if c * n <= codebooks.CACHED_TABLE_BYTES)
+            + 8 * (schedule.source_blocks * m + n))
 
     def run(self, trials: int, workers: int,
             config: dict[str, Any]) -> SimResult:
-        flags = parallel_map(self.trial, list(range(trials)), workers)
+        count = min(trials, max(workers, -(-trials * self.trial_bytes
+                                          // codebooks.CHUNK_BYTES)))
+        edges = [trials * i // count for i in range(count + 1)] if count \
+            else [0]
+        chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
+        flags = [f for chunk in parallel_map(self.chunk, chunks, workers)
+                 for f in chunk]
         per_terminal = {t: sum(f[t] for f in flags) for t in self.order[1:]}
         return SimResult(trials=trials,
                          errors_total=sum(any(f.values()) for f in flags),
                          per_terminal_errors=per_terminal, config=config)
 
-    def draw_sources(self, trial: int
-                     ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-        """Source blocks 1..Q of one trial, one row per terminal, and the
-        codebook index of each block's S_0 row (-1: atypical; row 0 is
-        unused and holds -1)."""
-        Q = self.schedule.source_blocks
-        src = {q: self.source_sampler.draw(
-            child_rng(self.seed, trial, STREAM_SOURCE, q), self.m)
-            for q in range(1, Q + 1)}
-        idx = np.full(Q + 1, -1, dtype=np.int64)
-        for q in range(1, Q + 1):
-            idx[q] = self.lookup.get(src[q][0].tobytes(), -1)
+    def draw_sources(self, trials: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Source blocks 1..Q of each trial, as (num_vars, T, Q, m), and
+        the codebook index of each block's S_0 row, as (T, Q + 1) (-1:
+        atypical; column 0, the padding block, holds -1)."""
+        Q, T, m = self.schedule.source_blocks, trials.size, self.m
+        src = self.source_sampler.draw(uniforms(
+            self.seed, (trials[:, None], STREAM_SOURCE, np.arange(1, Q + 1)),
+            0, m))
+        idx = np.full((T, Q + 1), -1, dtype=np.int64)
+        idx[:, 1:] = np.reshape([self.lookup.get(row.tobytes(), -1)
+                                 for row in src[0].reshape(-1, m)], (T, Q))
         return src, idx
 
-    def transmit(self, rows: Sequence[np.ndarray], trial: int,
-                 block: int) -> np.ndarray:
-        """Channel outputs of one block: each level's codeword row
-        superposed into channel inputs, sampled on the stream
-        ``(STREAM_CHANNEL, block)``."""
-        in_idx = np.zeros(self.n, dtype=np.int64)
-        for row, stride in zip(rows, self.strides):
-            in_idx += row.astype(np.int64) * stride
-        return self.channel.sample(
-            in_idx, child_rng(self.seed, trial, STREAM_CHANNEL, block))
-
-    def trial(self, trial: int) -> dict[int, bool]:
-        """One trial: whether each decoding terminal mis-estimates any
-        source block (relays forward their own estimates)."""
-        sched, codebook = self.schedule, self.codebook
-        src, idx = self.draw_sources(trial)
-        maps = {t: None if r is None else
-                assign_bins(codebook, r, self.seed, t, trial=trial).map
-                for t, r in self.bins.items()}
-        stack = ChannelCodebookStack(self.n, self.level_sizes, self.laws,
-                                     sched.copies, self.seed, trial)
+    def chunk(self, trials: range) -> list[dict[int, bool]]:
+        """A chunk of trials in lockstep: per trial, whether each decoding
+        terminal mis-estimates any source block (relays forward their own
+        estimates)."""
+        sched, codebook, n = self.schedule, self.codebook, self.n
+        tr = np.arange(trials.start, trials.stop)
+        T, everyone = tr.size, np.arange(tr.size)
+        src, idx = self.draw_sources(tr)
+        maps: dict[int, np.ndarray | None] = dict.fromkeys(self.bins)
+        for t, r in self.bins.items():
+            if r is not None:
+                maps[t] = np.empty((T, codebook.M), dtype=self.map_type)
+                for k, trial in enumerate(trials):
+                    maps[t][k] = assign_bins(codebook, r, self.seed, t,
+                                             trial=trial).map
+        stack = ChannelCodebookStack(n, self.level_sizes, self.laws,
+                                     sched.copies, self.seed, tr)
         levels = len(self.level_sizes)
         # per plan position, the codebook index of each source block it
         # sends: the source's own and the decoders' estimates (-1: atypical,
         # unknown or failed, sent as index 0, as is the padding block 0)
-        est = [idx] + [np.full(sched.source_blocks + 1, -1, dtype=np.int64)
-                       for _ in self.order[1:]]
-        erred = {t: False for t in self.order[1:]}
+        est = [idx] + [np.full((T, sched.source_blocks + 1), -1,
+                               dtype=np.int64) for _ in self.order[1:]]
+        erred = np.zeros((T, len(self.order)), dtype=bool)
 
-        def codeword(own: np.ndarray, block: int, level: int,
-                     skip: int = -1, C: int = 0) -> np.ndarray:
+        def codeword(own: np.ndarray, at: np.ndarray, block: int,
+                     level: int, skip: int = -1, C: int = 0) -> np.ndarray:
             """``level``'s codeword in ``block`` under the estimates
-            ``own``; (C, n) rows with slot ``skip`` ranging over 0..C-1."""
+            ``own`` of the trials at positions ``at``: (S, n) rows, or
+            (S, C, n) with slot ``skip`` ranging over 0..C-1."""
             vals = []
             for s, (q, t) in enumerate(sched.slots[block][level]):
-                w = int(own[q])
-                vals.append(None if s == skip else 0 if w < 0
-                            else w if maps[t] is None else int(maps[t][w]))
+                w = own[at, q]
+                known = np.maximum(w, 0)
+                vals.append(None if s == skip else np.where(
+                    w < 0, 0, known if maps[t] is None else maps[t][at, known]))
+            # upper indices as tuples: perfbench's tracer hashes them
             return stack.row(level, stack.copy_for_block(block),
-                             tuple(vals[1:]), vals[0], C)
+                             tuple(None if v is None else tuple(v.tolist())
+                                   for v in vals[1:]), vals[0], C, tr[at])
 
         y_blocks: dict[int, np.ndarray] = {}
+
+        def decode(ev: _Decode) -> None:
+            """Event ``ev`` for every trial, in groups whose candidates fit
+            under the cap: each window's channel test on the trials with
+            candidates left, then each trial's decision, into ``est`` and
+            ``erred``."""
+            own, terminal = est[ev.position], self.order[ev.position]
+            side = self.side_tests[ev.position]
+            # every window of an event tests one bin type's C candidates
+            top = sum(ev.windows[0][1:]) - 1
+            C, bin_map = self.level_sizes[top], maps[self.level_bins[top]]
+            # per window, the levels above its candidates and the decoder's
+            # output for every trial: the event's decisions do not move them
+            fixed = [self.channel_tests[ev.position, first, lead].flatten(
+                [codeword(own, everyone, block, p)
+                 for p in range(first + lead, levels)]
+                + [y_blocks[block][terminal - 1]])
+                for block, first, lead in ev.windows]
+            step = max(1, codebooks.CHUNK_BYTES // (8 * C * n))
+            for g in range(0, T, step):
+                at = everyone[g:g + step]
+                survivors = np.ones((at.size, C), dtype=bool)
+                for (block, first, lead), rows in zip(ev.windows, fixed):
+                    left = survivors.any(axis=1)
+                    if not left.any():
+                        break
+                    survivors[left] &= self.window(
+                        ev.position, block, first, lead, codeword, own,
+                        at[left], rows[at[left]])
+                for k, hits in zip(at.tolist(), survivors):
+                    side_flat = side.flatten([src[terminal, k, ev.q - 1]])
+                    decoded = _decide(
+                        hits, None if bin_map is None else bin_map[k],
+                        self.joint,
+                        lambda w: side.check_batch(codebook.sequences[w],
+                                                   side_flat))
+                    own[k, ev.q] = -1 if decoded is None else decoded
+                    if decoded is None or not np.array_equal(
+                            codebook.sequences[decoded], src[0, k, ev.q - 1]):
+                        erred[k, ev.position] = True
+
         pending = 0
         for b in sched.slots:
-            y_blocks[b] = self.transmit(
-                [codeword(est[p], b, p) for p in range(levels)], trial, b)
+            in_idx = np.zeros((T, n), dtype=np.int64)
+            for p, stride in zip(range(levels), self.strides):
+                in_idx += codeword(est[p], everyone, b, p).astype(
+                    np.int64) * stride
+            y_blocks[b] = self.channel.sample(
+                in_idx, uniforms(self.seed, (tr, STREAM_CHANNEL, b), 0, n))
             while (pending < len(sched.events)
                    and sched.events[pending].after == b):
-                ev = sched.events[pending]
+                decode(sched.events[pending])
                 pending += 1
-                own, terminal = est[ev.position], self.order[ev.position]
-                survivors = None
-                for block, first, lead in ev.windows:
-                    if survivors is not None and not survivors.any():
-                        break
-                    top = first + lead - 1
-                    test = self.channel_tests[ev.position, first, lead]
-                    cand = None
-                    for p in range(first, top + 1):
-                        rows = codeword(own, block, p, top - p,
-                                        self.level_sizes[top])
-                        # one level: the int8 table goes to the test as is
-                        cand = rows if cand is None else np.multiply(
-                            cand, test.sizes[p - first],
-                            dtype=np.int64) + rows
-                    fixed = [codeword(own, block, p)
-                             for p in range(top + 1, levels)]
-                    hits = test.check_batch(cand, test.flatten(
-                        fixed + [y_blocks[block][terminal - 1]]))
-                    survivors = hits if survivors is None \
-                        else survivors & hits
-                side = self.side_tests[ev.position]
-                side_flat = side.flatten([src[ev.q][terminal]])
-                decoded = _decide(
-                    survivors, maps[self.level_bins[top]], self.joint,
-                    lambda w: side.check_batch(codebook.sequences[w],
-                                               side_flat))
-                own[ev.q] = -1 if decoded is None else decoded
-                if decoded is None or not np.array_equal(
-                        codebook.sequences[decoded], src[ev.q][0]):
-                    erred[terminal] = True
-        return erred
+        return [{t: bool(erred[k, i]) for i, t in enumerate(self.order)
+                 if i} for k in range(T)]
+
+    def window(self, position: int, block: int, first: int, lead: int,
+               codeword: Callable[..., np.ndarray], own: np.ndarray,
+               at: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+        """Channel-test hits of one decoding window for the trials at
+        positions ``at``, (S, C): each trial's C candidates in levels
+        ``first``..``first + lead - 1`` against its ``fixed`` row (the
+        flattened levels above and decoder output), in one ``check_batch``
+        call."""
+        top = first + lead - 1
+        C, n = self.level_sizes[top], self.n
+        test = self.channel_tests[position, first, lead]
+        # candidate indices over the lead levels, int8 where they fit
+        wide = np.int8 if test.ncells // test.tail <= 128 else np.int64
+        cand = None
+        for p in range(first, top + 1):
+            rows = codeword(own, at, block, p, top - p, C)
+            cand = rows if cand is None else np.multiply(
+                cand, test.sizes[p - first], dtype=wide) + rows
+        return test.check_batch(cand.reshape(-1, n), fixed).reshape(-1, C)
 
 
 def _count(value: Any, what: str, least: int) -> int:
@@ -433,17 +504,23 @@ def _count(value: Any, what: str, least: int) -> int:
 def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
                  plan: CooperationPlan | None = None, seed: int = 0,
                  m: int = 1, n: int = 1, trials: int = 0,
-                 bin_rates: dict[int, float] | None = None
-                 ) -> tuple[int, int, int, int]:
+                 bin_rates: dict[int, float] | None = None,
+                 epsilon: float = 0.0, workers: int = 1
+                 ) -> tuple[int, int, int, int, int]:
     """Raise the input error the ``scheme`` simulator raises before it
-    builds anything: root ``seed``; m, n and ``B`` whole numbers >= 1 and
-    ``trials`` >= 0; network shape, sliding ``plan`` and block count;
-    backward ``bin_rates`` keys that name no decoder.  Returns (m, n, B,
-    trials) as ints."""
+    builds anything: root ``seed``; m, n, ``B`` and ``workers`` whole
+    numbers >= 1 and ``trials`` >= 0; ``epsilon`` a finite number >= 0;
+    network shape, sliding ``plan`` and block count; backward
+    ``bin_rates`` keys that name no decoder.  Returns (m, n, B, trials,
+    workers) as ints."""
     check_seed(seed)
-    m, n, B = (_count(v, what, 1) for v, what in ((m, "m"), (n, "n"),
-                                                  (B, "B")))
+    m, n, B, workers = (_count(v, what, 1) for v, what in (
+        (m, "m"), (n, "n"), (B, "B"), (workers, "workers")))
     trials = _count(trials, "trials", 0)
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
+            or not (math.isfinite(epsilon) and epsilon >= 0)):
+        raise SchemaError(f"epsilon must be a finite number >= 0, "
+                          f"got {epsilon!r}")
     if scheme == "ptp" and (spec.K != 0 or spec.L != 1):
         raise PlanMismatch("simulate_ptp requires K=0, L=1")
     if scheme == "sliding":
@@ -461,7 +538,7 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
         if unknown:
             raise SchemaError(f"bin_rates keys {unknown!r} name no decoder "
                               f"(1..{spec.K + 1})")
-    return m, n, B, trials
+    return m, n, B, trials, workers
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +562,9 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     resolves the channel stage alone first, then the source stage within
     the bin.
     """
-    m, n, _, trials = check_scheme(spec, "ptp", seed=seed, m=m, n=n,
-                                   trials=trials)
+    m, n, _, trials, workers = check_scheme(
+        spec, "ptp", seed=seed, m=m, n=n, trials=trials, epsilon=epsilon,
+        workers=workers)
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
     src_size = spec.sources.sizes[0]
@@ -521,8 +599,9 @@ def simulate_sliding_window(spec: NetworkSpec,
     """
     if not isinstance(plan, CooperationPlan):
         plan = CooperationPlan(tuple(plan))
-    m, n, B, trials = check_scheme(spec, "sliding", B, plan, seed, m, n,
-                                   trials)
+    m, n, B, trials, workers = check_scheme(
+        spec, "sliding", B, plan, seed, m, n, trials, epsilon=epsilon,
+        workers=workers)
     depth = plan.num_hops - 1                 # number of cooperating relays
     Q = sliding_num_source_blocks(depth, B)
     # one identity bin type (0); each lag tests one level with the candidate
@@ -560,8 +639,9 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     alone (unique typical candidate), then the source decoder picks the
     unique sequence in that bin typical with the local side information.
     """
-    m, n, B, trials = check_scheme(spec, "backward", B, seed=seed, m=m, n=n,
-                                   trials=trials, bin_rates=bin_rates)
+    m, n, B, trials, workers = check_scheme(
+        spec, "backward", B, seed=seed, m=m, n=n, trials=trials,
+        bin_rates=bin_rates, epsilon=epsilon, workers=workers)
     K = spec.K
     schedule = _backward_schedule(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta

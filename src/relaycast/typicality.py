@@ -223,36 +223,62 @@ class TypicalityTest:
         ``candidates`` is an integer array of shape (C, n), int8 tables
         included, that already carries the mixed-radix index over the lead
         labels; ``fixed_flat`` indexes the remaining labels per position
-        (from :meth:`flatten`).  Candidates are checked in chunks under
-        ``CHECK_BATCH_BYTES``.
+        (from :meth:`flatten`): (n,) for every candidate, or (G, n) with
+        row g for the g-th of G equal runs of consecutive candidates (one
+        run per trial when a chunk of trials is checked at once).
+        Candidates are checked in chunks under ``CHECK_BATCH_BYTES``.
         """
+        if fixed_flat.ndim == 2 and fixed_flat.shape[0] == 1:
+            fixed_flat = fixed_flat[0]
         c = candidates.shape[0]
         step = max(1, CHECK_BATCH_BYTES // (8 * (self.n + self.ncells)))
-        if c <= step:
-            return self._check(candidates, fixed_flat)
-        return np.concatenate([self._check(candidates[i:i + step], fixed_flat)
-                               for i in range(0, c, step)])
+        if fixed_flat.ndim == 1:
+            if c <= step:
+                return self._check(candidates, fixed_flat)
+            return np.concatenate([
+                self._check(candidates[i:i + step], fixed_flat)
+                for i in range(0, c, step)])
+        run = c // fixed_flat.shape[0]
+        groups = max(1, step // run)
+        return np.concatenate([
+            self._check(candidates[g * run:(g + groups) * run],
+                        fixed_flat[g:g + groups])
+            for g in range(0, fixed_flat.shape[0], groups)])
 
     def _check(self, candidates: np.ndarray,
                fixed_flat: np.ndarray) -> np.ndarray:
-        """One chunk of :meth:`check_batch`, counted by the form that
-        ``CELLWISE_SYMBOLS_PER_CELL`` picks for its size."""
+        """One chunk of :meth:`check_batch`.  A shared fixed row is counted
+        by the form that ``CELLWISE_SYMBOLS_PER_CELL`` picks for the
+        chunk's size; runs with their own rows cell by cell."""
         c = candidates.shape[0]
-        if c * self.n < CELLWISE_SYMBOLS_PER_CELL * self.ncells:
+        runs = fixed_flat.ndim == 2
+        if not runs and c * self.n < CELLWISE_SYMBOLS_PER_CELL * self.ncells:
             idx = np.multiply(candidates, self.tail, dtype=np.int64)
             idx += fixed_flat
             idx += np.arange(c, dtype=np.int64)[:, None] * self.ncells
             counts = np.bincount(idx.reshape(-1), minlength=c * self.ncells)
             counts = counts.reshape(c, self.ncells)
             return ((counts >= self.lo) & (counts <= self.hi)).all(axis=1)
-        ok = np.ones(c, dtype=bool)
-        by_position = candidates.T
+        if runs:
+            # (positions, runs, run length), each run against its own row
+            by_position = np.ascontiguousarray(candidates.reshape(
+                fixed_flat.shape[0], -1, self.n).transpose(2, 0, 1))
+        else:
+            by_position = candidates.T
+        ok = np.ones(by_position.shape[1:], dtype=bool)
         count_type = np.min_scalar_type(self.n)
         for tail_value in range(self.tail):
-            # (positions whose fixed labels take this value, C)
-            column = by_position[fixed_flat == tail_value]
+            if runs:
+                column = by_position
+                where = (fixed_flat.T == tail_value)[:, :, None]
+            else:
+                # (positions whose fixed labels take this value, C)
+                column = by_position[fixed_flat == tail_value]
             for lead_value in range(self.ncells // self.tail):
                 cell = lead_value * self.tail + tail_value
-                count = (column == lead_value).sum(axis=0, dtype=count_type)
+                hit = column == lead_value
+                if runs:
+                    hit &= where
+                count = hit.sum(axis=0, dtype=count_type)
                 ok &= (count >= self.lo[cell]) & (count <= self.hi[cell])
-        return ok
+        return ok.reshape(-1)

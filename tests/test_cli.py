@@ -246,6 +246,17 @@ class TestSimulate:
             assert out == ""
             assert json.loads(err)["error_code"] == "SchemaError"
 
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "inf"], ["--epsilon", "nan"], ["--epsilon", "-1"],
+        ["--workers", "0"], ["--workers", "-3"]])
+    def test_bad_epsilon_or_workers_rejected(self, flags, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--net", "net-a", "--scheme", "ptp", "--m", "4",
+             "--n", "8", "--trials", "2"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "SchemaError"
+
     def test_ptp_requires_k0(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--net", "net-c", "--scheme", "ptp",

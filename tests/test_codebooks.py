@@ -57,7 +57,7 @@ def test_row_fetch_matches_materialized_slice():
         table = whole.rows(0, 0, (2,))
         for idx in [0, 1, 5, 299, sizes[0] - 1]:
             np.testing.assert_array_equal(table[idx],
-                                          lazy.row(0, 0, (2,), idx))
+                                          lazy.row(0, 0, (2,), idx)[0])
 
 
 def test_marginal_statistics_follow_law():
@@ -115,21 +115,21 @@ def test_stack_and_channel_draw_the_reference_symbols():
         n, seed, trial = 24, 11, 2
         stack = ChannelCodebookStack(n, [4096, 2], laws, 1, seed, trial)
         table = stack.rows(0, 0, (1,))
-        cum = stack._symbol_cdf(0, 0, (1,))
+        cum = np.cumsum(laws[0][stack.rows(1, 0, ())[1]], axis=-1)
         u = child_rng(seed, trial, STREAM_CODEBOOK, 0, 0, 1).random((4096, n))
         want = reference_inverse_cdf(u, cum).astype(np.int8)
         assert table.dtype == np.int8
         np.testing.assert_array_equal(table, want)
         lazy = ChannelCodebookStack(n, [4096, 2], laws, 1, seed, trial)
         for idx in (0, 17, 4095):
-            np.testing.assert_array_equal(lazy.row(0, 0, (1,), idx),
+            np.testing.assert_array_equal(lazy.row(0, 0, (1,), idx)[0],
                                           want[idx])
 
     spec = rc.bundled_network("net-c")
     sampler = _ChannelSampler(spec)
     in_idx = rng.integers(0, int(np.prod(spec.input_sizes)), 500)
-    out = sampler.sample(in_idx, child_rng(4, 0, STREAM_CHANNEL, 1))
     u = child_rng(4, 0, STREAM_CHANNEL, 1).random(in_idx.size)
+    out = sampler.sample(in_idx, u)
     flat = reference_inverse_cdf(u[None, :], sampler.cum[in_idx])[0]
     for axis in range(len(sampler.out_sizes) - 1, -1, -1):
         np.testing.assert_array_equal(out[axis],
@@ -188,10 +188,21 @@ def test_row_across_equals_row_loop(net, level_sizes, n, cases, dependent):
             own, *above = (w if a is None else a for a in (index,) + upper)
             want.append(tables.rows(level, 1, tuple(above))[own])
         got = across.row(level, 1, upper, index, C)
-        assert got.dtype == np.int8 and got.shape == (C, n)
-        np.testing.assert_array_equal(got, np.stack(want))
-        # a repeat is served from the caches, not drawn again
-        assert np.shares_memory(across.row(level, 1, upper, index, C), got)
+        assert got.dtype == np.int8 and got.shape == (1, C, n)
+        np.testing.assert_array_equal(got[0], np.stack(want))
+
+
+def test_small_tables_are_cached_large_ones_drawn_again():
+    """Tables up to ``CACHED_TABLE_BYTES`` are served from the cache; a
+    larger one is drawn again on each read, with the same bytes."""
+    laws = _net_laws("net-c", False)
+    stack = ChannelCodebookStack(5, [1000, 8], laws, 1, 0, 0)
+    assert stack.rows(1, 0, ()) is stack.rows(1, 0, ())
+    big = stack.rows(0, 0, (3,))
+    assert big.nbytes > codebooks.CACHED_TABLE_BYTES
+    again = stack.rows(0, 0, (3,))
+    assert again is not big
+    np.testing.assert_array_equal(again, big)
 
 
 def test_row_across_rejects_bad_ranges():
@@ -201,5 +212,49 @@ def test_row_across_rejects_bad_ranges():
         with pytest.raises(ValueError):
             stack.row(0, 0, (None,), 1, C)
     # with no varying entry, C is unused and the row is the table's
-    np.testing.assert_array_equal(stack.row(0, 0, (2,), 1, 4),
+    np.testing.assert_array_equal(stack.row(0, 0, (2,), 1, 4)[0],
                                   stack.rows(0, 0, (2,))[1])
+
+
+#: The trials of the chunk-wide reads below, the largest trial key included.
+TRIALS = (3, 0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("dependent", [False, True])
+@pytest.mark.parametrize("net, level_sizes, n, cases", [
+    # (level, upper, index, C) with per-trial values as tuples, one per
+    # trial of TRIALS; None ranges over 0..C-1 as in ``row``
+    ("net-c", [700, 48], 7, [(0, (None,), (3, 699, 0), 48),
+                             (0, ((5, 47, 0),), (3, 699, 0), 0),
+                             (1, (), (0, 47, 9), 0),
+                             (1, (), None, 48),
+                             (0, ((3, 0, 47),), None, 5)]),
+    ("net-d", [600, 40, 24], 9,
+     [(0, (None, (5, 23, 0)), (17, 0, 599), 40),
+      (0, ((11, 0, 39), None), (599, 2, 0), 24),
+      (0, ((1, 2, 3), (4, 5, 6)), (7, 8, 9), 0),
+      (1, (None,), (39, 0, 5), 24)]),
+])
+def test_row_across_trials_equals_each_trials_tables(net, level_sizes, n,
+                                                     cases, dependent):
+    """With a trial axis, ``row`` returns for each trial the rows that the
+    trial's own materialized tables hold: one gather keyed by trial (and
+    sibling) reads the same codewords as each trial's own streams."""
+    laws = _net_laws(net, dependent)
+    trials = np.array(TRIALS)
+    chunk = ChannelCodebookStack(n, level_sizes, laws, 2, 5, trials)
+    for level, upper, index, C in cases:
+        got = chunk.row(level, 1, upper, index, C)
+        assert got.dtype == np.int8
+        for k, trial in enumerate(TRIALS):
+            tables = ChannelCodebookStack(n, level_sizes, laws, 2, 5, trial)
+            mine = [u if u is None else u[k] for u in upper]
+            own = None if index is None else index[k]
+            want = []
+            for w in range(C or 1):
+                own_w, *above = (w if a is None else a
+                                 for a in [own] + mine)
+                want.append(tables.rows(level, 1, tuple(above))[own_w])
+            np.testing.assert_array_equal(
+                got[k], np.stack(want) if C else want[0])
+

@@ -1,12 +1,14 @@
 """Protocol simulators: determinism, reductions, exactness, thresholds."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relaycast as rc
+from relaycast import codebooks, simulate
 from relaycast.errors import (
     BTooSmall,
     DegenerateTypicalSet,
@@ -148,7 +150,8 @@ class TestNoiselessExactness:
         keys = {s.tobytes() for s in cb.sequences}
         atypical = 0
         for trial in range(trials):
-            src = sampler.draw(child_rng(seed, trial, STREAM_SOURCE, 1), m)
+            src = sampler.draw(
+                child_rng(seed, trial, STREAM_SOURCE, 1).random(m))
             if src[0].tobytes() not in keys:
                 atypical += 1
         assert res.errors_total == atypical
@@ -168,7 +171,8 @@ class TestNoiselessExactness:
         for trial in range(60):
             bad = False
             for q in (1, 2, 3):
-                src = sampler.draw(child_rng(12, trial, STREAM_SOURCE, q), 4)
+                src = sampler.draw(
+                    child_rng(12, trial, STREAM_SOURCE, q).random(4))
                 if src[0].tobytes() not in keys:
                     bad = True
             atypical_trials += bad
@@ -404,6 +408,45 @@ def test_results_match_golden(key, scheme, net, kwargs, workers):
         json.dumps(golden, sort_keys=True)
 
 
+#: One golden case of each scheme, run below under several chunk caps.
+CHUNKED_CASES = ["ptp-joint", "sliding-k2", "backward-k1"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", CHUNKED_CASES)
+def test_results_do_not_depend_on_chunking(key, workers, monkeypatch):
+    """Trials run in lockstep chunks sized under ``codebooks.CHUNK_BYTES``,
+    which also sizes the decoding groups and the table cache: one trial per
+    chunk (with one-trial gathers), a few chunks and every trial in as few
+    chunks as there are workers all give the golden bytes."""
+    _, scheme, net, kwargs = next(c for c in GOLDEN_CASES if c[0] == key)
+    golden = json.dumps(json.loads(GOLDEN_RESULTS.read_text())[key],
+                        sort_keys=True)
+    trials = kwargs["trials"]
+    chunks, trial_bytes = [], []
+    pool = simulate.parallel_map
+
+    def spy(fn, items, workers=1):
+        chunks.append([len(chunk) for chunk in items])
+        trial_bytes.append(fn.__self__.trial_bytes)
+        return pool(fn, items, workers)
+    monkeypatch.setattr(simulate, "parallel_map", spy)
+
+    def run(cap, gather_cells=codebooks.GATHER_CELLS):
+        monkeypatch.setattr(codebooks, "CHUNK_BYTES", cap)
+        monkeypatch.setattr(codebooks, "GATHER_CELLS", gather_cells)
+        res = SIMULATORS[scheme](rc.bundled_network(net), workers=workers,
+                                 **kwargs)
+        assert json.dumps(res.to_dict(), sort_keys=True) == golden
+        return chunks[-1]
+
+    whole = run(2 ** 40)
+    assert sum(whole) == trials and len(whole) == workers
+    assert run(1, 1) == [1] * trials
+    few = run(trial_bytes[0] * (trials // 3))
+    assert sum(few) == trials and max(workers, 3) <= len(few) <= 5
+
+
 def test_backward_bin_count_cap(net_c):
     # 2^21 bins exceed ENUMERATION_CAP; rejected before the first trial
     with pytest.raises(TooLarge):
@@ -429,8 +472,19 @@ NET_C = rc.bundled_network("net-c")
     # a 10^9-symbol channel block and a 4096 x 2048 codeword table
     (rc.simulate_ptp, NET_A, dict(n=10 ** 9), TooLarge),
     (rc.simulate_ptp, NET_A, dict(m=12, n=2048, trials=0), TooLarge),
+    # epsilon must be finite and >= 0; workers a whole number >= 1
+    (rc.simulate_ptp, NET_A, dict(epsilon=math.nan), SchemaError),
+    (rc.simulate_sliding_window, NET_C, dict(plan=[0, 1, 2], B=2,
+                                             epsilon=math.inf), SchemaError),
+    (rc.simulate_backward, NET_C, dict(B=2, epsilon=-1.0), SchemaError),
+    (rc.simulate_ptp, NET_A, dict(workers=-5), SchemaError),
+    (rc.simulate_sliding_window, NET_C, dict(plan=[0, 1, 2], B=2,
+                                             workers=1.5), SchemaError),
+    (rc.simulate_backward, NET_C, dict(B=2, workers=0), SchemaError),
 ], ids=["m=0", "trials=-1", "n=0", "m=4.5", "n=7.5", "B=2.5", "trials=2.5",
-        "bin_rates-key", "channel-block-cap", "table-cap"])
+        "bin_rates-key", "channel-block-cap", "table-cap", "epsilon=nan",
+        "epsilon=inf", "epsilon=-1", "workers=-5", "workers=1.5",
+        "workers=0"])
 def test_simulators_reject_bad_inputs(simulate, spec, kwargs, error):
     args = dict(m=4, n=8, epsilon=3.0, trials=2, seed=0)
     if simulate is rc.simulate_ptp:

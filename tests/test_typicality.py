@@ -237,3 +237,28 @@ class TestCheckBatch:
         test.check_batch(np.zeros((4096, 24), dtype=np.int8),
                          np.zeros(24, dtype=np.int64))
         assert calls == [(4096, 24)]
+
+    @pytest.mark.parametrize("cap", [1, 240_000, typicality.CHECK_BATCH_BYTES])
+    def test_runs_with_own_fixed_rows(self, cap, monkeypatch):
+        """A (G, n) ``fixed_flat`` checks G equal runs of candidates, each
+        against its own row, exactly as G separate checks would, split
+        under any chunk cap."""
+        monkeypatch.setattr(typicality, "CHECK_BATCH_BYTES", cap)
+        rng = np.random.default_rng(5)
+        runs = 0
+        for test, cand, fixed in _check_batch_cases():
+            for groups in (2, 3):
+                if cand.shape[0] % groups:
+                    continue
+                tails = np.stack([fixed] + [
+                    rng.integers(0, test.tail, test.n)
+                    for _ in range(groups - 1)])
+                run = cand.shape[0] // groups
+                want = np.concatenate([
+                    reference_check_batch(test, cand[g * run:(g + 1) * run],
+                                          tails[g])
+                    for g in range(groups)])
+                np.testing.assert_array_equal(
+                    test.check_batch(cand, tails), want)
+                runs += 1
+        assert runs > 20
