@@ -9,13 +9,17 @@ are cycled by block index.
 Codewords are pure functions of (root seed, trial, level, copy, upper
 indices), so any access order and any parallel schedule reproduce the same
 codebooks.  One stack serves a chunk of trials run in lockstep and caches
-its small tables.  Every slice is one ``child_rng`` stream, read in only
-two ways: whole from its start by ``rows``, one trial at a time, or one row
-from many slices at once by ``row``, across the chunk's trials and sibling
-slices, through :func:`~relaycast.seeds.uniforms`, which reproduces those
-streams bit for bit (pinned against the installed numpy by
-``tests/test_seeds.py``), so a gathered row is exactly the row of the
-materialized table.
+its small tables.  Every slice is the stream ``child_rng(root seed, trial,
+STREAM_CODEBOOK, level, copy, *upper)``, read in only two ways.  ``rows``
+draws it whole from its start, one trial at a time, with numpy's own
+``random``: from the state that :meth:`~ChannelCodebookStack.row` seeded
+for it, together with every other uncached table its call reads
+(:func:`~relaycast.seeds.pcg_states`), or from a fresh ``child_rng`` when
+the table is read alone.  ``row`` reads one row from many slices at once,
+across the chunk's trials and sibling slices, through
+:func:`~relaycast.seeds.uniforms`, which reproduces those streams bit for
+bit (pinned against the installed numpy by ``tests/test_seeds.py``), so a
+gathered row is exactly the row of the materialized table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import JointPmf
-from .seeds import STREAM_CODEBOOK, child_rng, uniforms
+from .seeds import STREAM_CODEBOOK, child_rng, pcg_states, uniforms
 
 #: Largest uniform block :meth:`ChannelCodebookStack.rows` draws at once, in
 #: bytes (float64).  Blocks of whole rows come from the slice's one
@@ -35,7 +39,13 @@ ROWS_DRAW_BYTES = 2 ** 20
 
 #: Cap, in bytes, on what a lockstep chunk of trials holds for all its
 #: trials (bin maps, cached tables, source and noise uniforms) and on the
-#: candidates one decoding group builds at once.
+#: candidate indices one decoding group holds at once: C x n cells per
+#: trial, one byte each where they fit in int8 (else eight).  A group's
+#: gathers are drawn in pieces under ``GATHER_CELLS`` and its checks run in
+#: chunks under ``typicality.CHECK_BATCH_BYTES``, so its candidates are what
+#: it keeps.  Backward decoding at criterion 5's points (C=128, n=7 at the
+#: destination) decodes a whole chunk per group; criterion 6's 4096 x 24
+#: candidates are decoded one trial at a time.
 CHUNK_BYTES = 2 ** 17
 
 #: Largest slice table a stack keeps for later reads, in bytes.  Small
@@ -121,6 +131,10 @@ class ChannelCodebookStack:
         self.root_seed = int(root_seed)
         self.trials = np.atleast_1d(np.asarray(trials, dtype=np.int64))
         self._cache: dict[tuple, np.ndarray] = {}
+        # the one generator of the stack's batch-seeded draws: each draw
+        # assigns it the state of its stream (see _seed_tables) first
+        self.rng = np.random.Generator(np.random.PCG64(0))
+        self._states: dict[tuple, dict] = {}
 
     def copy_for_block(self, block: int) -> int:
         return (block - 1) % self.copies
@@ -131,7 +145,9 @@ class ChannelCodebookStack:
         in ``trial`` (default: the stack's first).
 
         Tables up to ``CACHED_TABLE_BYTES`` are cached; a larger one is
-        drawn again if read again, with the same bytes.
+        drawn again if read again, with the same bytes.  A table is drawn
+        from the state :meth:`row` seeded for it, if any, else from its own
+        ``child_rng``: the same stream either way.
         """
         trial = int(self.trials[0] if trial is None else trial)
         key = (trial, level, copy, upper)
@@ -141,8 +157,13 @@ class ChannelCodebookStack:
         above = tuple(
             self.rows(level + 1 + d, copy, upper[d + 1:], trial)[upper[d]]
             for d in range(len(upper)))
-        rng = child_rng(self.root_seed, trial, STREAM_CODEBOOK, level, copy,
-                        *upper)
+        state = self._states.get(key)
+        if state is None:
+            rng = child_rng(self.root_seed, trial, STREAM_CODEBOOK, level,
+                            copy, *upper)
+        else:
+            rng = self.rng
+            rng.bit_generator.state = state
         size = self.level_sizes[level]
         table = np.empty((size, self.n), dtype=np.int8)
         blocks = max(1, -(-size * self.n * 8 // ROWS_DRAW_BYTES))
@@ -153,6 +174,28 @@ class ChannelCodebookStack:
         if table.nbytes <= CACHED_TABLE_BYTES:
             self._cache[key] = table
         return table
+
+    def _seed_tables(self, level: int, copy: int, uppers: list[tuple],
+                     trials: list[int]) -> None:
+        """Seed, for the next :meth:`rows` calls, every uncached table
+        that the tables of ``level`` under ``uppers[k]`` in ``trials[k]``
+        read: their own and those of the levels above that they are drawn
+        under.  The tables of one level are seeded by one
+        :func:`~relaycast.seeds.pcg_states` call; a level with a single
+        such table is left to its own ``child_rng``, which sets up faster.
+        """
+        wanted: dict[int, dict[tuple, None]] = {}
+        for upper, trial in zip(uppers, trials):
+            for d in range(len(upper) + 1):
+                key = (trial, level + d, copy, upper[d:])
+                if key not in self._cache:
+                    wanted.setdefault(level + d, {})[key] = None
+        for at, keys in wanted.items():
+            if len(keys) > 1:
+                cols = np.array([[k[0], *k[3]] for k in keys], dtype=np.int64)
+                self._states.update(zip(keys, pcg_states(
+                    self.root_seed,
+                    (cols[:, 0], STREAM_CODEBOOK, at, copy, *cols[:, 1:].T))))
 
     def row(self, level: int, copy: int, upper: tuple, index, C: int = 0,
             trials: np.ndarray | None = None) -> np.ndarray:
@@ -173,9 +216,12 @@ class ChannelCodebookStack:
         cols = [None if u is None else np.broadcast_to(np.asarray(u), (T,))
                 for u in upper]
         if index is None:
-            uppers = zip(*(c.tolist() for c in cols)) if cols else [()] * T
+            uppers = list(zip(*(c.tolist() for c in cols))) if cols \
+                else [()] * T
+            self._seed_tables(level, copy, uppers, trials.tolist())
             tables = [self.rows(level, copy, above, trial)[:C]
                       for above, trial in zip(uppers, trials.tolist())]
+            self._states.clear()
             # one trial's table is handed over as it is, not copied
             return tables[0][None] if T == 1 else np.stack(tables)
         ranging = [level + 1 + d for d, u in enumerate(upper) if u is None]

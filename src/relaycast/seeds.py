@@ -21,12 +21,17 @@ pool mix and ``PCG64`` jump-ahead, redone on arrays), and
 The simulators run chunks of trials in lockstep and read each short stream
 for the whole chunk in one gather keyed by trial: source blocks, channel
 noise and every partial codeword read (keyed by trial and sibling slice).
-Whole codeword slices and bin maps stay on native ``child_rng`` draws, one
-per trial.  A gathered value costs about 0.05 us, against about 17 us to
-set up a native stream and 0.005 us per native value, so a gather loses
-beyond a few hundred values per stream: a 128 x 7 table for each of 300
-trials took 14 ms gathered and 7 ms native (2-vCPU x86 VM, numpy 2.4).
-numpy's bounded integers, behind the bin maps, are not reproduced here.
+Whole codeword slices and bin maps are drawn by numpy itself, ``random``
+and ``integers``, from one reused generator: :func:`pcg_states` seeds every
+such stream a chunk's call reads, one call per kind of stream, and each
+draw first assigns its stream's state.  On a 2-vCPU Xeon VM (Python 3.11,
+numpy 2.4) a ``child_rng`` set-up took about 30 us, a :func:`pcg_states`
+call about 250 us plus 1 us per stream, a state assignment about 2 us, a
+native value about 0.005 us and a gathered value 0.07-0.12 us.  So a
+gather loses beyond a few hundred values per stream, seeding in a batch
+pays from about ten streams, and a table read alone keeps its own
+``child_rng``.  numpy's bounded integers, behind the bin maps, are not
+reproduced here: numpy draws them from the seeded state.
 """
 
 from __future__ import annotations
@@ -213,6 +218,52 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
+def _seeded(root_seed: int, path: tuple, *shapes: tuple
+            ) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """The broadcast shape of the streams that ``path`` addresses (with
+    ``shapes``), and their words from :func:`_pcg_seed`, in that shape or
+    broadcasting to it.  ``path`` is checked as :func:`uniforms` says."""
+    keys = [p for p in path if isinstance(p, np.ndarray)]
+    if not keys:
+        raise ValueError("path needs an array entry")
+    if not all(np.issubdtype(key.dtype, np.integer) for key in keys):
+        raise ValueError("varying path entries must be integers")
+    shape = np.broadcast_shapes(*(key.shape for key in keys), *shapes)
+    if any(key.size and (key.min() < 0 or key.max() > _MASK32)
+           for key in keys):
+        raise ValueError("varying path keys must lie in [0, 2^32)")
+    # run entropy is zero-padded to the pool size when a spawn key follows
+    entropy = _words(root_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for p in path:
+        if isinstance(p, np.ndarray):
+            entropy.append(p.astype(np.uint32))
+        else:
+            entropy += _words(p)
+    return shape, _pcg_seed(_seed_pool(entropy, len(shape)))
+
+
+def pcg_states(root_seed: int, path: tuple) -> list[dict]:
+    """The freshly seeded ``PCG64`` state of many streams at once.
+
+    ``path`` is as in :func:`uniforms`.  Item k of the list, streams in C
+    order of the broadcast shape, is a ``bit_generator.state`` dict: a
+    ``Generator`` whose ``PCG64`` is given it draws exactly what
+    ``child_rng(root_seed, *path_k)`` draws, with any method.  The state is
+    ``x * MULT + inc`` mod 2^128, the one seeding leaves, with the 32-bit
+    buffer cleared, so a generator may be reassigned after any draw.
+    """
+    shape, (x_hi, x_lo, inc_hi, inc_lo) = _seeded(root_seed, path)
+    s_hi, s_lo = _add128(*_mul128(_PCG_MULT >> 64, _PCG_MULT & _MASK64,
+                                  x_hi, x_lo), inc_hi, inc_lo)
+    words = (np.broadcast_to(w, shape).reshape(-1).tolist()
+             for w in (s_hi, s_lo, inc_hi, inc_lo))
+    return [{"bit_generator": "PCG64",
+             "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+             "has_uint32": 0, "uinteger": 0}
+            for sh, sl, ih, il in zip(*words)]
+
+
 def uniforms(root_seed: int, path: tuple, start, count: int) -> np.ndarray:
     """Uniforms ``start .. start+count-1`` of many streams at once.
 
@@ -225,27 +276,13 @@ def uniforms(root_seed: int, path: tuple, start, count: int) -> np.ndarray:
     the (*streams, count) float64 result equals
     ``child_rng(root_seed, *path_k).random(start_k + count)[start_k:]``.
     """
-    keys = [p for p in path if isinstance(p, np.ndarray)]
-    if not keys:
-        raise ValueError("path needs an array entry")
     starts = np.asarray(start)
-    if not all(np.issubdtype(a.dtype, np.integer) for a in keys + [starts]):
-        raise ValueError("varying path entries and starts must be integers")
-    shape = np.broadcast_shapes(*(key.shape for key in keys), starts.shape)
-    if any(key.size and (key.min() < 0 or key.max() > _MASK32)
-           for key in keys):
-        raise ValueError("varying path keys must lie in [0, 2^32)")
+    if not np.issubdtype(starts.dtype, np.integer):
+        raise ValueError("starts must be integers")
     if (starts.size and starts.min() < 0) or count < 0:
         raise ValueError("start and count must be non-negative")
-    # run entropy is zero-padded to the pool size when a spawn key follows
-    entropy = _words(root_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for p in path:
-        if isinstance(p, np.ndarray):
-            entropy.append(p.astype(np.uint32))
-        else:
-            entropy += _words(p)
-    x_hi, x_lo, inc_hi, inc_lo = _pcg_seed(_seed_pool(entropy, len(shape)))
+    shape, (x_hi, x_lo, inc_hi, inc_lo) = _seeded(root_seed, path,
+                                                  starts.shape)
     # output j is taken from the state j + 1 steps past the seeded state,
     # which is itself one step past x: A_t x + B_t inc with t = start + 2 + j;
     # row 0 jumps each stream to its own t = start + 2 ...

@@ -28,7 +28,8 @@ by block, and each short stream is read once for the whole chunk by a
 :func:`~relaycast.seeds.uniforms` gather keyed by trial (source blocks,
 channel noise, every partial codeword read), and each decoding window is
 checked by one ``check_batch`` call per group of trials.  Whole codeword
-slices and bin maps are drawn per trial from their native streams (see
+slices and bin maps are drawn by numpy from their streams' states, which
+:func:`~relaycast.seeds.pcg_states` seeds for many trials at once (see
 :mod:`relaycast.seeds` for why).  Streams are addressed by their paths, not
 by the order they are read, so results do not depend on the chunking.
 """
@@ -70,16 +71,17 @@ from .schedules import (
 )
 # child_rng is unused here but stays bound: perfbench's tracer patches it
 from .seeds import (  # noqa: F401
+    STREAM_BINS,
     STREAM_CHANNEL,
     STREAM_SOURCE,
     check_seed,
     child_rng,
+    pcg_states,
     uniforms,
 )
 from .typicality import (
     MAX_ALPHABET,
     TypicalityTest,
-    assign_bins,
     build_typical_source_codebook,
     num_bins_for_rate,
 )
@@ -158,12 +160,13 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T],
     """Order-preserving map over chunks of trials; thread pool when
     workers > 1.
 
-    Threads pay where a chunk spends most of its time in numpy calls that
-    release the GIL, as in the point-to-point scheme: at m=12, n=24 (400
-    trials at each of its two points) a pass took a median 0.95 s serially
-    and 0.73 s on two threads over 12 alternating pairs on a 2-vCPU VM,
-    serial slower in 12 of 12, at 1.17x the CPU time (README,
-    ``--workers``).
+    Threads can pay only where a chunk spends most of its time in numpy
+    calls that release the GIL, as in the point-to-point scheme, and only
+    on a host that runs two threads at once: at m=12, n=24 (400 trials at
+    each of its two points) on a 2-vCPU VM that did not always do so, a
+    pass took a median 1.05 and 0.94 s serially against 0.99 and 0.91 s on
+    two threads in two rounds of 12 alternating pairs, serial slower in 7
+    of 12 each time, at 1.16-1.22x the CPU time (README, ``--workers``).
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -329,6 +332,12 @@ class _Engine:
                 composed, labels[first:] + (output_label(self.order[i]),),
                 n, epsilon, lead)
             for i, first, lead in windows}
+        # per window, the type of its candidates' indices over the lead
+        # levels: int8 where they fit
+        self.cand_types = {
+            key: np.dtype(np.int8 if test.ncells // test.tail <= 128
+                          else np.int64)
+            for key, test in self.channel_tests.items()}
         self.side_tests = {
             i: TypicalityTest(spec.sources, (source_label(0),
                                              source_label(self.order[i])),
@@ -375,6 +384,23 @@ class _Engine:
                                  for row in src[0].reshape(-1, m)], (T, Q))
         return src, idx
 
+    def bin_maps(self, trials: np.ndarray, rng: np.random.Generator
+                 ) -> dict[int, np.ndarray | None]:
+        """Per bin type, each trial's bin map as (T, M) rows, or None for
+        the identity map.  Row k is ``typicality.assign_bins``' map of
+        ``trials[k]``, drawn by ``rng`` from its stream's seeded state; the
+        states of a type's streams are seeded in one call."""
+        maps: dict[int, np.ndarray | None] = dict.fromkeys(self.bins)
+        M = self.codebook.M
+        for t, r in self.bins.items():
+            if r is not None:
+                maps[t] = np.empty((trials.size, M), dtype=self.map_type)
+                for k, state in enumerate(pcg_states(
+                        self.seed, (trials, STREAM_BINS, t))):
+                    rng.bit_generator.state = state
+                    maps[t][k] = rng.integers(0, self.num_bins[t], size=M)
+        return maps
+
     def chunk(self, trials: range) -> list[dict[int, bool]]:
         """A chunk of trials in lockstep: per trial, whether each decoding
         terminal mis-estimates any source block (relays forward their own
@@ -383,15 +409,9 @@ class _Engine:
         tr = np.arange(trials.start, trials.stop)
         T, everyone = tr.size, np.arange(tr.size)
         src, idx = self.draw_sources(tr)
-        maps: dict[int, np.ndarray | None] = dict.fromkeys(self.bins)
-        for t, r in self.bins.items():
-            if r is not None:
-                maps[t] = np.empty((T, codebook.M), dtype=self.map_type)
-                for k, trial in enumerate(trials):
-                    maps[t][k] = assign_bins(codebook, r, self.seed, t,
-                                             trial=trial).map
         stack = ChannelCodebookStack(n, self.level_sizes, self.laws,
                                      sched.copies, self.seed, tr)
+        maps = self.bin_maps(tr, stack.rng)
         levels = len(self.level_sizes)
         # per plan position, the codebook index of each source block it
         # sends: the source's own and the decoders' estimates (-1: atypical,
@@ -435,7 +455,10 @@ class _Engine:
                  for p in range(first + lead, levels)]
                 + [y_blocks[block][terminal - 1]])
                 for block, first, lead in ev.windows]
-            step = max(1, codebooks.CHUNK_BYTES // (8 * C * n))
+            # a group holds each trial's C x n candidate indices at once
+            cell = max(self.cand_types[ev.position, first, lead].itemsize
+                       for _, first, lead in ev.windows)
+            step = max(1, codebooks.CHUNK_BYTES // (cell * C * n))
             for g in range(0, T, step):
                 at = everyone[g:g + step]
                 survivors = np.ones((at.size, C), dtype=bool)
@@ -484,8 +507,7 @@ class _Engine:
         top = first + lead - 1
         C, n = self.level_sizes[top], self.n
         test = self.channel_tests[position, first, lead]
-        # candidate indices over the lead levels, int8 where they fit
-        wide = np.int8 if test.ncells // test.tail <= 128 else np.int64
+        wide = self.cand_types[position, first, lead]
         cand = None
         for p in range(first, top + 1):
             rows = codeword(own, at, block, p, top - p, C)

@@ -205,6 +205,27 @@ def test_small_tables_are_cached_large_ones_drawn_again():
     np.testing.assert_array_equal(again, big)
 
 
+def test_chunk_tables_are_seeded_together(monkeypatch):
+    """Tables read for several trials at once, and the upper tables they
+    are drawn under, are drawn from states seeded in one call per level; a
+    table read alone is drawn from its own ``child_rng``."""
+    laws = _net_laws("net-d", False)
+    made = []
+
+    def counted(*path):
+        made.append(path)
+        return child_rng(*path)
+    monkeypatch.setattr(codebooks, "child_rng", counted)
+    chunk = ChannelCodebookStack(5, [60, 8, 4], laws, 1, 0, np.arange(4))
+    chunk.row(0, 0, ((1, 2, 3, 4), (0, 1, 2, 3)), None, 60)
+    assert made == []
+    ChannelCodebookStack(5, [60, 8, 4], laws, 1, 0, 7).row(
+        0, 0, (1, 2), None, 60)
+    assert sorted(made) == [(0, 7, STREAM_CODEBOOK, 0, 0, 1, 2),
+                            (0, 7, STREAM_CODEBOOK, 1, 0, 2),
+                            (0, 7, STREAM_CODEBOOK, 2, 0)]
+
+
 def test_row_across_rejects_bad_ranges():
     laws = _net_laws("net-c", False)
     stack = ChannelCodebookStack(5, [8, 4], laws, 1, 0, 0)
@@ -224,13 +245,16 @@ TRIALS = (3, 0, 2**32 - 1)
 @pytest.mark.parametrize("net, level_sizes, n, cases", [
     # (level, upper, index, C) with per-trial values as tuples, one per
     # trial of TRIALS; None ranges over 0..C-1 as in ``row``
-    ("net-c", [700, 48], 7, [(0, (None,), (3, 699, 0), 48),
+    # each first case reads tables under upper tables not yet drawn
+    ("net-c", [700, 48], 7, [(0, ((3, 0, 47),), None, 5),
+                             (0, (None,), (3, 699, 0), 48),
                              (0, ((5, 47, 0),), (3, 699, 0), 0),
                              (1, (), (0, 47, 9), 0),
                              (1, (), None, 48),
                              (0, ((3, 0, 47),), None, 5)]),
     ("net-d", [600, 40, 24], 9,
-     [(0, (None, (5, 23, 0)), (17, 0, 599), 40),
+     [(0, ((1, 2, 39), (4, 23, 0)), None, 6),
+      (0, (None, (5, 23, 0)), (17, 0, 599), 40),
       (0, ((11, 0, 39), None), (599, 2, 0), 24),
       (0, ((1, 2, 3), (4, 5, 6)), (7, 8, 9), 0),
       (1, (None,), (39, 0, 5), 24)]),

@@ -1,14 +1,15 @@
 """The vectorized stream kernel against numpy's own generators.
 
-``uniforms`` redoes numpy's SeedSequence mix and PCG64 jump-ahead on arrays;
-every case here compares it with ``child_rng(...).random`` by ``==``, so an
-installed numpy that changes either algorithm fails this file.
+``uniforms`` redoes numpy's SeedSequence mix and PCG64 jump-ahead on arrays,
+and ``pcg_states`` the seeded PCG64 states; every case here compares them
+with ``child_rng(...)`` draws by ``==``, so an installed numpy that changes
+either algorithm fails this file.
 """
 
 import numpy as np
 import pytest
 
-from relaycast.seeds import child_rng, uniforms
+from relaycast.seeds import child_rng, pcg_states, uniforms
 
 KEYS = np.array([0, 1, 2, 77, 65_536, 2**32 - 1])
 BIG_ROOT = 2**64 + 12_345
@@ -148,3 +149,82 @@ def test_zipped_pair_of_equal_entries():
     """Two equal-length array entries are zipped, not rejected: stream k
     is the path (k, k)."""
     assert_zipped(0, (np.arange(2), np.arange(2)), np.zeros(2, dtype=int), N)
+
+
+def fresh_generator():
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def assert_states(root, path, draw):
+    """Each state ``pcg_states`` returns makes one reused generator draw,
+    by ``draw(generator)``, what the stream's own ``child_rng`` draws."""
+    states = pcg_states(root, path)
+    size = np.broadcast_shapes(*(p.shape for p in path
+                                 if isinstance(p, np.ndarray)))
+    assert len(states) == int(np.prod(size))
+    keys = np.broadcast_arrays(*(p for p in path if isinstance(p, np.ndarray)))
+    rng = fresh_generator()
+    for k, state in enumerate(states):
+        at = np.unravel_index(k, size)
+        values = iter(int(key[at]) for key in keys)
+        full = tuple(next(values) if isinstance(p, np.ndarray) else p
+                     for p in path)
+        rng.bit_generator.state = state
+        got, want = draw(rng), draw(child_rng(root, *full))
+        assert got.dtype == want.dtype
+        assert (got == want).all(), (root, full)
+
+
+@pytest.mark.parametrize("root", [0, 2**32 + 5, BIG_ROOT])
+@pytest.mark.parametrize("count", [1, 7, 224])
+def test_states_draw_each_streams_uniforms(root, count):
+    assert_states(root, (KEYS, 2, 0, 1), lambda g: g.random(count))
+    assert_states(root, (TRIALS, 2, 0, 1, SIBLINGS),
+                  lambda g: g.random(count))
+
+
+@pytest.mark.parametrize("root", [0, 2**32 + 5])
+@pytest.mark.parametrize("k", [0, 1, 5, 12])
+def test_states_draw_each_streams_bounded_integers(root, k):
+    """``integers(0, 2^k, size=M)`` as a bin map draws it; at k = 0 numpy
+    draws nothing from the stream."""
+    assert_states(root, (TRIALS, 1, 2), lambda g: g.integers(0, 2**k,
+                                                             size=27))
+    assert_states(root, (TRIALS, 2, 0, 1, SIBLINGS),
+                  lambda g: g.integers(0, 2**k, size=6))
+
+
+@pytest.mark.parametrize("root", [0, 2**32 + 5])
+def test_states_of_zipped_trial_and_upper_entries(root):
+    """(trial, upper) pairs zipped, trial keys 0 and 2^32 - 1 among them,
+    and a trial column against a row of uppers, in C order."""
+    assert_states(root, (TRIALS, 2, 1, 0, SIBLINGS, TRIALS),
+                  lambda g: g.random(N))
+    assert_states(root, (TRIALS[:, None], 2, 0, 1, SIBLINGS[None, :3]),
+                  lambda g: g.random(3))
+
+
+def test_state_clears_a_buffered_half_word():
+    """An odd-length 32-bit ``integers`` draw leaves half of a 64-bit output
+    in PCG64's buffer; a state assigned right after it is drawn from as a
+    fresh stream."""
+    states = pcg_states(3, (np.arange(3), 1, 2))
+    rng = fresh_generator()
+    for k, state in enumerate(states):
+        rng.bit_generator.state = state
+        first = rng.integers(0, 32, size=5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng.bit_generator.state = state
+        assert (rng.integers(0, 32, size=5) == first).all()
+        assert (first == child_rng(3, k, 1, 2).integers(0, 32, size=5)).all()
+        rng.bit_generator.state = state
+        assert (rng.random(4) == child_rng(3, k, 1, 2).random(4)).all()
+
+
+def test_states_reject_bad_paths():
+    with pytest.raises(ValueError):
+        pcg_states(0, (1, 2))
+    with pytest.raises(ValueError):
+        pcg_states(0, (1, np.array([2**32])))
+    with pytest.raises(ValueError):
+        pcg_states(0, (np.arange(2), np.arange(3)))

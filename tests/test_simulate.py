@@ -447,6 +447,85 @@ def test_results_do_not_depend_on_chunking(key, workers, monkeypatch):
     assert sum(few) == trials and max(workers, 3) <= len(few) <= 5
 
 
+@pytest.mark.parametrize("key", CHUNKED_CASES)
+def test_results_do_not_depend_on_decode_groups(key, monkeypatch):
+    """Decodes run in groups of trials whose candidates fit under
+    ``codebooks.CHUNK_BYTES``; with every trial in one chunk, groups of one
+    trial and one group of the whole chunk both give the golden bytes."""
+    _, scheme, net, kwargs = next(c for c in GOLDEN_CASES if c[0] == key)
+    golden = json.dumps(json.loads(GOLDEN_RESULTS.read_text())[key],
+                        sort_keys=True)
+    init, window = simulate._Engine.__init__, simulate._Engine.window
+    groups = []
+
+    def one_chunk(engine, *args):
+        init(engine, *args)
+        engine.trial_bytes = 0
+
+    def spy(engine, position, block, first, lead, codeword, own, at, fixed):
+        groups.append(at.size)
+        return window(engine, position, block, first, lead, codeword, own,
+                      at, fixed)
+    monkeypatch.setattr(simulate._Engine, "__init__", one_chunk)
+    monkeypatch.setattr(simulate._Engine, "window", spy)
+    for cap, largest in [(1, 1), (2 ** 40, kwargs["trials"])]:
+        monkeypatch.setattr(codebooks, "CHUNK_BYTES", cap)
+        groups.clear()
+        res = SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
+        assert json.dumps(res.to_dict(), sort_keys=True) == golden
+        assert max(groups) == largest
+
+
+def test_decode_groups_are_charged_their_int8_candidates(monkeypatch):
+    """A group is charged C x n bytes per trial for int8 candidates: at
+    criterion 5's point below threshold (C=128, n=7 at the destination) a
+    75-trial chunk decodes in one group under the default cap."""
+    window, groups = simulate._Engine.window, []
+
+    def spy(engine, position, block, first, lead, codeword, own, at, fixed):
+        groups.append((engine.level_sizes[first + lead - 1], at.size))
+        return window(engine, position, block, first, lead, codeword, own,
+                      at, fixed)
+    monkeypatch.setattr(simulate._Engine, "window", spy)
+    rc.simulate_backward(rc.bundled_network("net-c"), m=6, n=7, B=2,
+                         epsilon=4.0, trials=75, seed=0)
+    assert max(size for C, size in groups if C == 128) == 75
+
+
+@pytest.mark.parametrize("scheme,net,kwargs,bins,map_type", [
+    # sim-ptp's binned point
+    ("ptp", "net-a-noiseless",
+     dict(m=12, n=24, R=0.97781, epsilon=3.0, trials=40, seed=5),
+     {1: 4096}, np.uint16),
+    # sim-backward's terminals on net-c
+    ("backward", "net-c", dict(m=6, n=7, B=2, epsilon=4.0, trials=100,
+                               seed=5),
+     {1: 32, 2: 128}, np.uint8),
+], ids=["ptp-4096", "backward-32-128"])
+def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, bins, map_type,
+                                        monkeypatch):
+    """Each chunk draws its trials' bin maps from seeded states; row k of a
+    terminal's maps is ``assign_bins``' map of the chunk's trial k."""
+    draw, seen = simulate._Engine.bin_maps, []
+
+    def spy(engine, trials, rng):
+        maps = draw(engine, trials, rng)
+        seen.append((engine, trials.copy(), maps))
+        return maps
+    monkeypatch.setattr(simulate._Engine, "bin_maps", spy)
+    SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
+    assert len(seen) > 1
+    assert sum(trials.size for _, trials, _ in seen) == kwargs["trials"]
+    for engine, trials, maps in seen:
+        assert {t: engine.num_bins[t] for t in maps} == bins
+        for t, rows in maps.items():
+            assert rows.dtype == map_type
+            for k, trial in enumerate(trials.tolist()):
+                want = rc.assign_bins(engine.codebook, engine.bins[t],
+                                      kwargs["seed"], t, trial=trial).map
+                assert (rows[k] == want).all(), (t, trial)
+
+
 def test_backward_bin_count_cap(net_c):
     # 2^21 bins exceed ENUMERATION_CAP; rejected before the first trial
     with pytest.raises(TooLarge):
