@@ -15,8 +15,9 @@ draws it whole from its start, one trial at a time, with numpy's own
 ``random``: from the state that :meth:`~ChannelCodebookStack.row` seeded
 for it, together with every other uncached table its call reads
 (:func:`~relaycast.seeds.pcg_states`), or from a fresh ``child_rng`` when
-the table is read alone.  ``row`` reads one row from many slices at once,
-across the chunk's trials and sibling slices, through
+the table is read alone.  ``row`` reads one row from each of many slices
+at once, one per (trial, upper indices) pair: a chunk's trials, or a
+decoder's (trial, candidate) pairs, through
 :func:`~relaycast.seeds.uniforms`, which reproduces those streams bit for
 bit (pinned against the installed numpy by ``tests/test_seeds.py``), so a
 gathered row is exactly the row of the materialized table.
@@ -39,13 +40,15 @@ ROWS_DRAW_BYTES = 2 ** 20
 
 #: Cap, in bytes, on what a lockstep chunk of trials holds for all its
 #: trials (bin maps, cached tables, source and noise uniforms) and on the
-#: candidate indices one decoding group holds at once: C x n cells per
-#: trial, one byte each where they fit in int8 (else eight).  A group's
-#: gathers are drawn in pieces under ``GATHER_CELLS`` and its checks run in
-#: chunks under ``typicality.CHECK_BATCH_BYTES``, so its candidates are what
-#: it keeps.  Backward decoding at criterion 5's points (C=128, n=7 at the
-#: destination) decodes a whole chunk per group; criterion 6's 4096 x 24
-#: candidates are decoded one trial at a time.
+#: candidates one decoding group holds at once, charged C x n cells per
+#: trial, one byte each where a window's candidate indices fit in int8
+#: (else eight).  A window holds its top level's C x n int8 rows per trial,
+#: and the indices of the candidates its screens keep, at most as many.  A
+#: group's gathers are drawn in pieces under ``GATHER_CELLS`` and its
+#: checks run in chunks under ``typicality.CHECK_BATCH_BYTES``, so its
+#: candidates are what it keeps.  Backward decoding at criterion 5's points
+#: (C=128, n=7 at the destination) decodes a whole chunk per group;
+#: criterion 6's 4096 x 24 candidates are decoded one trial at a time.
 CHUNK_BYTES = 2 ** 17
 
 #: Largest slice table a stack keeps for later reads, in bytes.  Small
@@ -198,57 +201,50 @@ class ChannelCodebookStack:
                     (cols[:, 0], STREAM_CODEBOOK, at, copy, *cols[:, 1:].T))))
 
     def row(self, level: int, copy: int, upper: tuple, index, C: int = 0,
-            trials: np.ndarray | None = None) -> np.ndarray:
+            trials: np.ndarray | None = None, above: tuple = ()) -> np.ndarray:
         """Codeword ``index`` of the slice under ``upper`` in each of
         ``trials`` (default: the stack's), as (T, n) int8.
 
         ``index`` and each ``upper`` entry give one value per trial: an int
-        for all of them or a sequence of T ints.  When ``index`` or one
-        ``upper`` entry is ``None``, that entry ranges over the indices
-        0..C-1 and the result is the (T, C, n) rows it addresses: rows
-        0..C-1 of each trial's slice table, or row ``index`` of each of C
-        sibling slices.  Every read but the tables is drawn from the
-        slices' streams by :func:`uniforms` gathers keyed by trial (and
-        sibling), each trial from its own row's start.
+        for all of them or a sequence of T ints; ``trials`` may repeat a
+        trial, one read per (trial, candidate) pair.  A ``None`` index
+        reads rows 0..C-1 of each trial's table, as (T, C, n).  Every other
+        read is drawn from the slices' streams by :func:`uniforms` gathers
+        keyed by trial, each from its own row's start.  The rows of the
+        levels above, which the symbols are drawn under, are read the same
+        way, but for the first ones that ``above`` gives: (T, n) rows the
+        caller already holds, of the codewords ``upper`` addresses.
         """
         trials = self.trials if trials is None else np.asarray(trials)
         T = trials.size
-        cols = [None if u is None else np.broadcast_to(np.asarray(u), (T,))
+        if any(u is None for u in upper):
+            raise ValueError("upper entries must be indices, not None")
+        cols = [np.broadcast_to(np.asarray(u, dtype=np.int64), (T,))
                 for u in upper]
         if index is None:
             uppers = list(zip(*(c.tolist() for c in cols))) if cols \
                 else [()] * T
             self._seed_tables(level, copy, uppers, trials.tolist())
-            tables = [self.rows(level, copy, above, trial)[:C]
-                      for above, trial in zip(uppers, trials.tolist())]
+            tables = [self.rows(level, copy, key, trial)[:C]
+                      for key, trial in zip(uppers, trials.tolist())]
             self._states.clear()
             # one trial's table is handed over as it is, not copied
             return tables[0][None] if T == 1 else np.stack(tables)
-        ranging = [level + 1 + d for d, u in enumerate(upper) if u is None]
-        width = C if ranging else 1
-        if ranging and not 0 < C <= self.level_sizes[ranging[0]]:
-            raise ValueError(f"C={C} outside 1..{self.level_sizes[ranging[0]]}"
-                             f", the indices of level {ranging[0]}")
         index = np.broadcast_to(np.asarray(index, dtype=np.int64), (T,))
-        out = np.empty((T, width, self.n), dtype=np.int8)
-        step = max(1, GATHER_CELLS // (width * self.n))
+        out = np.empty((T, self.n), dtype=np.int8)
+        step = max(1, GATHER_CELLS // self.n)
         for i in range(0, T, step):
             part = slice(i, i + step)
-            size = trials[part].size
-            # the part's rows of the levels above, (size, width or 1, n);
-            # upper entries stay tuples: perfbench's tracer hashes them
-            values = [None if c is None else tuple(c[part].tolist())
-                      for c in cols]
-            above = tuple(
-                self.row(level + 1 + d, copy, tuple(values[d + 1:]),
-                         values[d], C, trials[part]).reshape(size, -1, self.n)
-                for d in range(len(upper)))
-            # one stream per trial (rows) and sibling (columns)
+            # the part's rows of the levels above, (size, n): those given,
+            # then those read here
+            rows = tuple(a[part] for a in above) + tuple(
+                self.row(level + 1 + d, copy,
+                         tuple(c[part] for c in cols[d + 1:]), cols[d][part],
+                         C, trials[part])
+                for d in range(len(above), len(upper)))
             u = uniforms(self.root_seed,
-                         (trials[part, None], STREAM_CODEBOOK, level, copy,
-                          *(np.arange(width) if c is None else c[part, None]
-                            for c in cols)),
-                         index[part, None] * self.n, self.n)
-            inverse_cdf(u.reshape(size, width, self.n), self.cum[level],
-                        out[part], above)
-        return out if ranging else out[:, 0]
+                         (trials[part], STREAM_CODEBOOK, level, copy,
+                          *(c[part] for c in cols)),
+                         index[part] * self.n, self.n)
+            inverse_cdf(u, self.cum[level], out[part], rows)
+        return out

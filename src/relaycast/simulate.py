@@ -26,9 +26,15 @@ by construction.
 The engine runs trials in lockstep chunks: a chunk walks the schedule block
 by block, and each short stream is read once for the whole chunk by a
 :func:`~relaycast.seeds.uniforms` gather keyed by trial (source blocks,
-channel noise, every partial codeword read), and each decoding window is
-checked by one ``check_batch`` call per group of trials.  Whole codeword
-slices and bin maps are drawn by numpy from their streams' states, which
+channel noise, every partial codeword read).  Each decoding window tests
+its candidates' levels one at a time, top level first, with one
+``check_batch`` call per level and group of trials: the top level's rows
+are its whole tables, and a lower level's rows are gathered only for the
+(trial, candidate) pairs that the levels above passed.  A tuple that is
+robustly typical has sub-tuples that pass the summed cell bounds of
+:meth:`~relaycast.typicality.TypicalityTest.stage`, so the screens drop
+only candidates the full test rejects.  Whole codeword slices and bin maps
+are drawn by numpy from their streams' states, which
 :func:`~relaycast.seeds.pcg_states` seeds for many trials at once (see
 :mod:`relaycast.seeds` for why).  Streams are addressed by their paths, not
 by the order they are read, so results do not depend on the chunking.
@@ -327,17 +333,21 @@ class _Engine:
         composed = network.compose_joint(full, spec.channel)
         windows = {(ev.position, first, lead)
                    for ev in schedule.events for _, first, lead in ev.windows}
-        self.channel_tests = {
-            (i, first, lead): TypicalityTest(
+        # per window, its test's stages (TypicalityTest.stage), the full
+        # test first
+        self.channel_tests = {}
+        for i, first, lead in windows:
+            test = TypicalityTest(
                 composed, labels[first:] + (output_label(self.order[i]),),
                 n, epsilon, lead)
-            for i, first, lead in windows}
+            self.channel_tests[i, first, lead] = [test.stage(s)
+                                                  for s in range(lead)]
         # per window, the type of its candidates' indices over the lead
         # levels: int8 where they fit
         self.cand_types = {
             key: np.dtype(np.int8 if test.ncells // test.tail <= 128
                           else np.int64)
-            for key, test in self.channel_tests.items()}
+            for key, (test, *_) in self.channel_tests.items()}
         self.side_tests = {
             i: TypicalityTest(spec.sources, (source_label(0),
                                              source_label(self.order[i])),
@@ -421,20 +431,25 @@ class _Engine:
         erred = np.zeros((T, len(self.order)), dtype=bool)
 
         def codeword(own: np.ndarray, at: np.ndarray, block: int,
-                     level: int, skip: int = -1, C: int = 0) -> np.ndarray:
+                     level: int, slot: int = -1,
+                     cand: np.ndarray | None = None,
+                     above: tuple = ()) -> np.ndarray:
             """``level``'s codeword in ``block`` under the estimates
-            ``own`` of the trials at positions ``at``: (S, n) rows, or
-            (S, C, n) with slot ``skip`` ranging over 0..C-1."""
+            ``own`` of the trials at positions ``at``, as (S, n) rows, with
+            slot ``slot`` holding the indices ``cand`` instead, one per row,
+            and ``above`` the rows of the first levels above, if held;
+            slot 0 with no ``cand`` reads each trial's whole table, as
+            (S, C, n)."""
             vals = []
             for s, (q, t) in enumerate(sched.slots[block][level]):
                 w = own[at, q]
                 known = np.maximum(w, 0)
-                vals.append(None if s == skip else np.where(
+                vals.append(cand if s == slot else np.where(
                     w < 0, 0, known if maps[t] is None else maps[t][at, known]))
             # upper indices as tuples: perfbench's tracer hashes them
             return stack.row(level, stack.copy_for_block(block),
-                             tuple(None if v is None else tuple(v.tolist())
-                                   for v in vals[1:]), vals[0], C, tr[at])
+                             tuple(tuple(v.tolist()) for v in vals[1:]),
+                             vals[0], self.level_sizes[level], tr[at], above)
 
         y_blocks: dict[int, np.ndarray] = {}
 
@@ -450,7 +465,7 @@ class _Engine:
             C, bin_map = self.level_sizes[top], maps[self.level_bins[top]]
             # per window, the levels above its candidates and the decoder's
             # output for every trial: the event's decisions do not move them
-            fixed = [self.channel_tests[ev.position, first, lead].flatten(
+            fixed = [self.channel_tests[ev.position, first, lead][0].flatten(
                 [codeword(own, everyone, block, p)
                  for p in range(first + lead, levels)]
                 + [y_blocks[block][terminal - 1]])
@@ -501,19 +516,45 @@ class _Engine:
                at: np.ndarray, fixed: np.ndarray) -> np.ndarray:
         """Channel-test hits of one decoding window for the trials at
         positions ``at``, (S, C): each trial's C candidates in levels
-        ``first``..``first + lead - 1`` against its ``fixed`` row (the
-        flattened levels above and decoder output), in one ``check_batch``
-        call."""
+        ``first``..``top`` against its ``fixed`` row (the flattened levels
+        above and decoder output).
+
+        The levels are tested one at a time, top first: stage p tests
+        levels p..top of the candidates that stage p + 1 passed, against
+        the summed bounds of :meth:`TypicalityTest.stage`, and stage
+        ``first`` is the full test, so the hits are the full test's.  The
+        top level's rows are each trial's whole table; a lower level's rows
+        are read only for the (trial, candidate) pairs still in, each
+        against its trial's ``fixed`` row, in one ``check_batch`` call per
+        stage.  A level's slots are its own index followed by the slots of
+        the level above (the code is superposed), so level p is drawn under
+        the rows that the stages above it read, and they are handed down.
+        """
         top = first + lead - 1
         C, n = self.level_sizes[top], self.n
-        test = self.channel_tests[position, first, lead]
+        stages = self.channel_tests[position, first, lead]
         wide = self.cand_types[position, first, lead]
-        cand = None
-        for p in range(first, top + 1):
-            rows = codeword(own, at, block, p, top - p, C)
-            cand = rows if cand is None else np.multiply(
-                cand, test.sizes[p - first], dtype=wide) + rows
-        return test.check_batch(cand.reshape(-1, n), fixed).reshape(-1, C)
+        cand = codeword(own, at, block, top, 0)
+        hits = stages[-1].check_batch(cand.reshape(-1, n), fixed).reshape(-1, C)
+        if lead == 1:
+            return hits
+        # the pairs still in, with their rows of levels p + 1..top
+        trial, w = np.nonzero(hits)
+        held = (cand[trial, w],)
+        cand, radix = held[0], 1
+        for p in range(top - 1, first - 1, -1):
+            radix *= stages[0].sizes[p + 1 - first]
+            rows = codeword(own, at[trial], block, p, top - p, w, held)
+            cand = np.multiply(rows, radix, dtype=wide) + cand
+            kept = np.flatnonzero(stages[p - first].check_batch(
+                cand, fixed[trial]))
+            trial, w = trial[kept], w[kept]
+            if p > first:       # the next stage reads them
+                cand = cand[kept]
+                held = tuple(r[kept] for r in (rows,) + held)
+        hits[...] = False
+        hits[trial, w] = True
+        return hits
 
 
 def _count(value: Any, what: str, least: int) -> int:

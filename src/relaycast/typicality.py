@@ -16,6 +16,7 @@ outcomes are ever indexed, so enumeration preserves the scheme).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -209,6 +210,26 @@ class TypicalityTest:
         self.n = n
         self.lo, self.hi = count_bounds(probs.reshape(-1), n, epsilon)
 
+    def stage(self, first: int) -> TypicalityTest:
+        """The screen on lead labels ``first``..``lead - 1`` and the rest.
+
+        Its bound on a cell is this test's bounds on the cells it sums,
+        rounded to the whole counts they admit, summed over the lead labels
+        before ``first`` and widened by 1/2.  Counts are whole numbers, so
+        every tuple this test passes passes each stage; stage 0 is this
+        test itself.
+        """
+        if first == 0:
+            return self
+        stage = copy.copy(self)
+        stage.labels = self.labels[first:]
+        stage.sizes = self.sizes[first:]
+        stage.ncells = int(np.prod(stage.sizes))
+        stage.lead = self.lead - first
+        stage.lo = np.ceil(self.lo).reshape(-1, stage.ncells).sum(0) - 0.5
+        stage.hi = np.floor(self.hi).reshape(-1, stage.ncells).sum(0) + 0.5
+        return stage
+
     def flatten(self, rows: Sequence[np.ndarray]) -> np.ndarray:
         """Mixed-radix index per position over the labels after the lead."""
         flat = np.zeros(self.n, dtype=np.int64)
@@ -225,35 +246,53 @@ class TypicalityTest:
         labels; ``fixed_flat`` indexes the remaining labels per position
         (from :meth:`flatten`): (n,) for every candidate, or (G, n) with
         row g for the g-th of G equal runs of consecutive candidates (one
-        run per trial when a chunk of trials is checked at once).
-        Candidates are checked in chunks under ``CHECK_BATCH_BYTES``.
+        run per trial when a chunk of trials is checked at once, one per
+        candidate when each has its own row).  Candidates are checked in
+        chunks under ``CHECK_BATCH_BYTES``; no candidates give an empty
+        mask, and C not a multiple of G raises ``ValueError``.
         """
+        c = candidates.shape[0]
+        if c == 0:
+            return np.zeros(0, dtype=bool)
+        if fixed_flat.ndim == 2 and (fixed_flat.shape[0] == 0
+                                     or c % fixed_flat.shape[0]):
+            raise ValueError(f"{c} candidates do not split into "
+                             f"{fixed_flat.shape[0]} equal runs")
         if fixed_flat.ndim == 2 and fixed_flat.shape[0] == 1:
             fixed_flat = fixed_flat[0]
-        c = candidates.shape[0]
+        tail = self.tail
+        if fixed_flat.ndim == 2 and fixed_flat.shape[0] == c:
+            # a row per candidate is folded into it: its index then runs
+            # over every cell, against one all-zero row, which counts
+            # faster than runs of one
+            candidates = np.multiply(candidates, tail,
+                                     dtype=np.min_scalar_type(-self.ncells))
+            candidates += fixed_flat
+            fixed_flat, tail = np.zeros(self.n, dtype=np.int64), 1
         step = max(1, CHECK_BATCH_BYTES // (8 * (self.n + self.ncells)))
         if fixed_flat.ndim == 1:
             if c <= step:
-                return self._check(candidates, fixed_flat)
+                return self._check(candidates, fixed_flat, tail)
             return np.concatenate([
-                self._check(candidates[i:i + step], fixed_flat)
+                self._check(candidates[i:i + step], fixed_flat, tail)
                 for i in range(0, c, step)])
         run = c // fixed_flat.shape[0]
         groups = max(1, step // run)
         return np.concatenate([
             self._check(candidates[g * run:(g + groups) * run],
-                        fixed_flat[g:g + groups])
+                        fixed_flat[g:g + groups], tail)
             for g in range(0, fixed_flat.shape[0], groups)])
 
-    def _check(self, candidates: np.ndarray,
-               fixed_flat: np.ndarray) -> np.ndarray:
-        """One chunk of :meth:`check_batch`.  A shared fixed row is counted
+    def _check(self, candidates: np.ndarray, fixed_flat: np.ndarray,
+               tail: int) -> np.ndarray:
+        """One chunk of :meth:`check_batch`, whose candidates' index
+        counts cells in steps of ``tail``.  A shared fixed row is counted
         by the form that ``CELLWISE_SYMBOLS_PER_CELL`` picks for the
         chunk's size; runs with their own rows cell by cell."""
         c = candidates.shape[0]
         runs = fixed_flat.ndim == 2
         if not runs and c * self.n < CELLWISE_SYMBOLS_PER_CELL * self.ncells:
-            idx = np.multiply(candidates, self.tail, dtype=np.int64)
+            idx = np.multiply(candidates, tail, dtype=np.int64)
             idx += fixed_flat
             idx += np.arange(c, dtype=np.int64)[:, None] * self.ncells
             counts = np.bincount(idx.reshape(-1), minlength=c * self.ncells)
@@ -267,15 +306,15 @@ class TypicalityTest:
             by_position = candidates.T
         ok = np.ones(by_position.shape[1:], dtype=bool)
         count_type = np.min_scalar_type(self.n)
-        for tail_value in range(self.tail):
+        for tail_value in range(tail):
             if runs:
                 column = by_position
                 where = (fixed_flat.T == tail_value)[:, :, None]
             else:
                 # (positions whose fixed labels take this value, C)
                 column = by_position[fixed_flat == tail_value]
-            for lead_value in range(self.ncells // self.tail):
-                cell = lead_value * self.tail + tail_value
+            for lead_value in range(self.ncells // tail):
+                cell = lead_value * tail + tail_value
                 hit = column == lead_value
                 if runs:
                     hit &= where

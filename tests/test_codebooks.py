@@ -163,10 +163,24 @@ def _net_laws(net, dependent):
     return conditional_input_laws(joint, labels)
 
 
+def _pairs(entries, C, trials):
+    """A ``row`` read of every (trial, candidate) pair: per trial of
+    ``trials``, candidates w = 0..C-1 fill each ``None`` of ``entries``,
+    whose other values are one int or one per trial; returns the zipped
+    per-pair entries and trial keys."""
+    trials = np.atleast_1d(trials)
+    per_trial = [np.broadcast_to(np.arange(C) if e is None
+                                 else np.asarray(e)[..., None],
+                                 (trials.size, C)).reshape(-1)
+                 for e in entries]
+    return per_trial, np.repeat(trials, C)
+
+
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("net, level_sizes, n, cases", [
-    # (level, upper, index, C): the None entry ranges over 0..C-1, with C
-    # the whole level or part of it; a None index reads rows 0..C-1
+    # (level, upper, index, C): candidates 0..C-1 fill the None entry, one
+    # read per candidate, with C the whole level or part of it; a None
+    # index reads rows 0..C-1
     ("net-c", [700, 48], 7, [(0, (None,), 3, 48), (0, (None,), 4, 48),
                              (0, (None,), 699, 5), (1, (), None, 48),
                              (0, (3,), None, 5)]),
@@ -177,8 +191,9 @@ def _net_laws(net, dependent):
       (0, (None, 23), 2, 40)]),
 ])
 def test_row_across_equals_row_loop(net, level_sizes, n, cases, dependent):
-    """``row`` with one ``None`` entry returns, for each index w that entry
-    takes, the row of the materialized table that w addresses."""
+    """``row`` with each candidate as an explicit entry returns, for each
+    index w in that entry, the row of the materialized table that w
+    addresses; a ``None`` index reads rows 0..C-1 of the table."""
     laws = _net_laws(net, dependent)
     across = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
     for level, upper, index, C in cases:
@@ -187,9 +202,17 @@ def test_row_across_equals_row_loop(net, level_sizes, n, cases, dependent):
         for w in range(C):
             own, *above = (w if a is None else a for a in (index,) + upper)
             want.append(tables.rows(level, 1, tuple(above))[own])
-        got = across.row(level, 1, upper, index, C)
-        assert got.dtype == np.int8 and got.shape == (1, C, n)
-        np.testing.assert_array_equal(got[0], np.stack(want))
+        if index is None:
+            got = across.row(level, 1, upper, index, C)
+            assert got.shape == (1, C, n)
+            got = got[0]
+        else:
+            (own, *above), keys = _pairs((index,) + upper, C, 3)
+            got = across.row(level, 1, tuple(tuple(a.tolist())
+                                             for a in above), own, C, keys)
+            assert got.shape == (C, n)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, np.stack(want))
 
 
 def test_small_tables_are_cached_large_ones_drawn_again():
@@ -227,14 +250,17 @@ def test_chunk_tables_are_seeded_together(monkeypatch):
 
 
 def test_row_across_rejects_bad_ranges():
+    """An upper entry must give indices: a ``None`` entry, which once
+    ranged over sibling slices, is rejected at any C; with explicit entries
+    C is unused and the row is the table's."""
     laws = _net_laws("net-c", False)
     stack = ChannelCodebookStack(5, [8, 4], laws, 1, 0, 0)
-    for C in (0, 5):                                # level 1 has 4 indices
+    for C in (0, 4, 5):
         with pytest.raises(ValueError):
             stack.row(0, 0, (None,), 1, C)
-    # with no varying entry, C is unused and the row is the table's
-    np.testing.assert_array_equal(stack.row(0, 0, (2,), 1, 4)[0],
-                                  stack.rows(0, 0, (2,))[1])
+    for C in (0, 4):
+        np.testing.assert_array_equal(stack.row(0, 0, (2,), 1, C)[0],
+                                      stack.rows(0, 0, (2,))[1])
 
 
 #: The trials of the chunk-wide reads below, the largest trial key included.
@@ -244,7 +270,8 @@ TRIALS = (3, 0, 2**32 - 1)
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("net, level_sizes, n, cases", [
     # (level, upper, index, C) with per-trial values as tuples, one per
-    # trial of TRIALS; None ranges over 0..C-1 as in ``row``
+    # trial of TRIALS; candidates 0..C-1 fill a None entry, one read per
+    # (trial, candidate) pair, and a None index reads rows 0..C-1
     # each first case reads tables under upper tables not yet drawn
     ("net-c", [700, 48], 7, [(0, ((3, 0, 47),), None, 5),
                              (0, (None,), (3, 699, 0), 48),
@@ -263,12 +290,18 @@ def test_row_across_trials_equals_each_trials_tables(net, level_sizes, n,
                                                      cases, dependent):
     """With a trial axis, ``row`` returns for each trial the rows that the
     trial's own materialized tables hold: one gather keyed by trial (and
-    sibling) reads the same codewords as each trial's own streams."""
+    candidate) reads the same codewords as each trial's own streams."""
     laws = _net_laws(net, dependent)
     trials = np.array(TRIALS)
     chunk = ChannelCodebookStack(n, level_sizes, laws, 2, 5, trials)
     for level, upper, index, C in cases:
-        got = chunk.row(level, 1, upper, index, C)
+        if index is None or None not in upper:
+            got = chunk.row(level, 1, upper, index, C)
+        else:
+            (own, *above), keys = _pairs((index,) + upper, C, trials)
+            got = chunk.row(level, 1, tuple(tuple(a.tolist())
+                                            for a in above), own, C, keys)
+            got = got.reshape(trials.size, C, n)
         assert got.dtype == np.int8
         for k, trial in enumerate(TRIALS):
             tables = ChannelCodebookStack(n, level_sizes, laws, 2, 5, trial)
@@ -281,4 +314,3 @@ def test_row_across_trials_equals_each_trials_tables(net, level_sizes, n,
                 want.append(tables.rows(level, 1, tuple(above))[own_w])
             np.testing.assert_array_equal(
                 got[k], np.stack(want) if C else want[0])
-

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import relaycast as rc
-from relaycast import codebooks, simulate
+from relaycast import codebooks, network, simulate
 from relaycast.errors import (
     BTooSmall,
     DegenerateTypicalSet,
@@ -17,11 +17,17 @@ from relaycast.errors import (
     TooLarge,
     UnsupportedK,
 )
-from relaycast.network import ChannelModel, NetworkSpec
+from relaycast.network import (
+    ChannelModel,
+    NetworkSpec,
+    input_label,
+    output_label,
+)
 from relaycast.seeds import STREAM_SOURCE, child_rng
 from relaycast.simulate import _SourceSampler
+from relaycast.typicality import TypicalityTest
 
-from conftest import conv, h2
+from conftest import candidate_rows, conv, h2, stage_screen
 
 
 def perfect_side_network():
@@ -490,6 +496,95 @@ def test_decode_groups_are_charged_their_int8_candidates(monkeypatch):
     rc.simulate_backward(rc.bundled_network("net-c"), m=6, n=7, B=2,
                          epsilon=4.0, trials=75, seed=0)
     assert max(size for C, size in groups if C == 128) == 75
+
+
+def random_relay_network(name: str, s: int) -> NetworkSpec:
+    """A bundled network's shape and sources under a seeded random
+    channel: each input's output law is Dirichlet(0.7)."""
+    base = rc.bundled_network(name)
+    ins, outs = base.channel.input_sizes, base.channel.output_sizes
+    ch = np.random.default_rng(s).dirichlet(
+        np.full(int(np.prod(outs)), 0.7), size=int(np.prod(ins)))
+    return NetworkSpec(K=base.K, L=1,
+                       channel=ChannelModel(ins, outs, ch.reshape(ins + outs)),
+                       sources=base.sources)
+
+
+#: (id, network, keyword arguments, whether a lower stage must reject
+#: candidates the top level passed) of backward runs whose decoding windows
+#: are checked against one full test: the bundled golden points on net-c
+#: and net-d, where the top level decides alone, and random K=1 and K=2
+#: channels, where it does not.
+WINDOW_CASES = [
+    ("net-c", lambda: rc.bundled_network("net-c"),
+     dict(m=5, n=14, B=2, epsilon=4.0, trials=8, seed=3,
+          bin_rates={1: 1.2, 2: 1.2}), False),
+    ("net-d", lambda: rc.bundled_network("net-d"),
+     dict(m=4, n=10, B=2, epsilon=4.0, trials=6, seed=3), False),
+    ("random-k1", lambda: random_relay_network("net-c", 1),
+     dict(m=5, n=12, B=2, epsilon=2.0, trials=8, seed=1), True),
+    ("random-k2", lambda: random_relay_network("net-d", 2),
+     dict(m=4, n=10, B=2, epsilon=2.0, trials=6, seed=2), True),
+]
+
+
+@pytest.mark.parametrize("cap", [1, 2 ** 40], ids=["one-trial", "chunk"])
+@pytest.mark.parametrize("net,kwargs,later",
+                         [case[1:] for case in WINDOW_CASES],
+                         ids=[case[0] for case in WINDOW_CASES])
+def test_window_hits_equal_one_full_test(net, kwargs, later, cap,
+                                         monkeypatch):
+    """``_Engine.window`` screens a window's levels top first and gathers a
+    lower level only for the candidates still in; its hits equal those of
+    one joint test, built here, on every trial's C candidates read from its
+    materialized tables, with decode groups of one trial and of a whole
+    chunk."""
+    spec = net()
+    init, chunk = simulate._Engine.__init__, simulate._Engine.chunk
+    window = simulate._Engine.window
+    starts, groups = [], []
+    seen = {"lead": 0, "hits": 0, "screened": 0}
+
+    def one_chunk(engine, *args):
+        init(engine, *args)
+        engine.trial_bytes = 0
+
+    def chunk_spy(engine, trials):
+        starts.append(trials.start)
+        return chunk(engine, trials)
+
+    def spy(engine, position, block, first, lead, codeword, own, at, fixed):
+        hits = window(engine, position, block, first, lead, codeword, own,
+                      at, fixed)
+        groups.append(at.size)
+        labels = tuple(input_label(t) for t in engine.order[:-1])
+        test = TypicalityTest(
+            network.compose_joint(spec.extend_input(None, labels),
+                                  spec.channel),
+            labels[first:] + (output_label(engine.order[position]),),
+            engine.n, kwargs["epsilon"], lead)
+        for k, got, row in zip(at.tolist(), hits, fixed):
+            rows = candidate_rows(engine, starts[-1] + k, block, first, lead,
+                                  own[k])
+            cand = np.zeros(rows[0].shape, dtype=np.int64)
+            for level, size in zip(rows, test.sizes):
+                cand = cand * size + level
+            want = test.check_batch(cand, row)
+            np.testing.assert_array_equal(got, want)
+            seen["hits"] += int(want.sum())
+            if lead > 1:
+                seen["lead"] += 1
+                top = stage_screen(test, rows, row, lead - 1)
+                seen["screened"] += int((top & ~want).sum())
+        return hits
+    monkeypatch.setattr(simulate._Engine, "__init__", one_chunk)
+    monkeypatch.setattr(simulate._Engine, "chunk", chunk_spy)
+    monkeypatch.setattr(simulate._Engine, "window", spy)
+    monkeypatch.setattr(codebooks, "CHUNK_BYTES", cap)
+    rc.simulate_backward(spec, **kwargs)
+    assert seen["lead"] > 0 and seen["hits"] > 0
+    assert (seen["screened"] > 0) == later
+    assert max(groups) == (1 if cap == 1 else kwargs["trials"])
 
 
 @pytest.mark.parametrize("scheme,net,kwargs,bins,map_type", [

@@ -228,9 +228,9 @@ class TestCheckBatch:
         calls = []
         check = TypicalityTest._check
 
-        def counted(self, candidates, fixed_flat):
+        def counted(self, candidates, *rest):
             calls.append(candidates.shape)
-            return check(self, candidates, fixed_flat)
+            return check(self, candidates, *rest)
         monkeypatch.setattr(TypicalityTest, "_check", counted)
         ref = rc.uniform_pmf(("X", "Y"), (2, 2))
         test = TypicalityTest(ref, ("X", "Y"), 24, 3.0)
@@ -242,23 +242,81 @@ class TestCheckBatch:
     def test_runs_with_own_fixed_rows(self, cap, monkeypatch):
         """A (G, n) ``fixed_flat`` checks G equal runs of candidates, each
         against its own row, exactly as G separate checks would, split
-        under any chunk cap."""
+        under any chunk cap; runs of one candidate each included."""
         monkeypatch.setattr(typicality, "CHECK_BATCH_BYTES", cap)
         rng = np.random.default_rng(5)
         runs = 0
         for test, cand, fixed in _check_batch_cases():
-            for groups in (2, 3):
+            for groups in (2, 3, cand.shape[0]):
                 if cand.shape[0] % groups:
                     continue
-                tails = np.stack([fixed] + [
-                    rng.integers(0, test.tail, test.n)
-                    for _ in range(groups - 1)])
+                tails = np.concatenate([fixed[None], rng.integers(
+                    0, test.tail, (groups - 1, test.n))])
                 run = cand.shape[0] // groups
-                want = np.concatenate([
-                    reference_check_batch(test, cand[g * run:(g + 1) * run],
-                                          tails[g])
-                    for g in range(groups)])
+                want = reference_check_batch(test, cand,
+                                             np.repeat(tails, run, axis=0))
                 np.testing.assert_array_equal(
                     test.check_batch(cand, tails), want)
                 runs += 1
         assert runs > 20
+
+    def test_no_candidates_give_an_empty_mask(self):
+        """A decoding stage may leave no candidates: they check to an empty
+        mask against a shared row and against per-run rows alike."""
+        test = TypicalityTest(rc.uniform_pmf(("X", "Y"), (2, 2)), ("X", "Y"),
+                              7, 1.0)
+        empty = np.zeros((0, 7), dtype=np.int8)
+        for fixed in (np.zeros(7, dtype=np.int64),
+                      np.zeros((3, 7), dtype=np.int64),
+                      np.zeros((0, 7), dtype=np.int64)):
+            mask = test.check_batch(empty, fixed)
+            assert mask.dtype == bool and mask.shape == (0,)
+
+    def test_runs_must_split_the_candidates_evenly(self):
+        test = TypicalityTest(rc.uniform_pmf(("X", "Y"), (2, 2)), ("X", "Y"),
+                              7, 1.0)
+        for c, g in [(10, 3), (2, 4), (5, 0)]:
+            with pytest.raises(ValueError, match=rf"\b{c}\b.*\b{g}\b"):
+                test.check_batch(np.zeros((c, 7), dtype=np.int8),
+                                 np.zeros((g, 7), dtype=np.int64))
+
+
+class TestStages:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("lead", [2, 3])
+    def test_joint_passes_pass_every_stage(self, lead, epsilon):
+        """Stage s screens lead labels s..lead-1 and the rest against the
+        joint test's bounds summed over the labels it drops.  On random
+        pmfs whose n * p are whole counts, every tuple the joint test
+        passes passes every stage, and stage 0 is the joint test."""
+        rng = np.random.default_rng(100 * lead + int(10 * epsilon))
+        labels = ("A", "B", "C", "Y")[-(lead + 1):]
+        joint_passes = screened_only = 0
+        for _ in range(6):
+            sizes = tuple(int(k) for k in rng.integers(2, 4, lead + 1))
+            cells = int(np.prod(sizes))
+            n = int(rng.integers(6, 16))
+            counts = rng.multinomial(n, rng.dirichlet(np.full(cells, 0.5)))
+            ref = rc.JointPmf(labels, sizes, counts / n)
+            test = TypicalityTest(ref, labels, n, epsilon, lead)
+            assert test.stage(0) is test
+            # tuples of the reference's exact type, with a few positions
+            # redrawn: each a row of cell indices
+            exact = np.repeat(np.arange(cells), counts)
+            tuples = np.array([rng.permutation(exact) for _ in range(400)])
+            moved = rng.random(tuples.shape) < rng.random((400, 1)) / 3
+            tuples[moved] = rng.integers(0, cells, int(moved.sum()))
+            lead_index, tail = np.divmod(tuples, test.tail)
+            passed = test.check_batch(lead_index, tail)
+            joint_passes += int(passed.sum())
+            for s in range(1, lead):
+                stage = test.stage(s)
+                assert stage.labels == labels[s:]
+                assert stage.ncells == cells // int(np.prod(sizes[:s]))
+                lead_size = stage.ncells // stage.tail
+                screened = stage.check_batch(lead_index % lead_size, tail)
+                assert screened[passed].all()
+                screened_only += int((screened & ~passed).sum())
+        assert joint_passes > 20
+        if epsilon > 0:
+            assert screened_only > 0     # the stages screen, they do not decide
