@@ -39,11 +39,10 @@ from .rates import (
     ordered_cutset_bound,
     single_relay_broadcast_capacity,
 )
+from .schedules import render_backward_schedule, render_sliding_schedule
 from .simulate import (
     SimResult,
     blocklength_for_scale,
-    render_backward_schedule,
-    render_sliding_schedule,
     simulate_backward,
     simulate_ptp,
     simulate_sliding_window,

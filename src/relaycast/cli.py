@@ -39,12 +39,11 @@ from .rates import (
     ordered_cutset_bound,
     plan_from_string,
 )
+from .schedules import render_backward_schedule, render_sliding_schedule
 from .seeds import check_seed
 from .simulate import (
     blocklength_for_scale,
     check_scheme,
-    render_backward_schedule,
-    render_sliding_schedule,
     simulate_backward,
     simulate_ptp,
     simulate_sliding_window,
@@ -172,12 +171,19 @@ def cmd_simulate(args) -> str:
     scheme = args.scheme
     if scheme not in ("ptp", "sliding", "backward"):
         raise SchemaError(f"unknown scheme {scheme!r}")
+    rate_plan = "auto" if args.plan == "auto" else plan_from_string(args.plan)
+    sim_plan = CooperationPlan(tuple(range(spec.K + 2))) \
+        if rate_plan == "auto" else rate_plan
     if args.dry_run:
+        # the schedule the simulator runs, once its structural checks pass;
+        # ptp runs the K=0, B=1 backward schedule
+        check_scheme(spec, scheme, args.B, sim_plan, epsilon=args.epsilon,
+                     workers=args.workers)
+        if scheme == "sliding":
+            return render_sliding_schedule(sim_plan.order[:-1], args.B)
         if scheme == "backward":
             return render_backward_schedule(spec.K, args.B)
-        terminals = tuple(range(spec.K + 1)) if args.plan == "auto" \
-            else plan_from_string(args.plan).order[:-1]
-        return render_sliding_schedule(terminals, args.B)
+        return render_backward_schedule(0, 1)
     ladder = [{"m": args.m, "n": args.n, "B": args.B, "trials": args.trials}]
     if args.ladder:
         ladder = args.ladder
@@ -206,9 +212,6 @@ def cmd_simulate(args) -> str:
         "plan": args.plan, "bin_rate": args.bin_rate,
         "bin_rate_delta": args.bin_rate_delta, "decoder": args.decoder,
     }
-    rate_plan = "auto" if args.plan == "auto" else plan_from_string(args.plan)
-    sim_plan = CooperationPlan(tuple(range(spec.K + 2))) \
-        if rate_plan == "auto" else rate_plan
     # every point's structural errors surface before the rate search, which
     # runs once, and only after the simulations when no point needs it
     for point in ladder:
@@ -357,14 +360,11 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
 
 
 def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
-    """Extract --config PATH from argv and load the JSON defaults."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    path = None
-    for i, token in enumerate(args):
-        if token == "--config" and i + 1 < len(args):
-            path = args[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+    """Load the JSON defaults of ``--config PATH`` in argv, the flag read
+    by argparse itself, so that every spelling it accepts counts."""
+    pre = argparse.ArgumentParser(prog="relaycast", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
     if path is None:
         return {}
     try:

@@ -1,9 +1,10 @@
 """Block schedules for the two decode-and-forward protocols.
 
-All index arithmetic lives here as pure functions shared by the simulators
-and the dry-run table renderer, so the golden schedule tests pin exactly the
-arithmetic the simulators execute.  A source-block reference of 0 denotes
-the fixed padding index (codeword row 0, printed as "1").
+A :class:`Schedule` is the one form of a schedule: the simulators' trial
+engine runs it and the dry-run table renderer prints it, so the golden
+schedule tables pin exactly what the simulators execute.  A source-block
+reference of 0 denotes the fixed padding index (codeword row 0, printed as
+"1").
 
 Sliding-window (depth D = number of cooperating relays, Q = B - D source
 blocks over B channel blocks): the terminal at plan position p transmits,
@@ -17,180 +18,129 @@ per-terminal bin indices; with K=2, B^2 source blocks travel over (B+1)^2
 channel blocks arranged in B+1 runs of B+1 blocks, the last block unused.
 Terminal 1 decodes forward within each run, terminal 2 decodes each run
 backward once it ends, and the destination decodes everything backward.
+Point-to-point is the K=0, B=1 backward schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BTooSmall, UnsupportedK
+
+#: An argument slot is (source block q, bin type); q = 0 means padding.
+Arg = tuple[int, int]
+
+
+class Decode(NamedTuple):
+    """One decode event: after channel block ``after``, plan position
+    ``position`` resolves source block ``q`` from ``windows``, each (channel
+    block, first tested level, levels carrying the candidate)."""
+
+    position: int
+    q: int
+    after: int
+    windows: tuple[tuple[int, int, int], ...]
+
+
+class Schedule(NamedTuple):
+    """A block-Markov schedule.
+
+    ``slots[b][p]`` are the argument slots of level p's codeword in channel
+    block b, own index first, each (source block, bin type); source block 0
+    is the padding index.  ``events`` are the decodes in execution order.
+    ``copies`` codebook copies are cycled by block.
+    """
+
+    source_blocks: int
+    slots: dict[int, list[tuple[Arg, ...]]]
+    events: list[Decode]
+    copies: int = 1
+
+    @property
+    def channel_blocks(self) -> int:
+        return len(self.slots)
 
 
 def _in_range(q: int, limit: int) -> int:
     return q if 1 <= q <= limit else 0
 
 
-# ---------------------------------------------------------------------------
-# Sliding-window schedule
-# ---------------------------------------------------------------------------
-
-def sliding_num_source_blocks(depth: int, num_blocks: int) -> int:
-    """B - D source blocks; zero (an all-padding schedule) is allowed here,
-    simulation additionally requires at least one."""
-    if num_blocks < depth:
-        raise BTooSmall(
-            f"need B >= D = {depth} channel blocks, got {num_blocks}")
-    return num_blocks - depth
-
-
-def sliding_encoder_args(position: int, block: int, depth: int,
-                         source_blocks: int) -> tuple[int, ...]:
-    """Argument source-block numbers (newest first) for one transmitter."""
-    return tuple(_in_range(block - d, source_blocks)
-                 for d in range(position, depth + 1))
-
-
-@dataclass(frozen=True)
-class SlidingWindow:
-    """One joint-typicality window of a sliding-window decode: the candidate
-    is the newest argument of codeword ``level`` in channel ``block``, and
-    the levels above it carry the arguments ``sliding_encoder_args`` gives
-    for that block."""
-
-    block: int                  # channel block tested
-    level: int                  # candidate codeword level (plan position)
+def sliding_schedule(D: int, B: int) -> Schedule:
+    """The sliding-window schedule of depth D over B channel blocks: one
+    identity bin type (0), ``max(1, D)`` codebook copies, and per decode
+    one window per lag, each testing one level with the candidate in its
+    own slot.  Zero source blocks (an all-padding schedule) is allowed
+    here; simulation additionally requires at least one."""
+    if B < D:
+        raise BTooSmall(f"need B >= D = {D} channel blocks, got {B}")
+    Q = B - D
+    slots = {b: [tuple((_in_range(b - d, Q), 0) for d in range(p, D + 1))
+                 for p in range(D + 1)] for b in range(1, B + 1)}
+    # after channel block b, position i recovers source block b-i+1
+    events = [Decode(i, b - i + 1, b,
+                     tuple((b - lag, i - 1 - lag, 1) for lag in range(i)))
+              for b in range(1, B + 1) for i in range(1, D + 2)
+              if i <= b <= Q + i - 1]
+    return Schedule(Q, slots, events, max(1, D))
 
 
-def sliding_decode_windows(position: int, block: int) -> list[SlidingWindow]:
-    return [SlidingWindow(block - lag, position - 1 - lag)
-            for lag in range(position)]
-
-
-@dataclass(frozen=True)
-class SlidingDecodeEvent:
-    position: int               # decoder's plan position (1..D+1)
-    after: int                  # channel block after which the decode runs
-    q: int                      # source block being recovered
-    windows: tuple[SlidingWindow, ...]    # one per lag 0..position-1
-
-
-def sliding_decode_events(depth: int,
-                          num_blocks: int) -> list[SlidingDecodeEvent]:
-    """All decode events in execution order: after channel block b, the
-    decoder at each position i recovers source block b-i+1, if it exists."""
-    Q = sliding_num_source_blocks(depth, num_blocks)
-    return [SlidingDecodeEvent(
-                i, b, b - i + 1,
-                tuple(sliding_decode_windows(i, b)))
-            for b in range(1, num_blocks + 1)
-            for i in range(1, depth + 2)
-            if i <= b <= Q + i - 1]
-
-
-# ---------------------------------------------------------------------------
-# Backward schedule
-# ---------------------------------------------------------------------------
-
-def backward_num_blocks(K: int, B: int) -> tuple[int, int]:
-    """(source blocks, channel blocks) for the K-relay backward schedule."""
+def backward_schedule(K: int, B: int) -> Schedule:
+    """The K-relay backward schedule: B source blocks (B^2 for K=2) over
+    B, B+1 or (B+1)^2 channel blocks.  Terminal k's bin of source block q
+    has bin type k, and each decode is one window that tests every level
+    with the candidate bin in the slots of the decoder's own bin type."""
     if K not in (0, 1, 2):
         raise UnsupportedK(f"backward decoding supports K <= 2, got K={K}")
     if B < 1:
         raise BTooSmall(f"need B >= 1, got {B}")
-    if K == 0:
-        return B, B
-    if K == 1:
-        return B, B + 1
-    return B * B, (B + 1) * (B + 1)
+    runs = B if K == 2 else 1
+    Q, total = runs * B, (B, B + 1, (B + 1) * (B + 1))[K]
+    slots = {}
+    for block in range(1, total + 1):
+        k, c = divmod(block - 1, B + 1)
+        c += 1                                  # run k, position c
+        args = ((_in_range(k * B + c, Q) if c <= B else 0, 1),
+                (_in_range(k * B + c - 1, Q) if c >= 2 else 0, 2),
+                (_in_range((k - 1) * B + c, Q) if c <= B else 0, 3))[:K + 1]
+        slots[block] = [args[p:] for p in range(K + 1)]
 
-
-#: An argument slot is (source block q, bin terminal); q = 0 means padding.
-Arg = tuple[int, int]
-
-
-def backward_encoder_args(K: int, B: int, block: int) -> list[tuple[Arg, ...]]:
-    """Per transmitting terminal (T0..TK), the bin-index argument slots of
-    the codeword sent in global channel ``block`` (1-based)."""
-    Q, total = backward_num_blocks(K, B)
-    if not 1 <= block <= total:
-        raise BTooSmall(f"block {block} outside 1..{total}")
-    if K == 0:
-        return [((block, 1),)]
-    if K == 1:
-        c = block
-        new = (_in_range(c, Q), 1) if c <= B else (0, 1)
-        prev = (_in_range(c - 1, Q), 2) if c >= 2 else (0, 2)
-        return [(new, prev), (prev,)]
-    k, c = divmod(block - 1, B + 1)
-    c += 1
-    a1 = (_in_range(k * B + c, Q), 1) if c <= B else (0, 1)
-    a2 = (_in_range(k * B + c - 1, Q), 2) if c >= 2 else (0, 2)
-    a3 = (_in_range((k - 1) * B + c, Q), 3) if c <= B else (0, 3)
-    return [(a1, a2, a3), (a2, a3), (a3,)]
-
-
-@dataclass(frozen=True)
-class BackwardDecodeEvent:
-    terminal: int               # decoding terminal (1..K+1); decodes its bin
-    block: int                  # channel block whose output is used
-    q: int                      # source block being recovered
-    after: int                  # channel block after which the decode runs
-
-
-def backward_decode_events(K: int, B: int) -> list[BackwardDecodeEvent]:
-    """All decode events in execution order.
-
-    T1 decodes forward, right after each block arrives; with K=2, T2 decodes
-    each run backward once the run ends; the destination decodes everything
-    backward after the final block.
-    """
-    Q, total = backward_num_blocks(K, B)
-    if K < 2:
-        events = [BackwardDecodeEvent(1, c, c, c) for c in range(1, B + 1)]
-        if K == 1:
-            events += [BackwardDecodeEvent(2, c, c - 1, total)
-                       for c in range(B + 1, 1, -1)]
-        return events
+    def decode(terminal: int, block: int, q: int, after: int) -> Decode:
+        return Decode(terminal, q, after, ((block, 0, terminal),))
+    # T1 forward right after each block; T2 backward once its run ends; the
+    # destination backward after the final block
     events = []
-    for k in range(B):
-        run_end = (k + 1) * (B + 1)
-        for c in range(1, B + 1):
-            block = k * (B + 1) + c
-            events.append(BackwardDecodeEvent(1, block, k * B + c, block))
-        for c in range(B + 1, 1, -1):
-            events.append(BackwardDecodeEvent(
-                2, k * (B + 1) + c, k * B + c - 1, run_end))
-    for q in range(Q, 0, -1):
-        k = (q - 1) // B + 1
-        c = (q - 1) % B + 1
-        events.append(BackwardDecodeEvent(3, k * (B + 1) + c, q, total))
-    return events
+    for k in range(runs):
+        start = k * (B + 1)
+        events += [decode(1, start + c, k * B + c, start + c)
+                   for c in range(1, B + 1)]
+        if K:
+            events += [decode(2, start + c, k * B + c - 1, start + B + 1)
+                       for c in range(B + 1, 1, -1)]
+    if K == 2:          # the destination's bin of q rides in the next run
+        events += [decode(3, q + B + 1 + (q - 1) // B, q, total)
+                   for q in range(Q, 0, -1)]
+    return Schedule(Q, slots, events)
 
 
 # ---------------------------------------------------------------------------
 # Dry-run rendering (byte-stable)
 # ---------------------------------------------------------------------------
 
-def _render_sliding_arg(q: int, terminal: int) -> str:
-    if q == 0:
-        return "1"
-    return f"w({q})" if terminal == 0 else f"w^{terminal}({q})"
-
-
-def _render_backward_arg(arg: Arg, terminal: int) -> str:
-    q, bin_terminal = arg
-    if q == 0:
-        return "1"
-    if terminal == 0:
-        return f"w({q},{bin_terminal})"
-    return f"w^{terminal}({q},{bin_terminal})"
-
-
-def _codeword(terminal: int, rendered: list[str]) -> str:
-    head = rendered[0]
-    if len(rendered) == 1:
-        return f"x{terminal}( {head} )"
-    return f"x{terminal}( {head} | {', '.join(rendered[1:])} )"
+def _render(schedule: Schedule, terminals: tuple[int, ...],
+            header: list[str]) -> str:
+    """One row per level per channel block: level p is sent by
+    ``terminals[p]``; bin type 0 prints w(q) and any other type k prints
+    w(q,k), with the sender's superscript on every level but the source's."""
+    lines = header + ["block\tterminal\tcodeword"]
+    for block, levels in schedule.slots.items():
+        for p, (terminal, args) in enumerate(zip(terminals, levels)):
+            w = "w" if p == 0 else f"w^{terminal}"
+            rendered = ["1" if q == 0 else f"{w}({q})" if t == 0
+                        else f"{w}({q},{t})" for q, t in args]
+            rest = f" | {', '.join(rendered[1:])}" if len(rendered) > 1 else ""
+            lines.append(f"{block}\tT{terminal}\t"
+                         f"x{terminal}( {rendered[0]}{rest} )")
+    return "\n".join(lines) + "\n"
 
 
 def render_sliding_schedule(terminals: tuple[int, ...], B: int) -> str:
@@ -200,43 +150,27 @@ def render_sliding_schedule(terminals: tuple[int, ...], B: int) -> str:
     (position 0 is the source).  One row per terminal per block.
     """
     depth = len(terminals) - 1
-    Q = sliding_num_source_blocks(depth, B)
-    lines = [
+    schedule = sliding_schedule(depth, B)
+    return _render(schedule, tuple(terminals), [
         "# sliding-window encoding schedule",
         f"# terminals: {','.join(f'T{t}' for t in terminals)}; "
-        f"depth D={depth}; source blocks Q={Q}; channel blocks B={B}; "
-        f"codebook copies {max(1, depth)}",
+        f"depth D={depth}; source blocks Q={schedule.source_blocks}; "
+        f"channel blocks B={B}; codebook copies {schedule.copies}",
         "# decode rule: position i, lag j=0..i-1: codeword levels i-1-j..D "
         "tested jointly with the decoder's block b-j output",
         "# alternate level reading i-1-j..D-1 (rejected: inconsistent with "
         "this table)",
-        "block\tterminal\tcodeword",
-    ]
-    for block in range(1, B + 1):
-        for position, terminal in enumerate(terminals):
-            args = sliding_encoder_args(position, block, depth, Q)
-            rendered = [_render_sliding_arg(q, 0 if position == 0 else terminal)
-                        for q in args]
-            lines.append(f"{block}\tT{terminal}\t"
-                         f"{_codeword(terminal, rendered)}")
-    return "\n".join(lines) + "\n"
+    ])
 
 
 def render_backward_schedule(K: int, B: int) -> str:
     """Dry-run encoding table for the backward protocol with K relays."""
-    Q, total = backward_num_blocks(K, B)
-    lines = [
+    schedule = backward_schedule(K, B)
+    return _render(schedule, tuple(range(K + 1)), [
         "# backward-decoding encoding schedule",
-        f"# relays K={K}; source blocks Q={Q}; channel blocks {total}; "
+        f"# relays K={K}; source blocks Q={schedule.source_blocks}; "
+        f"channel blocks {schedule.channel_blocks}; "
         f"bins w(q,k) per decoding terminal k=1..{K + 1}",
         "# decode order: T1 forward per block; T2 backward per run; "
         "destination backward over all blocks; final block unused",
-        "block\tterminal\tcodeword",
-    ]
-    for block in range(1, total + 1):
-        for terminal, args in enumerate(backward_encoder_args(K, B, block)):
-            rendered = [_render_backward_arg(a, 0 if terminal == 0 else terminal)
-                        for a in args]
-            lines.append(f"{block}\tT{terminal}\t"
-                         f"{_codeword(terminal, rendered)}")
-    return "\n".join(lines) + "\n"
+    ])

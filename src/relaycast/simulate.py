@@ -15,7 +15,9 @@ case of either:
   and nested backward decoding (K <= 2).
 
 Each simulator checks its inputs and picks a schedule, bins and a decoding
-rule; one trial engine, :class:`_Engine`, runs every trial and one decision
+rule.  The schedule is a :class:`~relaycast.schedules.Schedule` from
+:mod:`relaycast.schedules`, the same object the ``--dry-run`` table prints.
+One trial engine, :class:`_Engine`, runs every trial and one decision
 function, :func:`_decide`, settles every decode.  Every trial redraws the
 bin assignments and channel codebooks from its own seed streams, so the
 empirical error rate estimates the random-coding ensemble average.
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -65,16 +67,7 @@ from .network import (
 )
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, validate_plan
-from .schedules import (
-    backward_decode_events,
-    backward_encoder_args,
-    backward_num_blocks,
-    render_backward_schedule,
-    render_sliding_schedule,
-    sliding_decode_events,
-    sliding_encoder_args,
-    sliding_num_source_blocks,
-)
+from .schedules import Decode, Schedule, backward_schedule, sliding_schedule
 # child_rng is unused here but stays bound: perfbench's tracer patches it
 from .seeds import (  # noqa: F401
     STREAM_BINS,
@@ -101,8 +94,6 @@ __all__ = [
     "simulate_sliding_window",
     "simulate_backward",
     "blocklength_for_scale",
-    "render_sliding_schedule",
-    "render_backward_schedule",
 ]
 
 #: Desk-scale cap, in cells, on one codeword table (codewords x n) and on
@@ -225,41 +216,6 @@ class _ChannelSampler:
         return out
 
 
-class _Decode(NamedTuple):
-    """One decode event: after channel block ``after``, plan position
-    ``position`` resolves source block ``q`` from ``windows``, each (channel
-    block, first tested level, levels carrying the candidate)."""
-
-    position: int
-    q: int
-    after: int
-    windows: tuple[tuple[int, int, int], ...]
-
-
-class _Schedule(NamedTuple):
-    """A block-Markov schedule in the engine's terms.
-
-    ``slots[b][p]`` are the argument slots of level p's codeword in channel
-    block b, own index first, each (source block, bin type); source block 0
-    is the padding index.  ``copies`` codebook copies are cycled by block.
-    """
-
-    source_blocks: int
-    slots: dict[int, list[tuple[tuple[int, int], ...]]]
-    events: list[_Decode]
-    copies: int = 1
-
-
-def _backward_schedule(K: int, B: int) -> _Schedule:
-    """The backward schedule: each decoder tests every level in one window,
-    its candidate bin in the slots of its own bin type."""
-    Q, total = backward_num_blocks(K, B)
-    return _Schedule(
-        Q, {b: backward_encoder_args(K, B, b) for b in range(1, total + 1)},
-        [_Decode(ev.terminal, ev.q, ev.after, ((ev.block, 0, ev.terminal),))
-         for ev in backward_decode_events(K, B)])
-
-
 def _decide(survivors: np.ndarray, bin_map: np.ndarray | None, joint: bool,
             side_typical: Callable[[np.ndarray], np.ndarray]) -> int | None:
     """The codebook index a decoder settles on, or None (a decoding error).
@@ -303,7 +259,7 @@ class _Engine:
     """
 
     def __init__(self, spec: NetworkSpec, order: Sequence[int],
-                 schedule: _Schedule, bins: dict[int, float | None],
+                 schedule: Schedule, bins: dict[int, float | None],
                  joint: bool, m: int, n: int, epsilon: float, seed: int,
                  input_pmf: JointPmf | None):
         sizes = spec.sources.sizes + spec.input_sizes + spec.output_sizes
@@ -373,12 +329,15 @@ class _Engine:
         edges = [trials * i // count for i in range(count + 1)] if count \
             else [0]
         chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
-        flags = [f for chunk in parallel_map(self.chunk, chunks, workers)
-                 for f in chunk]
-        per_terminal = {t: sum(f[t] for f in flags) for t in self.order[1:]}
+        erred = np.concatenate(
+            [np.zeros((0, len(self.order) - 1), dtype=bool)]
+            + parallel_map(self.chunk, chunks, workers))
         return SimResult(trials=trials,
-                         errors_total=sum(any(f.values()) for f in flags),
-                         per_terminal_errors=per_terminal, config=config)
+                         errors_total=int(erred.any(axis=1).sum()),
+                         per_terminal_errors={
+                             t: int(e) for t, e in zip(self.order[1:],
+                                                       erred.sum(axis=0))},
+                         config=config)
 
     def draw_sources(self, trials: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -411,10 +370,10 @@ class _Engine:
                     maps[t][k] = rng.integers(0, self.num_bins[t], size=M)
         return maps
 
-    def chunk(self, trials: range) -> list[dict[int, bool]]:
-        """A chunk of trials in lockstep: per trial, whether each decoding
-        terminal mis-estimates any source block (relays forward their own
-        estimates)."""
+    def chunk(self, trials: range) -> np.ndarray:
+        """A chunk of trials in lockstep, as (T, decoders): whether each
+        trial's decoder at plan position 1, 2, ... mis-estimates any source
+        block (relays forward their own estimates)."""
         sched, codebook, n = self.schedule, self.codebook, self.n
         tr = np.arange(trials.start, trials.stop)
         T, everyone = tr.size, np.arange(tr.size)
@@ -428,7 +387,7 @@ class _Engine:
         # unknown or failed, sent as index 0, as is the padding block 0)
         est = [idx] + [np.full((T, sched.source_blocks + 1), -1,
                                dtype=np.int64) for _ in self.order[1:]]
-        erred = np.zeros((T, len(self.order)), dtype=bool)
+        erred = np.zeros((T, len(self.order) - 1), dtype=bool)
 
         def codeword(own: np.ndarray, at: np.ndarray, block: int,
                      level: int, slot: int = -1,
@@ -453,11 +412,11 @@ class _Engine:
 
         y_blocks: dict[int, np.ndarray] = {}
 
-        def decode(ev: _Decode) -> None:
+        def decode(ev: Decode) -> None:
             """Event ``ev`` for every trial, in groups whose candidates fit
             under the cap: each window's channel test on the trials with
-            candidates left, then each trial's decision, into ``est`` and
-            ``erred``."""
+            candidates left, then each trial's decision, into ``est``; then
+            its errors, into ``erred``."""
             own, terminal = est[ev.position], self.order[ev.position]
             side = self.side_tests[ev.position]
             # every window of an event tests one bin type's C candidates
@@ -492,9 +451,10 @@ class _Engine:
                         lambda w: side.check_batch(codebook.sequences[w],
                                                    side_flat))
                     own[k, ev.q] = -1 if decoded is None else decoded
-                    if decoded is None or not np.array_equal(
-                            codebook.sequences[decoded], src[0, k, ev.q - 1]):
-                        erred[k, ev.position] = True
+            # typical-set rows are distinct, and idx is -1 for an atypical
+            # block, which no decoded index matches
+            got = own[:, ev.q]
+            erred[:, ev.position - 1] |= (got < 0) | (got != idx[:, ev.q])
 
         pending = 0
         for b in sched.slots:
@@ -508,8 +468,7 @@ class _Engine:
                    and sched.events[pending].after == b):
                 decode(sched.events[pending])
                 pending += 1
-        return [{t: bool(erred[k, i]) for i, t in enumerate(self.order)
-                 if i} for k in range(T)]
+        return erred
 
     def window(self, position: int, block: int, first: int, lead: int,
                codeword: Callable[..., np.ndarray], own: np.ndarray,
@@ -596,7 +555,7 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
     if scheme == "backward":
         if spec.L != 1:
             raise PlanMismatch("backward simulation requires L=1")
-        backward_num_blocks(spec.K, B)
+        backward_schedule(spec.K, B)
         unknown = [k for k in bin_rates or {} if k not in range(1, spec.K + 2)]
         if unknown:
             raise SchemaError(f"bin_rates keys {unknown!r} name no decoder "
@@ -636,7 +595,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     if R is not None and R >= spec.sources.marginalize(
             [source_label(0)]).entropy() - 1e-9:
         R = None
-    engine = _Engine(spec, (0, 1), _backward_schedule(0, 1), {1: R},
+    engine = _Engine(spec, (0, 1), backward_schedule(0, 1), {1: R},
                      decoder == "joint", m, n, epsilon, seed, input_pmf)
     config = {
         "scheme": "ptp",
@@ -665,17 +624,7 @@ def simulate_sliding_window(spec: NetworkSpec,
     m, n, B, trials, workers = check_scheme(
         spec, "sliding", B, plan, seed, m, n, trials, epsilon=epsilon,
         workers=workers)
-    depth = plan.num_hops - 1                 # number of cooperating relays
-    Q = sliding_num_source_blocks(depth, B)
-    # one identity bin type (0); each lag tests one level with the candidate
-    # in its own slot
-    schedule = _Schedule(
-        Q, {b: [tuple((q, 0) for q in sliding_encoder_args(p, b, depth, Q))
-                for p in range(depth + 1)] for b in range(1, B + 1)},
-        [_Decode(ev.position, ev.q, ev.after,
-                 tuple((w.block, w.level, 1) for w in ev.windows))
-         for ev in sliding_decode_events(depth, B)],
-        max(1, depth))
+    schedule = sliding_schedule(plan.num_hops - 1, B)
     engine = _Engine(spec, plan.order, schedule, {0: None}, True, m, n,
                      epsilon, seed, input_pmf)
     config = {
@@ -683,7 +632,8 @@ def simulate_sliding_window(spec: NetworkSpec,
         "m": m, "n": n, "B": B, "trials": trials, "seed": seed,
         "epsilon": epsilon, "rate": m / n,
         "plan": list(plan.order), "codebook_size": engine.codebook.M,
-        "codebook_copies": schedule.copies, "source_blocks": Q,
+        "codebook_copies": schedule.copies,
+        "source_blocks": schedule.source_blocks,
     }
     return engine.run(trials, workers, config)
 
@@ -706,7 +656,7 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
         spec, "backward", B, seed=seed, m=m, n=n, trials=trials,
         bin_rates=bin_rates, epsilon=epsilon, workers=workers)
     K = spec.K
-    schedule = _backward_schedule(K, B)
+    schedule = backward_schedule(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
     rates = {k: (bin_rates or {}).get(k, spec.source_entropy_given(k) + delta)
              for k in range(1, K + 2)}
@@ -720,6 +670,6 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
         "num_bins": {str(k): engine.num_bins[k] for k in sorted(rates)},
         "codebook_size": engine.codebook.M,
         "source_blocks": schedule.source_blocks,
-        "channel_blocks": len(schedule.slots),
+        "channel_blocks": schedule.channel_blocks,
     }
     return engine.run(trials, workers, config)

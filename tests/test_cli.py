@@ -315,6 +315,28 @@ class TestSimulate:
         assert code == 0
         assert out == (GOLDEN / "backward_k2_b2.txt").read_text()
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--scheme", "sliding", "--plan", "0,7,2", "--B", "3"],
+         "InvalidPlan"),
+        (["--scheme", "ptp"], "PlanMismatch"),
+    ], ids=["invalid-plan", "ptp-on-net-c"])
+    def test_dry_run_fails_as_a_run_does(self, flags, error, capsys):
+        command = ["simulate", "--net", "net-c", "--m", "4", "--n", "6",
+                   "--trials", "2"] + flags
+        for extra in ([], ["--dry-run"]):
+            code, out, err = run_cli(command + extra, capsys)
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["error_code"] == error
+
+    def test_dry_run_prints_ptp_as_one_backward_block(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--net", "net-a", "--scheme", "ptp", "--B", "4",
+             "--dry-run"], capsys)
+        assert code == 0
+        assert out == rc.render_backward_schedule(0, 1)
+        assert out.splitlines()[-1] == "1\tT0\tx0( w(1,1) )"
+
 
 class TestFlagValues:
     @pytest.mark.parametrize("command", [
@@ -362,6 +384,32 @@ class TestFlagValues:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error_code"] == "SchemaError"
+
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--conf", "{}"],
+                                          ["--conf={}"]],
+                             ids=["config", "conf", "conf-equals"])
+    def test_config_flag_as_argparse_reads_it(self, spelling, tmp_path,
+                                              capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plan": "0,1,2"}))
+        code, out, _ = run_cli(
+            ["rate", "--net", "net-b", "--restarts", "1"]
+            + [s.format(path) for s in spelling], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["plan"] == "0,1,2"
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "SchemaError"), ("{", "ParseError"), ("[1]", "SchemaError"),
+    ], ids=["missing", "bad-json", "not-an-object"])
+    def test_bad_config_file(self, text, error, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(["rate", "--net", "net-b", "--conf",
+                                  str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == error
 
     def test_config_values_take_the_flag_type(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -18,7 +18,7 @@ import relaycast.seeds as seeds
 import relaycast.simulate as simulate
 import relaycast.typicality as typicality
 from relaycast.network import input_label, output_label
-from relaycast.schedules import backward_decode_events
+from relaycast.schedules import backward_schedule
 
 from conftest import candidate_rows, stage_screen
 
@@ -98,7 +98,7 @@ def test_tracer_counts_backward_gathers(monkeypatch):
     levels = spec.K + 1
     cells = trials * res.config["channel_blocks"] * levels * n + trials * sum(
         C[k] * n + (levels - k) * n
-        for k in (ev.terminal for ev in backward_decode_events(spec.K, B)))
+        for k in (ev.position for ev in backward_schedule(spec.K, B).events))
     # the candidates each lower level is read for: those that pass every
     # screen on the levels above it
     survivors = 0

@@ -23,6 +23,7 @@ from relaycast.network import (
     input_label,
     output_label,
 )
+from relaycast.schedules import backward_schedule
 from relaycast.seeds import STREAM_SOURCE, child_rng
 from relaycast.simulate import _SourceSampler
 from relaycast.typicality import TypicalityTest
@@ -619,6 +620,37 @@ def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, bins, map_type,
                 want = rc.assign_bins(engine.codebook, engine.bins[t],
                                       kwargs["seed"], t, trial=trial).map
                 assert (rows[k] == want).all(), (t, trial)
+
+
+@pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_config_block_counts_are_the_schedules(key, scheme, net, kwargs,
+                                               monkeypatch):
+    """A simulator's config reports the source blocks, channel blocks and
+    codebook copies of the schedule its engine runs (ptp: the one-block
+    K=0 backward schedule, reported as B=1); with no trials, every count is
+    zero."""
+    init, seen = simulate._Engine.__init__, []
+
+    def spy(engine, spec, order, schedule, *args):
+        seen.append(schedule)
+        init(engine, spec, order, schedule, *args)
+    monkeypatch.setattr(simulate._Engine, "__init__", spy)
+    res = SIMULATORS[scheme](rc.bundled_network(net),
+                             **{**kwargs, "trials": 0})
+    (schedule,) = seen
+    counts = {"source_blocks": schedule.source_blocks,
+              "channel_blocks": schedule.channel_blocks,
+              "codebook_copies": schedule.copies}
+    reported = {k: res.config[k] for k in counts if k in res.config}
+    assert reported == {k: counts[k] for k in reported}
+    if scheme == "ptp":
+        assert schedule == backward_schedule(0, 1)
+        assert res.config["B"] == schedule.channel_blocks
+    else:
+        assert len(reported) == 2
+    assert (res.errors_total, res.p_e) == (0, 0.0)
+    assert set(res.per_terminal_errors.values()) == {0}
 
 
 def test_backward_bin_count_cap(net_c):
