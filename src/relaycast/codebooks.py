@@ -12,10 +12,10 @@ codebooks.  One stack serves a chunk of trials run in lockstep and caches
 its small tables.  Every slice is the stream ``child_rng(root seed, trial,
 STREAM_CODEBOOK, level, copy, *upper)``, read in only two ways.  ``rows``
 draws it whole from its start, one trial at a time, with numpy's own
-``random``: from the state that :meth:`~ChannelCodebookStack.row` seeded
-for it, together with every other uncached table its call reads
-(:func:`~relaycast.seeds.pcg_states`), or from a fresh ``child_rng`` when
-the table is read alone.  ``row`` reads one row from each of many slices
+``random``, from the state that :func:`~relaycast.seeds.pcg_states` seeded
+for it: one call per level seeds every uncached table a read needs, and
+the first read of the top level, which every trial reads, seeds it for
+every trial of the stack.  ``row`` reads one row from each of many slices
 at once, one per (trial, upper indices) pair: a chunk's trials, or a
 decoder's (trial, candidate) pairs, through
 :func:`~relaycast.seeds.uniforms`, which reproduces those streams bit for
@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .pmf import JointPmf
-from .seeds import STREAM_CODEBOOK, child_rng, pcg_states, uniforms
+# child_rng is unused here but stays bound: perfbench's tracer patches it
+from .seeds import STREAM_CODEBOOK, child_rng, pcg_states, uniforms  # noqa
 
 #: Largest uniform block :meth:`ChannelCodebookStack.rows` draws at once, in
 #: bytes (float64).  Blocks of whole rows come from the slice's one
@@ -134,8 +135,8 @@ class ChannelCodebookStack:
         self.root_seed = int(root_seed)
         self.trials = np.atleast_1d(np.asarray(trials, dtype=np.int64))
         self._cache: dict[tuple, np.ndarray] = {}
-        # the one generator of the stack's batch-seeded draws: each draw
-        # assigns it the state of its stream (see _seed_tables) first
+        # the one generator of the stack's seeded draws: each draw assigns
+        # it the state of its stream (see _seed_tables) first
         self.rng = np.random.Generator(np.random.PCG64(0))
         self._states: dict[tuple, dict] = {}
 
@@ -148,25 +149,20 @@ class ChannelCodebookStack:
         in ``trial`` (default: the stack's first).
 
         Tables up to ``CACHED_TABLE_BYTES`` are cached; a larger one is
-        drawn again if read again, with the same bytes.  A table is drawn
-        from the state :meth:`row` seeded for it, if any, else from its own
-        ``child_rng``: the same stream either way.
+        drawn again if read again, with the same bytes.  Each draw uses up
+        the state :meth:`_seed_tables` seeded for it.
         """
         trial = int(self.trials[0] if trial is None else trial)
         key = (trial, level, copy, upper)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        self._seed_tables(level, copy, [upper], [trial])
         above = tuple(
             self.rows(level + 1 + d, copy, upper[d + 1:], trial)[upper[d]]
             for d in range(len(upper)))
-        state = self._states.get(key)
-        if state is None:
-            rng = child_rng(self.root_seed, trial, STREAM_CODEBOOK, level,
-                            copy, *upper)
-        else:
-            rng = self.rng
-            rng.bit_generator.state = state
+        rng = self.rng
+        rng.bit_generator.state = self._states.pop(key)
         size = self.level_sizes[level]
         table = np.empty((size, self.n), dtype=np.int8)
         blocks = max(1, -(-size * self.n * 8 // ROWS_DRAW_BYTES))
@@ -180,27 +176,32 @@ class ChannelCodebookStack:
 
     def _seed_tables(self, level: int, copy: int, uppers: list[tuple],
                      trials: list[int]) -> None:
-        """Seed, for the next :meth:`rows` calls, every uncached table
-        that the tables of ``level`` under ``uppers[k]`` in ``trials[k]``
-        read: their own and those of the levels above that they are drawn
-        under.  The tables of one level are seeded by one
-        :func:`~relaycast.seeds.pcg_states` call; a level with a single
-        such table is left to its own ``child_rng``, which sets up faster.
+        """Seed, for the next :meth:`rows` calls, every table neither cached
+        nor seeded that the tables of ``level`` under ``uppers[k]`` in
+        ``trials[k]`` read: their own and those of the levels above.  One
+        :func:`~relaycast.seeds.pcg_states` call seeds a level's tables,
+        and a read that wants a table of the top level, which every trial
+        reads, seeds it for every trial of the stack.
         """
         wanted: dict[int, dict[tuple, None]] = {}
+
+        def want(key: tuple) -> None:
+            if key not in self._cache and key not in self._states:
+                wanted.setdefault(key[1], {})[key] = None
         for upper, trial in zip(uppers, trials):
             for d in range(len(upper) + 1):
-                key = (trial, level + d, copy, upper[d:])
-                if key not in self._cache:
-                    wanted.setdefault(level + d, {})[key] = None
+                want((trial, level + d, copy, upper[d:]))
+        top = len(self.level_sizes) - 1
+        if top in wanted:
+            for trial in self.trials.tolist():
+                want((trial, top, copy, ()))
         for at, keys in wanted.items():
-            if len(keys) > 1:
-                cols = np.array([[k[0], *k[3]] for k in keys], dtype=np.int64)
-                self._states.update(zip(keys, pcg_states(
-                    self.root_seed,
-                    (cols[:, 0], STREAM_CODEBOOK, at, copy, *cols[:, 1:].T))))
+            cols = np.array([[k[0], *k[3]] for k in keys], dtype=np.int64)
+            self._states.update(zip(keys, pcg_states(
+                self.root_seed,
+                (cols[:, 0], STREAM_CODEBOOK, at, copy, *cols[:, 1:].T))))
 
-    def row(self, level: int, copy: int, upper: tuple, index, C: int = 0,
+    def row(self, level: int, copy: int, upper: tuple, index,
             trials: np.ndarray | None = None, above: tuple = ()) -> np.ndarray:
         """Codeword ``index`` of the slice under ``upper`` in each of
         ``trials`` (default: the stack's), as (T, n) int8.
@@ -208,12 +209,12 @@ class ChannelCodebookStack:
         ``index`` and each ``upper`` entry give one value per trial: an int
         for all of them or a sequence of T ints; ``trials`` may repeat a
         trial, one read per (trial, candidate) pair.  A ``None`` index
-        reads rows 0..C-1 of each trial's table, as (T, C, n).  Every other
-        read is drawn from the slices' streams by :func:`uniforms` gathers
-        keyed by trial, each from its own row's start.  The rows of the
-        levels above, which the symbols are drawn under, are read the same
-        way, but for the first ones that ``above`` gives: (T, n) rows the
-        caller already holds, of the codewords ``upper`` addresses.
+        reads each trial's whole table, as (T, C, n).  Every other read is
+        drawn from the slices' streams by :func:`uniforms` gathers keyed by
+        trial, each from its own row's start.  The rows of the levels
+        above, which the symbols are drawn under, are read the same way,
+        but for the first ones that ``above`` gives: (T, n) rows the caller
+        already holds, of the codewords ``upper`` addresses.
         """
         trials = self.trials if trials is None else np.asarray(trials)
         T = trials.size
@@ -225,9 +226,8 @@ class ChannelCodebookStack:
             uppers = list(zip(*(c.tolist() for c in cols))) if cols \
                 else [()] * T
             self._seed_tables(level, copy, uppers, trials.tolist())
-            tables = [self.rows(level, copy, key, trial)[:C]
+            tables = [self.rows(level, copy, key, trial)
                       for key, trial in zip(uppers, trials.tolist())]
-            self._states.clear()
             # one trial's table is handed over as it is, not copied
             return tables[0][None] if T == 1 else np.stack(tables)
         index = np.broadcast_to(np.asarray(index, dtype=np.int64), (T,))
@@ -240,7 +240,7 @@ class ChannelCodebookStack:
             rows = tuple(a[part] for a in above) + tuple(
                 self.row(level + 1 + d, copy,
                          tuple(c[part] for c in cols[d + 1:]), cols[d][part],
-                         C, trials[part])
+                         trials[part])
                 for d in range(len(above), len(upper)))
             u = uniforms(self.root_seed,
                          (trials[part], STREAM_CODEBOOK, level, copy,

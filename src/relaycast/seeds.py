@@ -23,14 +23,14 @@ for the whole chunk in one gather keyed by trial: source blocks, channel
 noise and every partial codeword read (keyed by trial and sibling slice).
 Whole codeword slices and bin maps are drawn by numpy itself, ``random``
 and ``integers``, from one reused generator: :func:`pcg_states` seeds every
-such stream a chunk's call reads, one call per kind of stream, and each
-draw first assigns its stream's state.  On a 2-vCPU Xeon VM (Python 3.11,
-numpy 2.4) a ``child_rng`` set-up took about 30 us, a :func:`pcg_states`
-call about 250 us plus 1 us per stream, a state assignment about 2 us, a
-native value about 0.005 us and a gathered value 0.07-0.12 us.  So a
-gather loses beyond a few hundred values per stream, seeding in a batch
-pays from about ten streams, and a table read alone keeps its own
-``child_rng``.  numpy's bounded integers, behind the bin maps, are not
+such stream a chunk's call reads, one call per kind of stream (and level),
+and each draw first assigns its stream's state.  On a 2-vCPU Xeon VM
+(Python 3.11, numpy 2.4) a ``child_rng`` set-up took about 30 us, a
+:func:`pcg_states` call about 250 us plus 1 us per stream, a state
+assignment about 2 us, a native value about 0.005 us and a gathered value
+0.07-0.12 us.  So a gather loses beyond a few hundred values per stream,
+and the top codebook level, which every trial reads, is seeded for a whole
+chunk at once.  numpy's bounded integers, behind the bin maps, are not
 reproduced here: numpy draws them from the seeded state.
 """
 

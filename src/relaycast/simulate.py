@@ -280,8 +280,9 @@ class _Engine:
         if max(self.level_sizes) * n > MAX_CELLS:
             raise TooLarge(f"a {max(self.level_sizes)} x {n} codeword table "
                            f"exceeds {MAX_CELLS} cells")
-        self.lookup = {seq.tobytes(): w
-                       for w, seq in enumerate(self.codebook.sequences)}
+        # lexicographic typical set: its rows' base-A codes increase
+        self.radix = self.codebook.alphabet ** np.arange(m - 1, -1, -1)
+        self.codes = self.codebook.sequences @ self.radix
         labels = tuple(input_label(t) for t in self.order[:-1])
         full = spec.extend_input(input_pmf, labels)
         self.laws = conditional_input_laws(full.marginalize(labels), labels)
@@ -344,14 +345,14 @@ class _Engine:
         """Source blocks 1..Q of each trial, as (num_vars, T, Q, m), and
         the codebook index of each block's S_0 row, as (T, Q + 1) (-1:
         atypical; column 0, the padding block, holds -1)."""
-        Q, T, m = self.schedule.source_blocks, trials.size, self.m
+        Q, m = self.schedule.source_blocks, self.m
         src = self.source_sampler.draw(uniforms(
             self.seed, (trials[:, None], STREAM_SOURCE, np.arange(1, Q + 1)),
             0, m))
-        idx = np.full((T, Q + 1), -1, dtype=np.int64)
-        idx[:, 1:] = np.reshape([self.lookup.get(row.tobytes(), -1)
-                                 for row in src[0].reshape(-1, m)], (T, Q))
-        return src, idx
+        code = src[0] @ self.radix
+        at = np.minimum(np.searchsorted(self.codes, code), self.codes.size - 1)
+        idx = np.where(self.codes[at] == code, at, -1)
+        return src, np.pad(idx, ((0, 0), (1, 0)), constant_values=-1)
 
     def bin_maps(self, trials: np.ndarray, rng: np.random.Generator
                  ) -> dict[int, np.ndarray | None]:
@@ -408,7 +409,7 @@ class _Engine:
             # upper indices as tuples: perfbench's tracer hashes them
             return stack.row(level, stack.copy_for_block(block),
                              tuple(tuple(v.tolist()) for v in vals[1:]),
-                             vals[0], self.level_sizes[level], tr[at], above)
+                             vals[0], tr[at], above)
 
         y_blocks: dict[int, np.ndarray] = {}
 
@@ -528,13 +529,13 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
                  m: int = 1, n: int = 1, trials: int = 0,
                  bin_rates: dict[int, float] | None = None,
                  epsilon: float = 0.0, workers: int = 1
-                 ) -> tuple[int, int, int, int, int]:
+                 ) -> tuple[int, int, int, int, int, Schedule]:
     """Raise the input error the ``scheme`` simulator raises before it
     builds anything: root ``seed``; m, n, ``B`` and ``workers`` whole
     numbers >= 1 and ``trials`` >= 0; ``epsilon`` a finite number >= 0;
     network shape, sliding ``plan`` and block count; backward
     ``bin_rates`` keys that name no decoder.  Returns (m, n, B, trials,
-    workers) as ints."""
+    workers) as ints and the run's schedule (ptp: backward, K=0, B=1)."""
     check_seed(seed)
     m, n, B, workers = (_count(v, what, 1) for v, what in (
         (m, "m"), (n, "n"), (B, "B"), (workers, "workers")))
@@ -552,15 +553,15 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
         if B < plan.num_hops:
             raise BTooSmall(
                 f"need B >= {plan.num_hops} for at least one source block")
-    if scheme == "backward":
-        if spec.L != 1:
-            raise PlanMismatch("backward simulation requires L=1")
-        backward_schedule(spec.K, B)
-        unknown = [k for k in bin_rates or {} if k not in range(1, spec.K + 2)]
-        if unknown:
-            raise SchemaError(f"bin_rates keys {unknown!r} name no decoder "
-                              f"(1..{spec.K + 1})")
-    return m, n, B, trials, workers
+        return m, n, B, trials, workers, sliding_schedule(plan.num_hops - 1, B)
+    if scheme == "backward" and spec.L != 1:
+        raise PlanMismatch("backward simulation requires L=1")
+    schedule = backward_schedule(spec.K, B if scheme == "backward" else 1)
+    unknown = [k for k in bin_rates or {} if k not in range(1, spec.K + 2)]
+    if unknown:
+        raise SchemaError(f"bin_rates keys {unknown!r} name no decoder "
+                          f"(1..{spec.K + 1})")
+    return m, n, B, trials, workers, schedule
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     resolves the channel stage alone first, then the source stage within
     the bin.
     """
-    m, n, _, trials, workers = check_scheme(
+    m, n, _, trials, workers, schedule = check_scheme(
         spec, "ptp", seed=seed, m=m, n=n, trials=trials, epsilon=epsilon,
         workers=workers)
     if decoder not in ("joint", "separate"):
@@ -595,7 +596,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     if R is not None and R >= spec.sources.marginalize(
             [source_label(0)]).entropy() - 1e-9:
         R = None
-    engine = _Engine(spec, (0, 1), backward_schedule(0, 1), {1: R},
+    engine = _Engine(spec, (0, 1), schedule, {1: R},
                      decoder == "joint", m, n, epsilon, seed, input_pmf)
     config = {
         "scheme": "ptp",
@@ -621,10 +622,9 @@ def simulate_sliding_window(spec: NetworkSpec,
     """
     if not isinstance(plan, CooperationPlan):
         plan = CooperationPlan(tuple(plan))
-    m, n, B, trials, workers = check_scheme(
+    m, n, B, trials, workers, schedule = check_scheme(
         spec, "sliding", B, plan, seed, m, n, trials, epsilon=epsilon,
         workers=workers)
-    schedule = sliding_schedule(plan.num_hops - 1, B)
     engine = _Engine(spec, plan.order, schedule, {0: None}, True, m, n,
                      epsilon, seed, input_pmf)
     config = {
@@ -652,11 +652,10 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
     alone (unique typical candidate), then the source decoder picks the
     unique sequence in that bin typical with the local side information.
     """
-    m, n, B, trials, workers = check_scheme(
+    m, n, B, trials, workers, schedule = check_scheme(
         spec, "backward", B, seed=seed, m=m, n=n, trials=trials,
         bin_rates=bin_rates, epsilon=epsilon, workers=workers)
     K = spec.K
-    schedule = backward_schedule(K, B)
     delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
     rates = {k: (bin_rates or {}).get(k, spec.source_entropy_given(k) + delta)
              for k in range(1, K + 2)}

@@ -1,5 +1,7 @@
 """Superposition codebook stack: laws, determinism, lazy row access."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from relaycast.codebooks import (
     inverse_cdf,
 )
 from relaycast.network import input_label
-from relaycast.seeds import STREAM_CHANNEL, STREAM_CODEBOOK, child_rng
+from relaycast.seeds import (
+    STREAM_CHANNEL,
+    STREAM_CODEBOOK,
+    child_rng,
+    pcg_states,
+)
 from relaycast.simulate import _ChannelSampler
 
 
@@ -176,40 +183,53 @@ def _pairs(entries, C, trials):
     return per_trial, np.repeat(trials, C)
 
 
+def _whole(level_sizes, level, upper, index):
+    """How many reads a case makes: a ``None`` index reads the level's
+    whole table, and a ``None`` upper entry ranges over the whole level it
+    addresses; 0 for one read per trial."""
+    if index is None:
+        return level_sizes[level]
+    if None in upper:
+        return level_sizes[level + 1 + upper.index(None)]
+    return 0
+
+
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("net, level_sizes, n, cases", [
-    # (level, upper, index, C): candidates 0..C-1 fill the None entry, one
-    # read per candidate, with C the whole level or part of it; a None
-    # index reads rows 0..C-1
-    ("net-c", [700, 48], 7, [(0, (None,), 3, 48), (0, (None,), 4, 48),
-                             (0, (None,), 699, 5), (1, (), None, 48),
-                             (0, (3,), None, 5)]),
-    ("net-c", [16, 32], 3, [(0, (None,), 15, 32)]),
+    # (level, upper, index): candidates 0..C-1 fill the None entry, one
+    # read per candidate, with C the size of the level it addresses; a
+    # None index reads the whole table
+    ("net-c", [700, 48], 7, [(0, (None,), 3), (0, (None,), 4),
+                             (0, (None,), 699), (1, (), None),
+                             (0, (3,), None)]),
+    ("net-c", [16, 32], 3, [(0, (None,), 15)]),
     ("net-d", [600, 40, 24], 9,
-     [(0, (None, 5), 17, 40), (0, (11, None), 599, 24),
-      (0, (None, 0), 0, 7), (1, (None,), 39, 24), (1, (7,), None, 40),
-      (0, (None, 23), 2, 40)]),
+     [(0, (None, 5), 17), (0, (11, None), 599), (0, (None, 0), 0),
+      (1, (None,), 39), (1, (7,), None), (0, (None, 23), 2)]),
 ])
 def test_row_across_equals_row_loop(net, level_sizes, n, cases, dependent):
     """``row`` with each candidate as an explicit entry returns, for each
     index w in that entry, the row of the materialized table that w
-    addresses; a ``None`` index reads rows 0..C-1 of the table."""
+    addresses; a ``None`` index reads the whole table."""
     laws = _net_laws(net, dependent)
     across = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
-    for level, upper, index, C in cases:
+    for level, upper, index in cases:
+        C = _whole(level_sizes, level, upper, index)
         tables = ChannelCodebookStack(n, level_sizes, laws, 2, 5, 3)
+        # a large table is drawn again on each read: read each once
+        read = functools.cache(lambda above: tables.rows(level, 1, above))
         want = []
         for w in range(C):
             own, *above = (w if a is None else a for a in (index,) + upper)
-            want.append(tables.rows(level, 1, tuple(above))[own])
+            want.append(read(tuple(above))[own])
         if index is None:
-            got = across.row(level, 1, upper, index, C)
+            got = across.row(level, 1, upper, index)
             assert got.shape == (1, C, n)
             got = got[0]
         else:
             (own, *above), keys = _pairs((index,) + upper, C, 3)
             got = across.row(level, 1, tuple(tuple(a.tolist())
-                                             for a in above), own, C, keys)
+                                             for a in above), own, keys)
             assert got.shape == (C, n)
         assert got.dtype == np.int8
         np.testing.assert_array_equal(got, np.stack(want))
@@ -229,38 +249,55 @@ def test_small_tables_are_cached_large_ones_drawn_again():
 
 
 def test_chunk_tables_are_seeded_together(monkeypatch):
-    """Tables read for several trials at once, and the upper tables they
-    are drawn under, are drawn from states seeded in one call per level; a
-    table read alone is drawn from its own ``child_rng``."""
+    """Every table is drawn from a state that ``pcg_states`` seeded, never
+    from a ``child_rng``: a read seeds each level it needs in one call, and
+    the first read of the top level seeds it for every trial of the
+    stack."""
     laws = _net_laws("net-d", False)
-    made = []
 
-    def counted(*path):
-        made.append(path)
-        return child_rng(*path)
-    monkeypatch.setattr(codebooks, "child_rng", counted)
-    chunk = ChannelCodebookStack(5, [60, 8, 4], laws, 1, 0, np.arange(4))
-    chunk.row(0, 0, ((1, 2, 3, 4), (0, 1, 2, 3)), None, 60)
-    assert made == []
-    ChannelCodebookStack(5, [60, 8, 4], laws, 1, 0, 7).row(
-        0, 0, (1, 2), None, 60)
-    assert sorted(made) == [(0, 7, STREAM_CODEBOOK, 0, 0, 1, 2),
-                            (0, 7, STREAM_CODEBOOK, 1, 0, 2),
-                            (0, 7, STREAM_CODEBOOK, 2, 0)]
+    def refuse(*path):
+        raise AssertionError(f"child_rng{path}")
+    calls = []
+
+    def counted(root, path):
+        keys = (path[0],) + path[4:]
+        calls.append((path[2], sorted(zip(*(np.atleast_1d(key).tolist()
+                                            for key in keys)))))
+        return pcg_states(root, path)
+    monkeypatch.setattr(codebooks, "child_rng", refuse)
+    monkeypatch.setattr(codebooks, "pcg_states", counted)
+    trials = np.arange(6)
+    chunk = ChannelCodebookStack(5, [60, 8, 4], laws, 1, 0, trials)
+    got = chunk.row(0, 0, ((1, 2), (0, 1)), None, trials[:2])
+    assert sorted(calls) == [(0, [(0, 1, 0), (1, 2, 1)]),
+                             (1, [(0, 0), (1, 1)]),
+                             (2, [(t,) for t in range(6)])]
+    # trial 4's top table is seeded already; its lower tables are not
+    calls.clear()
+    got = np.concatenate([got, chunk.row(0, 0, (3, 2), None, trials[4:5])])
+    assert sorted(calls) == [(0, [(4, 3, 2)]), (1, [(4, 2)])]
+    calls.clear()
+    chunk.row(0, 0, (3, 2), None, trials[4:5])
+    assert calls == []      # a cached table is not seeded again
+    for k, (trial, upper) in enumerate([(0, (1, 0)), (1, (2, 1)),
+                                        (4, (3, 2))]):
+        alone = ChannelCodebookStack(5, [60, 8, 4], laws, 1, 0, trial)
+        np.testing.assert_array_equal(got[k], alone.rows(0, 0, upper))
 
 
 def test_row_across_rejects_bad_ranges():
     """An upper entry must give indices: a ``None`` entry, which once
-    ranged over sibling slices, is rejected at any C; with explicit entries
-    C is unused and the row is the table's."""
+    ranged over sibling slices, is rejected; with explicit entries an index
+    reads the table's row and a ``None`` index the whole table."""
     laws = _net_laws("net-c", False)
     stack = ChannelCodebookStack(5, [8, 4], laws, 1, 0, 0)
-    for C in (0, 4, 5):
+    for index in (1, None):
         with pytest.raises(ValueError):
-            stack.row(0, 0, (None,), 1, C)
-    for C in (0, 4):
-        np.testing.assert_array_equal(stack.row(0, 0, (2,), 1, C)[0],
-                                      stack.rows(0, 0, (2,))[1])
+            stack.row(0, 0, (None,), index)
+    np.testing.assert_array_equal(stack.row(0, 0, (2,), 1)[0],
+                                  stack.rows(0, 0, (2,))[1])
+    np.testing.assert_array_equal(stack.row(0, 0, (2,), None)[0],
+                                  stack.rows(0, 0, (2,)))
 
 
 #: The trials of the chunk-wide reads below, the largest trial key included.
@@ -269,22 +306,23 @@ TRIALS = (3, 0, 2**32 - 1)
 
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("net, level_sizes, n, cases", [
-    # (level, upper, index, C) with per-trial values as tuples, one per
-    # trial of TRIALS; candidates 0..C-1 fill a None entry, one read per
-    # (trial, candidate) pair, and a None index reads rows 0..C-1
+    # (level, upper, index) with per-trial values as tuples, one per trial
+    # of TRIALS; candidates 0..C-1 fill a None entry, with C the size of
+    # the level it addresses, one read per (trial, candidate) pair, and a
+    # None index reads the whole table
     # each first case reads tables under upper tables not yet drawn
-    ("net-c", [700, 48], 7, [(0, ((3, 0, 47),), None, 5),
-                             (0, (None,), (3, 699, 0), 48),
-                             (0, ((5, 47, 0),), (3, 699, 0), 0),
-                             (1, (), (0, 47, 9), 0),
-                             (1, (), None, 48),
-                             (0, ((3, 0, 47),), None, 5)]),
+    ("net-c", [700, 48], 7, [(0, ((3, 0, 47),), None),
+                             (0, (None,), (3, 699, 0)),
+                             (0, ((5, 47, 0),), (3, 699, 0)),
+                             (1, (), (0, 47, 9)),
+                             (1, (), None),
+                             (0, ((3, 0, 47),), None)]),
     ("net-d", [600, 40, 24], 9,
-     [(0, ((1, 2, 39), (4, 23, 0)), None, 6),
-      (0, (None, (5, 23, 0)), (17, 0, 599), 40),
-      (0, ((11, 0, 39), None), (599, 2, 0), 24),
-      (0, ((1, 2, 3), (4, 5, 6)), (7, 8, 9), 0),
-      (1, (None,), (39, 0, 5), 24)]),
+     [(0, ((1, 2, 39), (4, 23, 0)), None),
+      (0, (None, (5, 23, 0)), (17, 0, 599)),
+      (0, ((11, 0, 39), None), (599, 2, 0)),
+      (0, ((1, 2, 3), (4, 5, 6)), (7, 8, 9)),
+      (1, (None,), (39, 0, 5))]),
 ])
 def test_row_across_trials_equals_each_trials_tables(net, level_sizes, n,
                                                      cases, dependent):
@@ -294,23 +332,25 @@ def test_row_across_trials_equals_each_trials_tables(net, level_sizes, n,
     laws = _net_laws(net, dependent)
     trials = np.array(TRIALS)
     chunk = ChannelCodebookStack(n, level_sizes, laws, 2, 5, trials)
-    for level, upper, index, C in cases:
+    for level, upper, index in cases:
+        C = _whole(level_sizes, level, upper, index)
         if index is None or None not in upper:
-            got = chunk.row(level, 1, upper, index, C)
+            got = chunk.row(level, 1, upper, index)
         else:
             (own, *above), keys = _pairs((index,) + upper, C, trials)
             got = chunk.row(level, 1, tuple(tuple(a.tolist())
-                                            for a in above), own, C, keys)
+                                            for a in above), own, keys)
             got = got.reshape(trials.size, C, n)
         assert got.dtype == np.int8
         for k, trial in enumerate(TRIALS):
             tables = ChannelCodebookStack(n, level_sizes, laws, 2, 5, trial)
+            read = functools.cache(lambda above: tables.rows(level, 1, above))
             mine = [u if u is None else u[k] for u in upper]
             own = None if index is None else index[k]
             want = []
             for w in range(C or 1):
                 own_w, *above = (w if a is None else a
                                  for a in [own] + mine)
-                want.append(tables.rows(level, 1, tuple(above))[own_w])
+                want.append(read(tuple(above))[own_w])
             np.testing.assert_array_equal(
                 got[k], np.stack(want) if C else want[0])

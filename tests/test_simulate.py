@@ -415,6 +415,92 @@ def test_results_match_golden(key, scheme, net, kwargs, workers):
         json.dumps(golden, sort_keys=True)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_results_draw_no_child_rng(key, scheme, net, kwargs, workers,
+                                          monkeypatch):
+    """Every codeword table is drawn from a state ``pcg_states`` seeded:
+    with ``codebooks.child_rng`` raising, each golden case still gives its
+    golden bytes."""
+    def refuse(*path):
+        raise AssertionError(f"child_rng{path}")
+    monkeypatch.setattr(codebooks, "child_rng", refuse)
+    golden = json.loads(GOLDEN_RESULTS.read_text())[key]
+    res = SIMULATORS[scheme](rc.bundled_network(net), workers=workers,
+                             **kwargs)
+    assert json.dumps(res.to_dict(), sort_keys=True) == \
+        json.dumps(golden, sort_keys=True)
+
+
+@pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_each_run_builds_its_schedule_once(key, scheme, net, kwargs,
+                                           monkeypatch):
+    """A simulator builds its schedule once, in ``check_scheme``, and hands
+    that object to the engine."""
+    built, engines = [], []
+    for name in ("backward_schedule", "sliding_schedule"):
+        def spy(*args, _name=name, _build=getattr(simulate, name)):
+            built.append((_name, _build(*args)))
+            return built[-1][1]
+        monkeypatch.setattr(simulate, name, spy)
+    init = simulate._Engine.__init__
+
+    def seen(engine, spec, order, schedule, *args):
+        engines.append(schedule)
+        init(engine, spec, order, schedule, *args)
+    monkeypatch.setattr(simulate._Engine, "__init__", seen)
+    SIMULATORS[scheme](rc.bundled_network(net), **{**kwargs, "trials": 0})
+    ((name, schedule),) = built
+    assert name == ("sliding_schedule" if scheme == "sliding"
+                    else "backward_schedule")
+    assert engines == [schedule] and engines[0] is schedule
+
+
+@pytest.mark.parametrize("scheme,net,m,epsilon", [
+    ("ptp", "net-a-noiseless", 8, 0.5), ("backward", "net-c", 6, 0.3),
+    ("backward", "net-c", 10, 0.5)])
+def test_source_index_equals_bytes_lookup(scheme, net, m, epsilon,
+                                          monkeypatch):
+    """The engine finds each source row's codebook index by the row's
+    base-A code in the typical set's sorted codes: the index a dict keyed
+    by each typical row's bytes gives, or -1 for an atypical row."""
+    init, engines = simulate._Engine.__init__, []
+
+    def seen(engine, *args):
+        init(engine, *args)
+        engines.append(engine)
+    monkeypatch.setattr(simulate._Engine, "__init__", seen)
+    kwargs = dict(m=m, n=2 * m, epsilon=epsilon, trials=0, seed=0)
+    if scheme == "ptp":
+        rc.simulate_ptp(rc.bundled_network(net), R=None, **kwargs)
+    else:
+        rc.simulate_backward(rc.bundled_network(net), B=1, **kwargs)
+    (engine,) = engines
+    book, Q = engine.codebook, engine.schedule.source_blocks
+    rows = np.random.default_rng(m).integers(
+        0, book.alphabet, size=(300, Q, m), dtype=np.int8)
+    rows[:2, 0] = book.sequences[[0, -1]]
+    rows[2:4, 0] = [[0], [book.alphabet - 1]]   # all-equal rows
+
+    class Drawn:
+        """A source sampler that draws ``rows`` as every source's block."""
+        def draw(self, u):
+            assert u.shape == rows.shape
+            return np.stack([rows, rows])
+    engine.source_sampler = Drawn()
+    src, idx = engine.draw_sources(np.arange(300))
+    assert (src[0] == rows).all()
+    lookup = {seq.tobytes(): w for w, seq in enumerate(book.sequences)}
+    want = np.reshape([lookup.get(row.tobytes(), -1)
+                       for row in rows.reshape(-1, m)], rows.shape[:2])
+    assert idx.tolist() == np.pad(want, ((0, 0), (1, 0)),
+                                  constant_values=-1).tolist()
+    assert want[0, 0] == 0 and want[1, 0] == book.M - 1
+    assert 0 < (want < 0).sum() < want.size
+
+
 #: One golden case of each scheme, run below under several chunk caps.
 CHUNKED_CASES = ["ptp-joint", "sliding-k2", "backward-k1"]
 
