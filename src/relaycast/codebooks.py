@@ -49,7 +49,7 @@ ROWS_DRAW_BYTES = 2 ** 20
 #: checks run in chunks under ``typicality.CHECK_BATCH_BYTES``, so its
 #: candidates are what it keeps.  Backward decoding at criterion 5's points
 #: (C=128, n=7 at the destination) decodes a whole chunk per group;
-#: criterion 6's 4096 x 24 candidates are decoded one trial at a time.
+#: criterion 6's 4096 x 24 candidates are tested one trial at a time.
 CHUNK_BYTES = 2 ** 17
 
 #: Largest slice table a stack keeps for later reads, in bytes.  Small

@@ -17,8 +17,8 @@ case of either:
 Each simulator checks its inputs and picks a schedule, bins and a decoding
 rule.  The schedule is a :class:`~relaycast.schedules.Schedule` from
 :mod:`relaycast.schedules`, the same object the ``--dry-run`` table prints.
-One trial engine, :class:`_Engine`, runs every trial and one decision
-function, :func:`_decide`, settles every decode.  Every trial redraws the
+One trial engine, :class:`_Engine`, runs every trial and one array rule,
+:func:`_settle`, settles a decode for many trials.  Every trial redraws the
 bin assignments and channel codebooks from its own seed streams, so the
 empirical error rate estimates the random-coding ensemble average.
 Decoding ties (zero or multiple surviving candidates) count as errors, and
@@ -82,6 +82,7 @@ from .typicality import (
     MAX_ALPHABET,
     TypicalityTest,
     build_typical_source_codebook,
+    digits,
     num_bins_for_rate,
 )
 
@@ -177,17 +178,11 @@ class _SourceSampler:
     def __init__(self, sources: JointPmf):
         self.sizes = sources.sizes
         self.cum = np.cumsum(sources.probs.reshape(-1))
-        self.num_vars = len(self.sizes)
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """The symbols that the uniforms ``u`` draw, as
-        (num_vars, *u.shape) int8."""
-        flat = np.searchsorted(self.cum, u, side="right")
-        out = np.empty((self.num_vars,) + u.shape, dtype=np.int8)
-        for axis in range(self.num_vars - 1, -1, -1):
-            out[axis] = flat % self.sizes[axis]
-            flat //= self.sizes[axis]
-        return out
+        (variables, *u.shape) int8."""
+        return digits(np.searchsorted(self.cum, u, side="right"), self.sizes)
 
 
 class _ChannelSampler:
@@ -208,37 +203,36 @@ class _ChannelSampler:
     def sample(self, in_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(num_outputs, *in_idx.shape) output symbols for per-symbol input
         indices, drawn by the uniforms ``u`` of ``in_idx``'s shape."""
-        flat = inverse_cdf(u, self.cum, at=(in_idx,))
-        out = np.empty((len(self.out_sizes),) + in_idx.shape, dtype=np.int8)
-        for axis in range(len(self.out_sizes) - 1, -1, -1):
-            out[axis] = flat % self.out_sizes[axis]
-            flat //= self.out_sizes[axis]
-        return out
+        return digits(inverse_cdf(u, self.cum, at=(in_idx,)), self.out_sizes)
 
 
-def _decide(survivors: np.ndarray, bin_map: np.ndarray | None, joint: bool,
-            side_typical: Callable[[np.ndarray], np.ndarray]) -> int | None:
-    """The codebook index a decoder settles on, or None (a decoding error).
+def _settle(survivors: np.ndarray, bin_maps: np.ndarray | None, joint: bool,
+            side_typical: Callable[..., np.ndarray]) -> np.ndarray:
+    """The codebook index each of S decoders settles on, as (S,) int64, or
+    -1 (a decoding error).
 
-    ``survivors`` marks the bins whose codewords pass the channel stage and
-    ``bin_map`` sends each codebook index to its bin (None: the identity).
+    ``survivors`` (S, C) marks each trial's bins that pass the channel stage
+    and ``bin_maps`` (S, M) its bin per codebook index (None: the identity).
     The joint rule needs exactly one surviving bin that holds exactly one
     sequence typical with the side information; the separate rule needs
     exactly one surviving bin, then exactly one side-typical sequence in
-    it.  ``side_typical`` checks a batch of codebook indices; it runs once,
-    on the members of the surviving bins, if they have any.
+    it.  ``side_typical`` checks (trial, codebook index) pairs, once: the
+    members of the surviving bins of the trials the rule can settle.
     """
-    hits = np.flatnonzero(survivors)
-    if hits.size == 0 or (not joint and hits.size > 1):
-        return None
-    members = hits if bin_map is None else np.flatnonzero(survivors[bin_map])
-    typical = members[side_typical(members)] if members.size else members
-    if joint and bin_map is not None:
-        single = np.flatnonzero(np.bincount(bin_map[typical]) == 1)
-        if single.size != 1:
-            return None
-        typical = typical[bin_map[typical] == single[0]]
-    return int(typical[0]) if typical.size == 1 else None
+    S, C = survivors.shape
+    settled = np.full(S, -1, dtype=np.int64)
+    if not joint:
+        survivors = survivors & (survivors.sum(axis=1) == 1)[:, None]
+    trial, member = np.nonzero(survivors if bin_maps is None else
+                               np.take_along_axis(survivors, bin_maps, axis=1))
+    typical = side_typical(trial, member)
+    trial, member = trial[typical], member[typical]
+    key = trial * C + (member if bin_maps is None else bin_maps[trial, member])
+    # a typical member alone in its bin, in a trial with one such bin
+    alone = np.bincount(key)[key] == 1
+    won = alone & (np.bincount(trial[alone], minlength=S) == 1)[trial]
+    settled[trial[won]] = member[won]
+    return settled
 
 
 class _Engine:
@@ -375,7 +369,7 @@ class _Engine:
         """A chunk of trials in lockstep, as (T, decoders): whether each
         trial's decoder at plan position 1, 2, ... mis-estimates any source
         block (relays forward their own estimates)."""
-        sched, codebook, n = self.schedule, self.codebook, self.n
+        sched, n = self.schedule, self.n
         tr = np.arange(trials.start, trials.stop)
         T, everyone = tr.size, np.arange(tr.size)
         src, idx = self.draw_sources(tr)
@@ -414,10 +408,10 @@ class _Engine:
         y_blocks: dict[int, np.ndarray] = {}
 
         def decode(ev: Decode) -> None:
-            """Event ``ev`` for every trial, in groups whose candidates fit
-            under the cap: each window's channel test on the trials with
-            candidates left, then each trial's decision, into ``est``; then
-            its errors, into ``erred``."""
+            """Event ``ev`` for every trial, in spans whose bin masks and
+            groups whose candidates fit under the cap: each window's channel
+            test on a group's trials with candidates left, then the span's
+            decisions, into ``est``; then its errors, into ``erred``."""
             own, terminal = est[ev.position], self.order[ev.position]
             side = self.side_tests[ev.position]
             # every window of an event tests one bin type's C candidates
@@ -434,24 +428,25 @@ class _Engine:
             cell = max(self.cand_types[ev.position, first, lead].itemsize
                        for _, first, lead in ev.windows)
             step = max(1, codebooks.CHUNK_BYTES // (cell * C * n))
-            for g in range(0, T, step):
-                at = everyone[g:g + step]
-                survivors = np.ones((at.size, C), dtype=bool)
-                for (block, first, lead), rows in zip(ev.windows, fixed):
-                    left = survivors.any(axis=1)
-                    if not left.any():
-                        break
-                    survivors[left] &= self.window(
-                        ev.position, block, first, lead, codeword, own,
-                        at[left], rows[at[left]])
-                for k, hits in zip(at.tolist(), survivors):
-                    side_flat = side.flatten([src[terminal, k, ev.q - 1]])
-                    decoded = _decide(
-                        hits, None if bin_map is None else bin_map[k],
-                        self.joint,
-                        lambda w: side.check_batch(codebook.sequences[w],
-                                                   side_flat))
-                    own[k, ev.q] = -1 if decoded is None else decoded
+            span = max(1, codebooks.CHUNK_BYTES // C)
+            for s in range(0, T, span):
+                spanned = everyone[s:s + span]
+                survivors = np.ones((spanned.size, C), dtype=bool)
+                for g in range(0, spanned.size, step):
+                    at, hits = spanned[g:g + step], survivors[g:g + step]
+                    for (block, first, lead), rows in zip(ev.windows, fixed):
+                        left = hits.any(axis=1)
+                        if not left.any():
+                            break
+                        hits[left] &= self.window(
+                            ev.position, block, first, lead, codeword, own,
+                            at[left], rows[at[left]])
+                # the side test's one fixed label is the side row itself
+                own[spanned, ev.q] = _settle(
+                    survivors, None if bin_map is None else bin_map[spanned],
+                    self.joint, lambda k, w: side.check_batch(
+                        self.codebook.sequences[w],
+                        src[terminal, spanned[k], ev.q - 1]))
             # typical-set rows are distinct, and idx is -1 for an atypical
             # block, which no decoded index matches
             got = own[:, ev.q]

@@ -77,12 +77,16 @@ def all_sequences(alphabet: int, m: int) -> np.ndarray:
     if total > ENUMERATION_CAP:
         raise TooLarge(
             f"{alphabet}^{m} = {total} sequences exceed cap {ENUMERATION_CAP}")
-    idx = np.arange(total)
-    seqs = np.empty((total, m), dtype=np.int8)
-    for pos in range(m - 1, -1, -1):
-        seqs[:, pos] = idx % alphabet
-        idx //= alphabet
-    return seqs
+    return digits(np.arange(total), (alphabet,) * m).T
+
+
+def digits(flat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The mixed-radix digits of the indices ``flat`` over ``sizes``, most
+    significant first, as (len(sizes), *flat.shape) int8."""
+    out = np.empty((len(sizes),) + flat.shape, dtype=np.int8)
+    for axis in range(len(sizes) - 1, -1, -1):
+        flat, _ = np.divmod(flat, sizes[axis], out=(None, out[axis]))
+    return out
 
 
 @dataclass(frozen=True)

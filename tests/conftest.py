@@ -1,4 +1,5 @@
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -105,3 +106,28 @@ def stage_screen(test, rows: list[np.ndarray], fixed: np.ndarray,
     lo = np.ceil(test.lo).reshape(-1, kept).sum(axis=0)
     hi = np.floor(test.hi).reshape(-1, kept).sum(axis=0)
     return ((sub >= lo) & (sub <= hi)).all(axis=1)
+
+
+def _decide(survivors: np.ndarray, bin_map: np.ndarray | None, joint: bool,
+            side_typical: Callable[[np.ndarray], np.ndarray]) -> int | None:
+    """The codebook index a decoder settles on, or None (a decoding error).
+
+    ``survivors`` marks the bins whose codewords pass the channel stage and
+    ``bin_map`` sends each codebook index to its bin (None: the identity).
+    The joint rule needs exactly one surviving bin that holds exactly one
+    sequence typical with the side information; the separate rule needs
+    exactly one surviving bin, then exactly one side-typical sequence in
+    it.  ``side_typical`` checks a batch of codebook indices; it runs once,
+    on the members of the surviving bins, if they have any.
+    """
+    hits = np.flatnonzero(survivors)
+    if hits.size == 0 or (not joint and hits.size > 1):
+        return None
+    members = hits if bin_map is None else np.flatnonzero(survivors[bin_map])
+    typical = members[side_typical(members)] if members.size else members
+    if joint and bin_map is not None:
+        single = np.flatnonzero(np.bincount(bin_map[typical]) == 1)
+        if single.size != 1:
+            return None
+        typical = typical[bin_map[typical] == single[0]]
+    return int(typical[0]) if typical.size == 1 else None

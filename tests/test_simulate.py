@@ -28,7 +28,7 @@ from relaycast.seeds import STREAM_SOURCE, child_rng
 from relaycast.simulate import _SourceSampler
 from relaycast.typicality import TypicalityTest
 
-from conftest import candidate_rows, conv, h2, stage_screen
+from conftest import _decide, candidate_rows, conv, h2, stage_screen
 
 
 def perfect_side_network():
@@ -542,31 +542,47 @@ def test_results_do_not_depend_on_chunking(key, workers, monkeypatch):
 
 @pytest.mark.parametrize("key", CHUNKED_CASES)
 def test_results_do_not_depend_on_decode_groups(key, monkeypatch):
-    """Decodes run in groups of trials whose candidates fit under
-    ``codebooks.CHUNK_BYTES``; with every trial in one chunk, groups of one
-    trial and one group of the whole chunk both give the golden bytes."""
+    """Decodes settle spans of trials whose C surviving-bin flags fit under
+    ``codebooks.CHUNK_BYTES``, and run the channel tests in groups of a
+    span's trials whose candidates fit under it.  With every trial in one
+    chunk, groups and spans of one trial, groups of one trial in spans of
+    two (at the largest bin count C), and one group and span of the whole
+    chunk all give the golden bytes."""
     _, scheme, net, kwargs = next(c for c in GOLDEN_CASES if c[0] == key)
     golden = json.dumps(json.loads(GOLDEN_RESULTS.read_text())[key],
                         sort_keys=True)
     init, window = simulate._Engine.__init__, simulate._Engine.window
-    groups = []
+    settle = simulate._settle
+    groups, spans, cap_for = [], [], []
 
     def one_chunk(engine, *args):
         init(engine, *args)
         engine.trial_bytes = 0
+        monkeypatch.setattr(codebooks, "CHUNK_BYTES",
+                            cap_for[0](max(engine.level_sizes)))
 
     def spy(engine, position, block, first, lead, codeword, own, at, fixed):
         groups.append(at.size)
         return window(engine, position, block, first, lead, codeword, own,
                       at, fixed)
+
+    def settle_spy(survivors, *args):
+        spans.append(survivors.shape)
+        return settle(survivors, *args)
     monkeypatch.setattr(simulate._Engine, "__init__", one_chunk)
     monkeypatch.setattr(simulate._Engine, "window", spy)
-    for cap, largest in [(1, 1), (2 ** 40, kwargs["trials"])]:
-        monkeypatch.setattr(codebooks, "CHUNK_BYTES", cap)
-        groups.clear()
+    monkeypatch.setattr(simulate, "_settle", settle_spy)
+    trials = kwargs["trials"]
+    # (cap for the largest C, largest group, largest span at that C)
+    for cap, group, span in [(lambda C: 1, 1, 1), (lambda C: 2 * C, 1, 2),
+                             (lambda C: 2 ** 40, trials, trials)]:
+        cap_for[:], groups[:], spans[:] = [cap], [], []
         res = SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
         assert json.dumps(res.to_dict(), sort_keys=True) == golden
-        assert max(groups) == largest
+        assert all(S <= max(1, codebooks.CHUNK_BYTES // C) for S, C in spans)
+        largest = max(C for _, C in spans)
+        assert max(groups) == group
+        assert max(S for S, C in spans if C == largest) == span
 
 
 def test_decode_groups_are_charged_their_int8_candidates(monkeypatch):
@@ -583,6 +599,66 @@ def test_decode_groups_are_charged_their_int8_candidates(monkeypatch):
     rc.simulate_backward(rc.bundled_network("net-c"), m=6, n=7, B=2,
                          epsilon=4.0, trials=75, seed=0)
     assert max(size for C, size in groups if C == 128) == 75
+
+
+#: (id, bins C, codewords M, bin map type or None for the identity).
+SETTLE_MAPS = [("identity", 40, 40, None), ("uint8", 12, 60, np.uint8),
+               ("uint16-more-bins", 300, 50, np.uint16)]
+
+
+@pytest.mark.parametrize("S", [1, 48], ids=["one-trial", "span"])
+@pytest.mark.parametrize("C,M,map_type", [case[1:] for case in SETTLE_MAPS],
+                         ids=[case[0] for case in SETTLE_MAPS])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "separate"])
+def test_settle_equals_decide(joint, C, M, map_type, S):
+    """``simulate._settle`` decides a span of trials as the per-trial rule
+    ``_decide`` decides each, and checks side-information typicality once,
+    on the (trial, codebook index) pairs that ``_decide`` checks.  Seeded
+    random cases draw 0, 1, 2, 3 or all C surviving bins per trial, and
+    side-typical sequences at rates 0 to 1, so that surviving bins hold 0,
+    1 and (under a bin map) 2 or more typical members."""
+    rng = np.random.default_rng([C, M, S, joint])
+    seen = {"no survivors": 0, "all survivors": 0, "settled": 0,
+            "errors": 0}
+    typical_per_bin = set()
+    for _ in range(-(-1200 // S)):
+        maps = None if map_type is None else \
+            rng.integers(0, C, size=(S, M)).astype(map_type)
+        survivors = np.zeros((S, C), dtype=bool)
+        for k in range(S):
+            survivors[k, rng.choice(C, size=rng.choice([0, 1, 1, 2, 3, C]),
+                                    replace=False)] = True
+        typical = rng.random((S, M)) < rng.choice([0, 0.1, 0.5, 1],
+                                                  size=(S, 1))
+        asked = []
+
+        def side(trial, member):
+            asked.append(sorted(zip(trial.tolist(), member.tolist())))
+            return typical[trial, member]
+        got = simulate._settle(survivors, maps, joint, side)
+        assert got.dtype == np.int64 and got.shape == (S,)
+        want, pairs = [], []
+        for k in range(S):
+            def side_k(members, k=k):
+                pairs.extend((k, w) for w in members.tolist())
+                return typical[k, members]
+            decided = _decide(survivors[k],
+                              None if maps is None else maps[k], joint, side_k)
+            want.append(-1 if decided is None else decided)
+        assert got.tolist() == want
+        assert asked == [sorted(pairs)]
+        bins = np.arange(M)[None] if maps is None else maps
+        for k in range(S):
+            hits = np.flatnonzero(survivors[k])
+            seen["no survivors"] += hits.size == 0
+            seen["all survivors"] += hits.size == C
+            counts = np.bincount(bins[k % len(bins)][typical[k]],
+                                 minlength=C)
+            typical_per_bin.update(np.minimum(counts[hits], 2).tolist())
+        seen["settled"] += int((got >= 0).sum())
+        seen["errors"] += int((got < 0).sum())
+    assert min(seen.values()) > 0, seen
+    assert typical_per_bin == ({0, 1} if map_type is None else {0, 1, 2})
 
 
 def random_relay_network(name: str, s: int) -> NetworkSpec:
