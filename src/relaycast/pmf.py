@@ -3,10 +3,14 @@
 A :class:`JointPmf` is a dense joint distribution over a labelled tuple of
 finite-alphabet variables.  All entropies and mutual informations in the
 package are computed in bits (base-2 logs), with the ``0 * log 0 = 0``
-convention and zero-mass conditioning cells skipped, by one array kernel
-(``array_entropy`` and ``array_information``).  The kernel takes a batch of
-joints stacked on a leading axis: the ``JointPmf`` methods call it with one
-row, and the rate engine with every point a search polls at once.
+convention and zero-mass conditioning cells skipped, by one information
+kernel, :class:`InformationKernel`.  It takes a batch of joints with the
+batch axis last and sums each marginal there in the order numpy's
+``probs.sum(axis=drop)`` uses on the batch-first joint (``_Marginal``), so
+its values are those of numpy's sums bit for bit while its inner loops run
+along the batch.  The rate engine hands it every point a search polls; the
+``JointPmf`` methods, ``array_entropy`` and ``array_information`` hand it
+batch-first joints (one row for the methods), moved batch-last.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -223,18 +227,85 @@ class JointPmf:
         return JointPmf(self.variables, self.sizes, probs)
 
 
-def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
-    """Entropies in bits of the rows of ``probs``, a batch of joints stacked
-    on axis 0: row b's is that of the marginal of ``probs[b]`` left when
-    ``probs`` sums out its axes ``drop`` (never axis 0).
+#: numpy's pairwise summation (``pairwise_sum`` in
+#: numpy/_core/src/umath/loops_utils.h.src): a run of fewer than
+#: _PAIRWISE_UNROLL cells adds left to right; a run of up to
+#: _PAIRWISE_BLOCK cells keeps _PAIRWISE_UNROLL running sums over strides of
+#: _PAIRWISE_UNROLL; a longer run splits in halves at a multiple of
+#: _PAIRWISE_UNROLL.
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
 
-    Every row's value equals the one-row computation bit for bit: the row
-    sums run on a C-contiguous array, where numpy sums each row in the same
-    pairwise order as a 1-D array.  Rows whose zero cells differ take a
-    per-row path.
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of a run of cells over axis -2 of ``x``, shaped
+    (..., run, B) with the batch axis last, in vector operations along B."""
+    n = x.shape[-2]
+    if n < _PAIRWISE_UNROLL:
+        return x.sum(axis=-2)      # B innermost: left to right
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - (n // 2) % _PAIRWISE_UNROLL
+        return _pairwise_sum(x[..., :half, :]) + _pairwise_sum(x[..., half:, :])
+    whole = n - n % _PAIRWISE_UNROLL
+    r = x[..., :whole, :].reshape(x.shape[:-2] + (
+        whole // _PAIRWISE_UNROLL, _PAIRWISE_UNROLL, x.shape[-1])).sum(axis=-3)
+    # r holds the running sums r0..r7, each added left to right
+    r = r[..., 0::2, :] + r[..., 1::2, :]   # (r0+r1), (r2+r3), ...
+    r = r[..., 0::2, :] + r[..., 1::2, :]   # ((r0+r1)+(r2+r3)), ...
+    r = r[..., 0, :] + r[..., 1, :]
+    for i in range(whole, n):
+        r = r + x[..., i, :]
+    return r
+
+
+@dataclass(frozen=True)
+class _Marginal:
+    """Sums out axes of a batch-last joint, (cells..., B), in the order
+    numpy's ``probs.sum(axis=drop)`` adds them on the batch-first joint, so
+    every marginal cell is bit for bit the same.
+
+    Unit axes play no part.  The trailing run of summed-out axes is ``run``
+    contiguous cells per row, which numpy sums pairwise; those run sums and
+    the other summed-out axes, ``outer`` (axes of ``pre``), are then added
+    left to right in C order, as a reduce with B innermost does.
     """
-    marg = probs.sum(axis=drop) if drop else probs
-    p = np.ascontiguousarray(marg.reshape(marg.shape[0], -1))
+
+    pre: tuple[int, ...]
+    run: int                   # 0: the last non-unit axis is kept
+    outer: tuple[int, ...]
+
+    @classmethod
+    def of(cls, sizes: Sequence[int], drop: Iterable[int]) -> "_Marginal":
+        """The sum of axes ``drop`` of a joint shaped ``sizes``, the axes
+        numbered as on a batch of such joints stacked on axis 0."""
+        drop = {a - 1 for a in drop}
+        axes = [(n, i in drop) for i, n in enumerate(sizes) if n > 1]
+        kept = max((k + 1 for k, (_, d) in enumerate(axes) if not d),
+                   default=0)
+        run = [n for n, _ in axes[kept:]]
+        return cls(tuple(n for n, _ in axes[:kept]),
+                   int(np.prod(run)) if run else 0,
+                   tuple(k for k, (_, d) in enumerate(axes[:kept]) if d))
+
+    def __call__(self, joint: np.ndarray) -> np.ndarray:
+        """The marginal of C-contiguous ``joint`` as (kept cells..., B)."""
+        batch = joint.shape[-1]
+        if self.run:
+            marg = _pairwise_sum(joint.reshape(self.pre + (self.run, batch)))
+        else:
+            marg = joint.reshape(self.pre + (batch,))
+        return marg.sum(axis=self.outer) if self.outer else marg
+
+
+def _entropy_rows(marg: np.ndarray) -> np.ndarray:
+    """Entropies in bits of the B marginals in ``marg``, (cells..., B).
+
+    The row sums run on a C-contiguous (B, cells) copy, where numpy sums
+    each row in the same pairwise order as a 1-D array, so every row equals
+    the one-row computation.  Rows whose zero cells differ take a per-row
+    path.
+    """
+    p = np.ascontiguousarray(marg.reshape(-1, marg.shape[-1]).T)
     live = p > 0.0
     if (live == live[0]).all():
         pos = np.ascontiguousarray(p[:, live[0]])
@@ -246,14 +317,58 @@ def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+class InformationKernel:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits, for several
+    (A, B, C) at once, on batches of joints shaped ``sizes``.
+
+    Each term is given by the axes its entropies sum out, numbered as on a
+    batch-first joint (``JointPmf.information_axes``), without H(C)'s when
+    C is empty.  A call takes the joints batch-last, (sizes..., B), and
+    returns (B, terms), clamped to be nonnegative.  Each distinct marginal
+    is summed once per call, so terms sharing an entropy share its work.
+    """
+
+    def __init__(self, sizes: Sequence[int],
+                 terms: Sequence[Sequence[tuple[int, ...]]]):
+        drops = list(dict.fromkeys(tuple(d) for t in terms for d in t))
+        self._marginals = [_Marginal.of(sizes, d) for d in drops]
+        # an absent H(C) is index -1, the 0.0 a call appends
+        self._terms = [[drops.index(tuple(d)) for d in t] + [-1] * (4 - len(t))
+                       for t in terms]
+
+    def __call__(self, joint: np.ndarray) -> np.ndarray:
+        joint = np.ascontiguousarray(joint)
+        h = [_entropy_rows(m(joint)) for m in self._marginals] + [0.0]
+        return _clamp_nonneg(np.stack(
+            [h[ac] + h[bc] - h[abc] - h[c] for ac, bc, abc, c in self._terms],
+            axis=1), "mutual information")
+
+
+def _batch_last(probs: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of batch-first ``probs`` with the batch last."""
+    return np.ascontiguousarray(np.moveaxis(probs, 0, -1))
+
+
+def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
+    """Entropies in bits of the rows of ``probs``, a batch of joints stacked
+    on axis 0: row b's is that of the marginal of ``probs[b]`` left when
+    ``probs`` sums out its axes ``drop`` (never axis 0).
+
+    The marginal is summed on a batch-last copy in the order of
+    ``probs.sum(axis=drop)`` (``_Marginal``), and every row's value equals
+    the one-row computation bit for bit.
+    """
+    return _entropy_rows(_Marginal.of(probs.shape[1:], drop)(
+        _batch_last(probs)))
+
+
 def array_information(probs: np.ndarray,
                       drops: Sequence[tuple[int, ...]]) -> np.ndarray:
     """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits of each row of
     ``probs`` (a batch of joints on axis 0, as ``array_entropy`` takes it),
     clamped to be nonnegative; ``drops`` gives the axes each of those
     entropies sums out, without H(C)'s when C is empty."""
-    h = [array_entropy(probs, drop) for drop in drops] + [0.0]
-    return _clamp_nonneg(h[0] + h[1] - h[2] - h[3], "mutual information")
+    return InformationKernel(probs.shape[1:], [drops])(_batch_last(probs))[:, 0]
 
 
 def _clamp_nonneg(values: np.ndarray, what: str) -> np.ndarray:

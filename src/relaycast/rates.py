@@ -13,9 +13,12 @@ vacuous (ratio +inf); if every hop is vacuous the rate is unbounded.
 The cut-set bound and the single-relay broadcast capacity are minima of the
 same terms.  The search objective and every report evaluate them through one
 array path, ``_hop_evaluator``, on batches of input joints: a search round
-hands it every point it polls, a report a batch of one.  Each row matches
-``JointPmf.mutual_information`` bit for bit, and no ``JointPmf`` is built
-per evaluation.
+hands it every point it polls, a report a batch of one.  It composes each
+batch with the channel into one batch-last joint and runs the package's one
+information kernel, ``pmf.InformationKernel``, which sums every distinct
+marginal once per batch (every hop of a plan shares H(A,C)).  Each row
+matches ``JointPmf.mutual_information`` bit for bit, and no ``JointPmf`` is
+built per evaluation.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .optimize import (
     maximize_on_grid,
     maximize_over_simplex,
 )
-from .pmf import JointPmf, array_information
+from .pmf import InformationKernel, JointPmf
 
 #: Denominators at or below this are treated as zero (hop imposes no limit).
 ZERO_ENTROPY_TOL = 1e-12
@@ -260,23 +263,26 @@ def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]
     over every channel input: (B, input cells) rows in channel input order
     (or (B,) + input sizes) to a (B, hops) array.
 
-    It composes each row with the channel as ``compose_joint`` does and runs
-    the array kernel of ``pmf`` on axes found once, here, composing at most
-    ``optimize.BATCH_BYTES`` of joints at a time.  Each row's numerators
-    equal those of the row evaluated alone, bit for bit.
+    It composes the rows with the channel into one batch-last joint, with
+    the products ``compose_joint`` takes, and runs ``pmf.InformationKernel``
+    on it, built once here from axes found once; at most
+    ``optimize.BATCH_BYTES`` of joints are composed at a time.  Each row's
+    numerators equal those of the row evaluated alone, bit for bit.
     """
     layout = compose_joint(spec.uniform_input(), spec.channel)
-    drops = [layout.information_axes(a, b, cond) for _, a, b, cond in hops]
+    kernel = InformationKernel(layout.sizes, [
+        layout.information_axes(a, b, cond) for _, a, b, cond in hops])
     shape = spec.input_sizes + (1,) * len(spec.output_sizes)
-    channel = spec.channel.probs
+    channel = spec.channel.probs[..., None]
 
     def evaluate(inputs: np.ndarray) -> np.ndarray:
-        out = np.empty((len(inputs), len(drops)))
+        rows = inputs.reshape(len(inputs), -1)
+        out = np.empty((len(rows), len(hops)))
         chunk = max(1, optimize.BATCH_BYTES // channel.nbytes)
-        for lo in range(0, len(inputs), chunk):
-            joint = inputs[lo:lo + chunk].reshape((-1,) + shape) * channel
-            for k, d in enumerate(drops):
-                out[lo:lo + chunk, k] = array_information(joint, d)
+        for lo in range(0, len(rows), chunk):
+            batch = np.ascontiguousarray(rows[lo:lo + chunk].T)
+            out[lo:lo + chunk] = kernel(
+                channel * batch.reshape(shape + (batch.shape[1],)))
         return out
     return evaluate
 

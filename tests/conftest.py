@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import relaycast as rc
+from relaycast.nets import dsbs_chain
 
 
 def h2(p: float) -> float:
@@ -52,6 +53,18 @@ def net_d():
 @pytest.fixture(scope="session")
 def net_h():
     return rc.bundled_network("net-h")
+
+
+def ternary_relay_net(seed: int) -> rc.NetworkSpec:
+    """A seeded K=1 relay network with ternary inputs and outputs and a
+    Dirichlet-random channel, p(y1, y2 | x0, x1); no bundled network is
+    ternary."""
+    ch = np.random.default_rng(seed).dirichlet(np.ones(9), size=9)
+    return rc.NetworkSpec(
+        K=1, L=1, channel=rc.ChannelModel((3, 3, 1), (3, 3),
+                                          ch.reshape(3, 3, 1, 3, 3)),
+        sources=rc.JointPmf(("S0", "S1", "S2"), (2, 2, 2),
+                            dsbs_chain([0.1, 0.2])))
 
 
 def random_joint(rng: np.random.Generator, variables, sizes,

@@ -9,7 +9,7 @@ import relaycast as rc
 from relaycast.cli import main, parse_report
 from relaycast.nets import dsbs_chain
 
-from conftest import conv, h2
+from conftest import conv, h2, ternary_relay_net
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,6 +176,20 @@ def test_reports_are_strict_json(command, tmp_path, capsys):
     hops = payload["result"]["per_hop"] if command[0] == "rate" \
         else payload["result"]["achievable"]["per_hop"]
     assert hops[0]["denominator"] == 0.0 and hops[0]["ratio"] is None
+
+
+@pytest.mark.parametrize("command", [["rate"], ["bound"]])
+def test_random_net_reports_are_strict_json(command, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(ternary_relay_net(0).to_document()))
+    code, out, _ = run_cli(command + ["--net", str(path), "--restarts", "2"],
+                           capsys)
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["command"] == command[0]
 
 
 class TestSimulate:

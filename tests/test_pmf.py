@@ -1,5 +1,6 @@
 """Information-core: joint pmfs, entropies, mutual information, Markov tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -246,6 +247,34 @@ def test_numpy_row_sums_match_one_dimensional_sums():
         rows = rng.random((5, n)) * rng.choice([1e-3, 1.0, 7.0], (5, 1))
         assert rows.flags.c_contiguous
         assert rows.sum(axis=1).tolist() == [row.sum() for row in rows]
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 2, 2, 1, 2, 2, 2),     # net-d's joint: a unit axis inside runs
+    (3, 3, 1, 3, 3),           # ternary runs of 9 and 27 cells
+    (3, 1, 3, 3, 3, 3),        # runs of 81 and 243 cells (split in halves)
+    (130, 65),                 # runs of 65, 130 and 8,450 cells
+])
+def test_batch_last_marginals_match_numpy_sums(shape):
+    # the information kernel sums marginals on a batch-last copy in the
+    # order numpy's probs.sum(axis=drop) adds them on the batch-first joint;
+    # an installed numpy that sums in another order fails here
+    rng = np.random.default_rng(13)
+    axes = range(1, len(shape) + 1)
+    for rows in (1, 7, 129):
+        probs = rng.random((rows,) + shape) * rng.choice(
+            [1e-3, 1.0, 7.0], (rows,) + (1,) * len(shape))
+        probs[probs < 0.2] = 0.0
+        probs[rows // 2] = 0.0
+        batch_last = np.ascontiguousarray(np.moveaxis(probs, 0, -1))
+        for drop in itertools.chain.from_iterable(
+                itertools.combinations(axes, r)
+                for r in range(len(shape) + 1)):
+            want = probs.sum(axis=drop).reshape(rows, -1)
+            got = rc.pmf._Marginal.of(shape, drop)(batch_last)
+            assert np.array_equal(got.reshape(-1, rows).T, want), (
+                f"numpy {np.__version__} sums {(rows,) + shape} over axes "
+                f"{drop} in an order the kernel does not reproduce")
 
 
 def test_array_entropy_rows_match_joint_pmf_entropy():

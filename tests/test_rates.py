@@ -28,7 +28,7 @@ from relaycast.rates import (
     participating_inputs,
 )
 
-from conftest import conv, h2
+from conftest import conv, h2, ternary_relay_net
 
 FAST = rc.OptimizerOptions(restarts=4)
 
@@ -393,14 +393,34 @@ def test_hop_evaluator_matches_joint_pmf_exactly(name):
     # the rate engine's batched evaluator against the labelled calculus on
     # compose_joint's output, row by row: every plan and every cut, bit for
     # bit, on a batch of seeded random rows and the uniform row
-    spec = rc.bundled_network(name)
-    rng = np.random.default_rng(41)
+    _assert_random_rows_match_labelled(rc.bundled_network(name),
+                                       np.random.default_rng(41), 12)
+
+
+def _assert_random_rows_match_labelled(spec, rng, count):
+    """Every plan and cut of ``spec``, on the uniform row and ``count``
+    seeded random rows."""
     for hops, participating in _kernel_cases(spec):
         free = tuple(v for v in participating
                      if spec.input_sizes[int(v[1:])] > 1)
         sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
-        pmfs = [None] + [rc.random_pmf(free, sizes, rng) for _ in range(12)]
+        pmfs = [None] + [rc.random_pmf(free, sizes, rng)
+                         for _ in range(count)]
         _assert_rows_match_labelled(spec, hops, participating, pmfs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_ternary_nets(seed):
+    # the kernel on ternary alphabets, whose marginals sum runs of 3, 9 and
+    # 27 cells, matches the labelled calculus; each searched plan is no
+    # worse than its uniform input, and auto no worse than every plan
+    spec = ternary_relay_net(seed)
+    _assert_random_rows_match_labelled(spec, np.random.default_rng(seed), 6)
+    auto = rc.optimize_rate(spec, "auto", FAST).rate
+    for plan in rc.enumerate_plans(spec):
+        rate = rc.optimize_rate(spec, plan, FAST).rate
+        assert rate >= rc.achievable_rate(spec, None, plan).rate
+        assert auto >= rate
 
 
 def test_hop_evaluator_rows_with_different_zero_patterns(net_d):
