@@ -10,17 +10,18 @@ Codewords are pure functions of (root seed, trial, level, copy, upper
 indices), so any access order and any parallel schedule reproduce the same
 codebooks.  One stack serves a chunk of trials run in lockstep and caches
 its small tables.  Every slice is the stream ``child_rng(root seed, trial,
-STREAM_CODEBOOK, level, copy, *upper)``, read in only two ways.  ``rows``
-draws it whole from its start, one trial at a time, with numpy's own
-``random``, from the state that :func:`~relaycast.seeds.pcg_states` seeded
-for it: one call per level seeds every uncached table a read needs, and
-the first read of the top level, which every trial reads, seeds it for
-every trial of the stack.  ``row`` reads one row from each of many slices
-at once, one per (trial, upper indices) pair: a chunk's trials, or a
-decoder's (trial, candidate) pairs, through
+STREAM_CODEBOOK, level, copy, *upper)``, read in only two ways.  A
+whole-table read (``row`` with no index; ``rows`` is its one-trial case)
+draws every table it lacks from its start with numpy's own ``random``, from
+states that :func:`~relaycast.seeds.pcg_states` seeds, one call per level,
+into one buffer; the first read of the top level, which every trial reads,
+seeds it for every trial of the stack.  ``row`` with indices reads one row
+from each of many slices at once, one per (trial, upper indices) pair: a
+chunk's trials, or a decoder's (trial, candidate) pairs, through
 :func:`~relaycast.seeds.uniforms`, which reproduces those streams bit for
 bit (pinned against the installed numpy by ``tests/test_seeds.py``), so a
-gathered row is exactly the row of the materialized table.
+gathered row is exactly the row of the materialized table.  A small top
+level serves its rows from its tables.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ CHUNK_BYTES = 2 ** 17
 #: Largest slice table a stack keeps for later reads, in bytes.  Small
 #: tables are read again across a trial's decodes and cost mostly the
 #: stream's set-up to draw again; criterion 6's 98 KB tables are read once.
+#: A top-level table this small also serves its rows to indexed reads.
 CACHED_TABLE_BYTES = 2 ** 12
 
 #: Largest uniform block one :meth:`ChannelCodebookStack.row` gather draws
@@ -134,11 +136,13 @@ class ChannelCodebookStack:
         self.copies = max(1, int(copies))
         self.root_seed = int(root_seed)
         self.trials = np.atleast_1d(np.asarray(trials, dtype=np.int64))
-        self._cache: dict[tuple, np.ndarray] = {}
+        # per (level, copy), the small tables drawn, by (trial, *upper)
+        self._cache: dict[tuple, dict[tuple, np.ndarray]] = {}
         # the one generator of the stack's seeded draws: each draw assigns
-        # it the state of its stream (see _seed_tables) first
+        # it the state of its stream (see _tables) first
         self.rng = np.random.Generator(np.random.PCG64(0))
-        self._states: dict[tuple, dict] = {}
+        # per copy, the top level's states seeded but not yet drawn
+        self._states: dict[int, dict[tuple, dict]] = {}
 
     def copy_for_block(self, block: int) -> int:
         return (block - 1) % self.copies
@@ -146,60 +150,64 @@ class ChannelCodebookStack:
     def rows(self, level: int, copy: int, upper: tuple[int, ...] = (),
              trial: int | None = None) -> np.ndarray:
         """All codewords of ``level`` under the given upper-level indices,
-        in ``trial`` (default: the stack's first).
+        in ``trial`` (default: the stack's first): a one-trial read of
+        :meth:`row`'s whole tables."""
+        trial = self.trials[0] if trial is None else trial
+        return self._tables(level, copy, np.array([trial], dtype=np.int64),
+                            [np.array([u], dtype=np.int64) for u in upper])[0]
 
-        Tables up to ``CACHED_TABLE_BYTES`` are cached; a larger one is
-        drawn again if read again, with the same bytes.  Each draw uses up
-        the state :meth:`_seed_tables` seeded for it.
+    def _tables(self, level: int, copy: int, trials: np.ndarray,
+                cols: list[np.ndarray]) -> list[np.ndarray]:
+        """The (C, n) table of ``level`` under the upper indices ``cols``
+        (one (T,) column per level above) in each of ``trials``.
+
+        The distinct tables not cached are seeded by one ``pcg_states``
+        call (at the top level, for every trial of the stack; the states
+        wait until drawn) and drawn by ``random`` into one buffer, with
+        one :func:`inverse_cdf` per block of whole tables under
+        ``ROWS_DRAW_BYTES`` (or of rows of a table over it).  Tables up to
+        ``CACHED_TABLE_BYTES`` are kept; a larger one is drawn again if
+        read again, with the same bytes.
         """
-        trial = int(self.trials[0] if trial is None else trial)
-        key = (trial, level, copy, upper)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        self._seed_tables(level, copy, [upper], [trial])
-        above = tuple(
-            self.rows(level + 1 + d, copy, upper[d + 1:], trial)[upper[d]]
-            for d in range(len(upper)))
-        rng = self.rng
-        rng.bit_generator.state = self._states.pop(key)
-        size = self.level_sizes[level]
-        table = np.empty((size, self.n), dtype=np.int8)
-        blocks = max(1, -(-size * self.n * 8 // ROWS_DRAW_BYTES))
-        step = -(-size // blocks)
-        for i in range(0, size, step):
-            block = table[i:i + step]
-            inverse_cdf(rng.random(block.shape), self.cum[level], block, above)
-        if table.nbytes <= CACHED_TABLE_BYTES:
-            self._cache[key] = table
-        return table
-
-    def _seed_tables(self, level: int, copy: int, uppers: list[tuple],
-                     trials: list[int]) -> None:
-        """Seed, for the next :meth:`rows` calls, every table neither cached
-        nor seeded that the tables of ``level`` under ``uppers[k]`` in
-        ``trials[k]`` read: their own and those of the levels above.  One
-        :func:`~relaycast.seeds.pcg_states` call seeds a level's tables,
-        and a read that wants a table of the top level, which every trial
-        reads, seeds it for every trial of the stack.
-        """
-        wanted: dict[int, dict[tuple, None]] = {}
-
-        def want(key: tuple) -> None:
-            if key not in self._cache and key not in self._states:
-                wanted.setdefault(key[1], {})[key] = None
-        for upper, trial in zip(uppers, trials):
-            for d in range(len(upper) + 1):
-                want((trial, level + d, copy, upper[d:]))
-        top = len(self.level_sizes) - 1
-        if top in wanted:
-            for trial in self.trials.tolist():
-                want((trial, top, copy, ()))
-        for at, keys in wanted.items():
-            cols = np.array([[k[0], *k[3]] for k in keys], dtype=np.int64)
-            self._states.update(zip(keys, pcg_states(
+        keys = list(zip(trials.tolist(), *(c.tolist() for c in cols)))
+        cache = self._cache.setdefault((level, copy), {})
+        new = [k for k in dict.fromkeys(keys) if k not in cache]
+        if not new:
+            return [cache[k] for k in keys]
+        top = level == len(self.level_sizes) - 1
+        seeded = self._states.setdefault(copy, {}) if top else {}
+        if any(k not in seeded for k in new):
+            fresh = [k for k in dict.fromkeys(
+                new + [(t,) for t in self.trials.tolist() if top])
+                if k not in seeded and k not in cache]
+            at = np.array(fresh, dtype=np.int64).reshape(len(fresh), -1)
+            seeded.update(zip(fresh, pcg_states(
                 self.root_seed,
-                (cols[:, 0], STREAM_CODEBOOK, at, copy, *cols[:, 1:].T))))
+                (at[:, 0], STREAM_CODEBOOK, level, copy, *at[:, 1:].T))))
+        states = [seeded.pop(k) for k in new]
+        # each table's rows of the levels above, as (K, 1, n) symbols
+        at = np.array(new, dtype=np.int64).reshape(len(new), -1)
+        above = tuple(np.array([table[w] for table, w in zip(
+            self._tables(level + 1 + d, copy, at[:, 0], list(at[:, d + 2:].T)),
+            at[:, d + 1].tolist())])[:, None] for d in range(len(cols)))
+        K, size, n = len(new), self.level_sizes[level], self.n
+        tables = np.empty((K, size, n), dtype=np.int8)
+        per = max(1, ROWS_DRAW_BYTES // (8 * size * n))
+        step = -(-size // max(1, -(-8 * size * n // ROWS_DRAW_BYTES)))
+        buf = np.empty((min(per, K), step, n))
+        for i in range(0, K, per):
+            for j in range(0, size, step):
+                u = buf[:min(per, K - i), :min(step, size - j)]
+                for k, state in enumerate(states[i:i + per]):
+                    if j == 0:      # a table over the cap goes on drawing
+                        self.rng.bit_generator.state = state
+                    self.rng.random(out=u[k])
+                inverse_cdf(u, self.cum[level], tables[i:i + per, j:j + step],
+                            tuple(a[i:i + per] for a in above))
+        if tables[0].nbytes > CACHED_TABLE_BYTES:
+            cache = {}
+        cache.update(zip(new, tables))
+        return [cache[k] for k in keys]
 
     def row(self, level: int, copy: int, upper: tuple, index,
             trials: np.ndarray | None = None, above: tuple = ()) -> np.ndarray:
@@ -209,12 +217,14 @@ class ChannelCodebookStack:
         ``index`` and each ``upper`` entry give one value per trial: an int
         for all of them or a sequence of T ints; ``trials`` may repeat a
         trial, one read per (trial, candidate) pair.  A ``None`` index
-        reads each trial's whole table, as (T, C, n).  Every other read is
-        drawn from the slices' streams by :func:`uniforms` gathers keyed by
-        trial, each from its own row's start.  The rows of the levels
-        above, which the symbols are drawn under, are read the same way,
-        but for the first ones that ``above`` gives: (T, n) rows the caller
-        already holds, of the codewords ``upper`` addresses.
+        reads each trial's whole table, as (T, C, n), and a row of a
+        top-level table small enough to cache is read from the table.
+        Every other read is drawn from the slices' streams by
+        :func:`uniforms` gathers keyed by trial, each from its own row's
+        start.  The rows of the levels above, which the symbols are drawn
+        under, are read the same way, but for the first ones that ``above``
+        gives: (T, n) rows the caller already holds, of the codewords
+        ``upper`` addresses.
         """
         trials = self.trials if trials is None else np.asarray(trials)
         T = trials.size
@@ -223,14 +233,14 @@ class ChannelCodebookStack:
         cols = [np.broadcast_to(np.asarray(u, dtype=np.int64), (T,))
                 for u in upper]
         if index is None:
-            uppers = list(zip(*(c.tolist() for c in cols))) if cols \
-                else [()] * T
-            self._seed_tables(level, copy, uppers, trials.tolist())
-            tables = [self.rows(level, copy, key, trial)
-                      for key, trial in zip(uppers, trials.tolist())]
+            tables = self._tables(level, copy, trials, cols)
             # one trial's table is handed over as it is, not copied
-            return tables[0][None] if T == 1 else np.stack(tables)
+            return tables[0][None] if T == 1 else np.array(tables)
         index = np.broadcast_to(np.asarray(index, dtype=np.int64), (T,))
+        if not upper and self.level_sizes[level] * self.n \
+                <= CACHED_TABLE_BYTES:
+            return np.array(self._tables(level, copy, trials, cols))[
+                np.arange(T), index]
         out = np.empty((T, self.n), dtype=np.int8)
         step = max(1, GATHER_CELLS // self.n)
         for i in range(0, T, step):

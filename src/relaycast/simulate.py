@@ -28,15 +28,16 @@ by construction.
 The engine runs trials in lockstep chunks: a chunk walks the schedule block
 by block, and each short stream is read once for the whole chunk by a
 :func:`~relaycast.seeds.uniforms` gather keyed by trial (source blocks,
-channel noise, every partial codeword read).  Each decoding window tests
-its candidates' levels one at a time, top level first, with one
-``check_batch`` call per level and group of trials: the top level's rows
-are its whole tables, and a lower level's rows are gathered only for the
-(trial, candidate) pairs that the levels above passed.  A tuple that is
+channel noise, partial reads of lower codebook levels).  Each decoding
+window tests its candidates' levels one at a time, top level first, with
+one ``check_batch`` call per level and group of trials: the top level's
+rows are its whole tables, and a lower level's rows are gathered only for
+the (trial, candidate) pairs that the levels above passed.  A tuple that is
 robustly typical has sub-tuples that pass the summed cell bounds of
 :meth:`~relaycast.typicality.TypicalityTest.stage`, so the screens drop
-only candidates the full test rejects.  Whole codeword slices and bin maps
-are drawn by numpy from their streams' states, which
+only candidates the full test rejects.  Whole codeword tables, which also
+serve the rows of a small top level, are drawn by numpy's ``random`` and
+bin maps are cut from raw words, from states that
 :func:`~relaycast.seeds.pcg_states` seeds for many trials at once (see
 :mod:`relaycast.seeds` for why).  Streams are addressed by their paths, not
 by the order they are read, so results do not depend on the chunking.
@@ -352,17 +353,24 @@ class _Engine:
                  ) -> dict[int, np.ndarray | None]:
         """Per bin type, each trial's bin map as (T, M) rows, or None for
         the identity map.  Row k is ``typicality.assign_bins``' map of
-        ``trials[k]``, drawn by ``rng`` from its stream's seeded state; the
-        states of a type's streams are seeded in one call."""
+        ``trials[k]``, cut as numpy's bounded integers are (see
+        :mod:`relaycast.seeds`) from ceil(M/2) raw words that ``rng`` draws
+        from its stream's seeded state; the states of a type's streams are
+        seeded in one call, and one bin draws nothing."""
         maps: dict[int, np.ndarray | None] = dict.fromkeys(self.bins)
         M = self.codebook.M
         for t, r in self.bins.items():
+            bits = self.num_bins[t].bit_length() - 1
             if r is not None:
-                maps[t] = np.empty((trials.size, M), dtype=self.map_type)
-                for k, state in enumerate(pcg_states(
-                        self.seed, (trials, STREAM_BINS, t))):
-                    rng.bit_generator.state = state
-                    maps[t][k] = rng.integers(0, self.num_bins[t], size=M)
+                maps[t] = np.zeros((trials.size, M), dtype=self.map_type)
+            if r is None or not bits:
+                continue
+            words = np.empty((trials.size, -(-M // 2)), dtype="<u8")
+            for k, state in enumerate(pcg_states(
+                    self.seed, (trials, STREAM_BINS, t))):
+                rng.bit_generator.state = state
+                words[k] = rng.bit_generator.random_raw(words.shape[1])
+            maps[t][...] = words.view("<u4")[:, :M] >> (32 - bits)
         return maps
 
     def chunk(self, trials: range) -> np.ndarray:

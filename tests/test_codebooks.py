@@ -18,6 +18,7 @@ from relaycast.seeds import (
     STREAM_CODEBOOK,
     child_rng,
     pcg_states,
+    uniforms,
 )
 from relaycast.simulate import _ChannelSampler
 
@@ -354,3 +355,87 @@ def test_row_across_trials_equals_each_trials_tables(net, level_sizes, n,
                 want.append(read(tuple(above))[own_w])
             np.testing.assert_array_equal(
                 got[k], np.stack(want) if C else want[0])
+
+
+@pytest.mark.parametrize("dependent", [False, True])
+@pytest.mark.parametrize("small_cap", [False, True])
+def test_batched_tables_equal_per_table_rows(dependent, small_cap,
+                                             monkeypatch):
+    """A whole-table ``row`` read over many trials gives each trial the
+    table that ``rows`` draws on a fresh one-trial stack: with repeated
+    trials and repeated keys, with some tables cached before the read,
+    under distinct upper tuples (in one trial too), and for tables too
+    large to cache, which are not cached.  Under a small
+    ``ROWS_DRAW_BYTES`` the batch is drawn in blocks of whole tables, and
+    a table over the cap in blocks of rows."""
+    laws = _net_laws("net-d", dependent)
+    sizes, n, seed = [1000, 24, 6], 5, 9
+    draws = []
+
+    def spy(u, cum, out=None, at=()):
+        draws.append(u.shape)
+        return inverse_cdf(u, cum, out, at)
+    monkeypatch.setattr(codebooks, "inverse_cdf", spy)
+    # the oracles draw each table whole, under the default cap
+    whole, cap = codebooks.ROWS_DRAW_BYTES, 2 * 8 * 24 * n
+    trials = np.array([4, 0, 4, 7, 2**32 - 1, 0, 4])
+    # per level, the upper tuple of each read, one column per level above
+    cases = [(2, ()),
+             (1, ((3, 3, 5, 5, 0, 1, 3),)),
+             (0, ((1, 2, 7, 23, 0, 2, 1), (3, 3, 5, 5, 0, 1, 3)))]
+    stack = ChannelCodebookStack(n, sizes, laws, 2, seed, np.unique(trials))
+    # (upper, trial, table) of a table read before the batch
+    cached = {level: (upper, trial, stack.rows(level, 1, upper, trial))
+              for level, upper, trial in [(1, (3,), 4), (2, (), 7)]}
+    for level, upper in cases:
+        draws.clear()
+        monkeypatch.setattr(codebooks, "ROWS_DRAW_BYTES",
+                            cap if small_cap else whole)
+        got = stack.row(level, 1, upper, None, trials)
+        drawn = draws[:]
+        monkeypatch.setattr(codebooks, "ROWS_DRAW_BYTES", whole)
+        assert got.shape == (trials.size, sizes[level], n)
+        for k, trial in enumerate(trials.tolist()):
+            mine = tuple(u[k] for u in upper)
+            alone = ChannelCodebookStack(n, sizes, laws, 2, seed, trial)
+            np.testing.assert_array_equal(got[k],
+                                          alone.rows(level, 1, mine))
+        if level in cached:     # the table read first is served again
+            first, at, table = cached[level]
+            assert stack.rows(level, 1, first, at) is table
+        if small_cap and level == 1:
+            # five new tables of 960 B, two to a block
+            assert drawn == [(2, 24, n), (2, 24, n), (1, 24, n)]
+        if small_cap and level == 0:
+            # six new 40 KB tables, each in 21 blocks of rows
+            assert drawn == ([(1, 48, n)] * 20 + [(1, 40, n)]) * 6
+    # a table over CACHED_TABLE_BYTES is drawn again on each read
+    again = stack.rows(0, 1, (1, 3), 4)
+    assert again.nbytes > codebooks.CACHED_TABLE_BYTES
+    assert stack.rows(0, 1, (1, 3), 4) is not again
+
+
+@pytest.mark.parametrize("sizes, gathered", [([60, 8], False),
+                                             ([60, 1000], True)])
+def test_top_rows_come_from_small_tables(sizes, gathered, monkeypatch):
+    """An indexed read of the top level, which has no upper indices, takes
+    its rows from the whole tables when they fit ``CACHED_TABLE_BYTES``,
+    with no gather, and else gathers them; either way each row equals the
+    ``uniforms`` gather of that row under the top level's law."""
+    laws = _net_laws("net-c", True)
+    n, seed, trials = 5, 3, np.array([2, 0, 2, 9])
+    index = np.array([7, 0, 3, sizes[1] - 1])
+    u = uniforms(seed, (trials, STREAM_CODEBOOK, 1, 0), index * n, n)
+    want = inverse_cdf(u, np.cumsum(laws[1], axis=-1))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return uniforms(*args)
+    monkeypatch.setattr(codebooks, "uniforms", spy)
+    stack = ChannelCodebookStack(n, sizes, laws, 1, seed, np.unique(trials))
+    got = stack.row(1, 0, (), index, trials)
+    assert got.dtype == np.int8
+    np.testing.assert_array_equal(got, want)
+    assert bool(calls) == gathered
+    assert bool(stack._cache.get((1, 0))) != gathered

@@ -26,9 +26,20 @@ from relaycast.network import (
 from relaycast.schedules import backward_schedule
 from relaycast.seeds import STREAM_SOURCE, child_rng
 from relaycast.simulate import _SourceSampler
-from relaycast.typicality import TypicalityTest
+from relaycast.typicality import TypicalityTest, num_bins_for_rate
 
 from conftest import _decide, candidate_rows, conv, h2, stage_screen
+
+
+def biased_side_network():
+    """K=0 noiseless binary channel with S0 ~ Bern(0.2) and S1 = S0 xor
+    Bern(0.25): a source whose typical sets need not hold an even number of
+    sequences (99 at m=7, epsilon=2)."""
+    ch = np.zeros((2, 1, 2))
+    ch[0, 0, 0] = ch[1, 0, 1] = 1.0
+    probs = np.array([[0.8 * 0.75, 0.8 * 0.25], [0.2 * 0.25, 0.2 * 0.75]])
+    return NetworkSpec(K=0, L=1, channel=ChannelModel((2, 1), (2,), ch),
+                       sources=rc.JointPmf(("S0", "S1"), (2, 2), probs))
 
 
 def perfect_side_network():
@@ -433,6 +444,34 @@ def test_golden_results_draw_no_child_rng(key, scheme, net, kwargs, workers,
         json.dumps(golden, sort_keys=True)
 
 
+class _NoIntegers(np.random.Generator):
+    """A generator whose bounded integers raise."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError(f"Generator.integers{args}")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_results_draw_no_bounded_integers(key, scheme, net, kwargs,
+                                                 workers, monkeypatch):
+    """Bin maps are cut from raw words, not drawn by numpy's bounded
+    integers trial by trial: with every generator that numpy builds
+    refusing ``integers``, each golden case still gives its golden
+    bytes."""
+    monkeypatch.setattr(np.random, "Generator", _NoIntegers)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _NoIntegers(np.random.PCG64(seed)))
+    with pytest.raises(AssertionError):
+        np.random.Generator(np.random.PCG64(0)).integers(0, 2, 1)
+    golden = json.loads(GOLDEN_RESULTS.read_text())[key]
+    res = SIMULATORS[scheme](rc.bundled_network(net), workers=workers,
+                             **kwargs)
+    assert json.dumps(res.to_dict(), sort_keys=True) == \
+        json.dumps(golden, sort_keys=True)
+
+
 @pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
                          ids=[c[0] for c in GOLDEN_CASES])
 def test_each_run_builds_its_schedule_once(key, scheme, net, kwargs,
@@ -750,18 +789,26 @@ def test_window_hits_equal_one_full_test(net, kwargs, later, cap,
     assert max(groups) == (1 if cap == 1 else kwargs["trials"])
 
 
-@pytest.mark.parametrize("scheme,net,kwargs,bins,map_type", [
+@pytest.mark.parametrize("scheme,net,kwargs,M,bins,map_type", [
     # sim-ptp's binned point
     ("ptp", "net-a-noiseless",
      dict(m=12, n=24, R=0.97781, epsilon=3.0, trials=40, seed=5),
-     {1: 4096}, np.uint16),
+     4096, {1: 4096}, np.uint16),
     # sim-backward's terminals on net-c
     ("backward", "net-c", dict(m=6, n=7, B=2, epsilon=4.0, trials=100,
                                seed=5),
-     {1: 32, 2: 128}, np.uint8),
-], ids=["ptp-4096", "backward-32-128"])
-def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, bins, map_type,
-                                        monkeypatch):
+     64, {1: 32, 2: 128}, np.uint8),
+    # a one-bin terminal: k = 0 bits, nothing drawn
+    ("backward", "net-c", dict(m=6, n=7, B=2, epsilon=4.0, trials=60,
+                               seed=5, bin_rates={1: 0.0}, workers=2),
+     64, {1: 1, 2: 128}, np.uint8),
+    # M = 99 typical sequences: each trial's last half-word is dropped
+    ("ptp", biased_side_network(),
+     dict(m=7, n=9, R=0.5, epsilon=2.0, trials=40, seed=5, workers=2),
+     99, {1: 16}, np.uint8),
+], ids=["ptp-4096", "backward-32-128", "backward-one-bin", "ptp-odd-M"])
+def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, M, bins,
+                                        map_type, monkeypatch):
     """Each chunk draws its trials' bin maps from seeded states; row k of a
     terminal's maps is ``assign_bins``' map of the chunk's trial k."""
     draw, seen = simulate._Engine.bin_maps, []
@@ -771,10 +818,12 @@ def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, bins, map_type,
         seen.append((engine, trials.copy(), maps))
         return maps
     monkeypatch.setattr(simulate._Engine, "bin_maps", spy)
-    SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
+    SIMULATORS[scheme](net if isinstance(net, NetworkSpec)
+                       else rc.bundled_network(net), **kwargs)
     assert len(seen) > 1
     assert sum(trials.size for _, trials, _ in seen) == kwargs["trials"]
     for engine, trials, maps in seen:
+        assert engine.codebook.M == M
         assert {t: engine.num_bins[t] for t in maps} == bins
         for t, rows in maps.items():
             assert rows.dtype == map_type
@@ -782,6 +831,15 @@ def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, bins, map_type,
                 want = rc.assign_bins(engine.codebook, engine.bins[t],
                                       kwargs["seed"], t, trial=trial).map
                 assert (rows[k] == want).all(), (t, trial)
+
+
+def test_num_bins_for_rate_is_a_power_of_two():
+    """Bin maps are cut from raw words by a rule that holds only for a
+    power-of-two bin count, so every bin rate must give one."""
+    for m in (1, 3, 6, 7, 12, 20):
+        for rate in np.linspace(0.0, 20 / m, 241):
+            bins = num_bins_for_rate(m, float(rate))
+            assert bins >= 1 and bins & (bins - 1) == 0, (m, rate, bins)
 
 
 @pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
