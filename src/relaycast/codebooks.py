@@ -141,7 +141,7 @@ class ChannelCodebookStack:
         # the one generator of the stack's seeded draws: each draw assigns
         # it the state of its stream (see _tables) first
         self.rng = np.random.Generator(np.random.PCG64(0))
-        # per copy, the top level's states seeded but not yet drawn
+        # per copy, the top level's seeded states, kept for later draws
         self._states: dict[int, dict[tuple, dict]] = {}
 
     def copy_for_block(self, block: int) -> int:
@@ -162,8 +162,8 @@ class ChannelCodebookStack:
         (one (T,) column per level above) in each of ``trials``.
 
         The distinct tables not cached are seeded by one ``pcg_states``
-        call (at the top level, for every trial of the stack; the states
-        wait until drawn) and drawn by ``random`` into one buffer, with
+        call (at the top level, for every trial of the stack, once: the
+        states are kept) and drawn by ``random`` into one buffer, with
         one :func:`inverse_cdf` per block of whole tables under
         ``ROWS_DRAW_BYTES`` (or of rows of a table over it).  Tables up to
         ``CACHED_TABLE_BYTES`` are kept; a larger one is drawn again if
@@ -179,12 +179,12 @@ class ChannelCodebookStack:
         if any(k not in seeded for k in new):
             fresh = [k for k in dict.fromkeys(
                 new + [(t,) for t in self.trials.tolist() if top])
-                if k not in seeded and k not in cache]
+                if k not in seeded]
             at = np.array(fresh, dtype=np.int64).reshape(len(fresh), -1)
             seeded.update(zip(fresh, pcg_states(
                 self.root_seed,
                 (at[:, 0], STREAM_CODEBOOK, level, copy, *at[:, 1:].T))))
-        states = [seeded.pop(k) for k in new]
+        states = [seeded[k] for k in new]
         # each table's rows of the levels above, as (K, 1, n) symbols
         at = np.array(new, dtype=np.int64).reshape(len(new), -1)
         above = tuple(np.array([table[w] for table, w in zip(

@@ -5,12 +5,12 @@ finite-alphabet variables.  All entropies and mutual informations in the
 package are computed in bits (base-2 logs), with the ``0 * log 0 = 0``
 convention and zero-mass conditioning cells skipped, by one information
 kernel, :class:`InformationKernel`.  It takes a batch of joints with the
-batch axis last and sums each marginal there in the order numpy's
-``probs.sum(axis=drop)`` uses on the batch-first joint (``_Marginal``), so
-its values are those of numpy's sums bit for bit while its inner loops run
-along the batch.  The rate engine hands it every point a search polls; the
-``JointPmf`` methods, ``array_entropy`` and ``array_information`` hand it
-batch-first joints (one row for the methods), moved batch-last.
+batch axis last and sums each marginal there in the order numpy uses on
+the batch-first stack of those joints (``_Marginal``), so its values are
+those of numpy's sums bit for bit while its inner loops run along the
+batch.  The rate engine hands it every point a search polls; the
+``JointPmf`` methods hand it their own joint as a batch of one row.
+Kernel axes are numbered as the joint's own.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -125,8 +125,8 @@ class JointPmf:
     def entropy(self, targets: Iterable[str] | None = None) -> float:
         """Joint entropy H(targets) in bits (all variables if None)."""
         drop = () if targets is None else self._drop_axes(targets)
-        return float(array_entropy(self.probs[None],
-                                   tuple(a + 1 for a in drop))[0])
+        return float(_entropy_rows(
+            _Marginal.of(self.sizes, drop)(self.probs[..., None]))[0])
 
     def conditional_entropy(self, targets: Iterable[str],
                             given: Iterable[str] = ()) -> float:
@@ -148,23 +148,22 @@ class JointPmf:
 
     def information_axes(self, a: Iterable[str], b: Iterable[str],
                          cond: Iterable[str] = ()) -> list[tuple[int, ...]]:
-        """The axes each entropy of I(a; b | cond) sums out, in the order
-        ``array_information`` takes them, numbered as axes of a batch of
-        joints like this one stacked on axis 0."""
+        """The axes of this joint each entropy of I(a; b | cond) sums out,
+        in the order :class:`InformationKernel` takes them."""
         a, b, cond = tuple(a), tuple(b), tuple(cond)
         sets = (set(a), set(b), set(cond))
         if (sets[0] & sets[1]) or (sets[0] & sets[2]) or (sets[1] & sets[2]):
             raise OverlappingSets(f"A={a}, B={b}, cond={cond} must be disjoint")
         if not a or not b:
             raise UnknownVariable("A and B must be nonempty")
-        return [tuple(ax + 1 for ax in self._drop_axes(keep))
+        return [self._drop_axes(keep)
                 for keep in (a + cond, b + cond, a + b + cond, cond) if keep]
 
     def mutual_information(self, a: Iterable[str], b: Iterable[str],
                            cond: Iterable[str] = ()) -> float:
         """I(a; b | cond) in bits, clamped to be nonnegative."""
-        return float(array_information(self.probs[None],
-                                       self.information_axes(a, b, cond))[0])
+        return float(InformationKernel(self.sizes, [
+            self.information_axes(a, b, cond)])(self.probs[..., None])[0, 0])
 
     def is_markov_chain(self, chain: Sequence[str],
                         tol: float = DEFAULT_TOL) -> bool:
@@ -261,8 +260,9 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Marginal:
     """Sums out axes of a batch-last joint, (cells..., B), in the order
-    numpy's ``probs.sum(axis=drop)`` adds them on the batch-first joint, so
-    every marginal cell is bit for bit the same.
+    numpy adds them when it sums the same axes of the batch-first stack
+    (each axis one higher there), so every marginal cell is bit for bit
+    the same.
 
     Unit axes play no part.  The trailing run of summed-out axes is ``run``
     contiguous cells per row, which numpy sums pairwise; those run sums and
@@ -276,9 +276,8 @@ class _Marginal:
 
     @classmethod
     def of(cls, sizes: Sequence[int], drop: Iterable[int]) -> "_Marginal":
-        """The sum of axes ``drop`` of a joint shaped ``sizes``, the axes
-        numbered as on a batch of such joints stacked on axis 0."""
-        drop = {a - 1 for a in drop}
+        """The sum of axes ``drop`` of a joint shaped ``sizes``."""
+        drop = set(drop)
         axes = [(n, i in drop) for i, n in enumerate(sizes) if n > 1]
         kept = max((k + 1 for k, (_, d) in enumerate(axes) if not d),
                    default=0)
@@ -321,11 +320,11 @@ class InformationKernel:
     """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits, for several
     (A, B, C) at once, on batches of joints shaped ``sizes``.
 
-    Each term is given by the axes its entropies sum out, numbered as on a
-    batch-first joint (``JointPmf.information_axes``), without H(C)'s when
-    C is empty.  A call takes the joints batch-last, (sizes..., B), and
-    returns (B, terms), clamped to be nonnegative.  Each distinct marginal
-    is summed once per call, so terms sharing an entropy share its work.
+    Each term is given by the axes of the joint its entropies sum out
+    (``JointPmf.information_axes``), without H(C)'s when C is empty.  A
+    call takes the joints batch-last, (sizes..., B), and returns (B,
+    terms), clamped to be nonnegative.  Each distinct marginal is summed
+    once per call, so terms sharing an entropy share its work.
     """
 
     def __init__(self, sizes: Sequence[int],
@@ -342,33 +341,6 @@ class InformationKernel:
         return _clamp_nonneg(np.stack(
             [h[ac] + h[bc] - h[abc] - h[c] for ac, bc, abc, c in self._terms],
             axis=1), "mutual information")
-
-
-def _batch_last(probs: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of batch-first ``probs`` with the batch last."""
-    return np.ascontiguousarray(np.moveaxis(probs, 0, -1))
-
-
-def array_entropy(probs: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
-    """Entropies in bits of the rows of ``probs``, a batch of joints stacked
-    on axis 0: row b's is that of the marginal of ``probs[b]`` left when
-    ``probs`` sums out its axes ``drop`` (never axis 0).
-
-    The marginal is summed on a batch-last copy in the order of
-    ``probs.sum(axis=drop)`` (``_Marginal``), and every row's value equals
-    the one-row computation bit for bit.
-    """
-    return _entropy_rows(_Marginal.of(probs.shape[1:], drop)(
-        _batch_last(probs)))
-
-
-def array_information(probs: np.ndarray,
-                      drops: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C) in bits of each row of
-    ``probs`` (a batch of joints on axis 0, as ``array_entropy`` takes it),
-    clamped to be nonnegative; ``drops`` gives the axes each of those
-    entropies sums out, without H(C)'s when C is empty."""
-    return InformationKernel(probs.shape[1:], [drops])(_batch_last(probs))[:, 0]
 
 
 def _clamp_nonneg(values: np.ndarray, what: str) -> np.ndarray:

@@ -21,17 +21,14 @@ pool mix and ``PCG64`` jump-ahead, redone on arrays), and
 The simulators run chunks of trials in lockstep and read each short stream
 for the whole chunk in one gather keyed by trial: source blocks, channel
 noise and the partial reads of lower codebook levels and large tables.
-Whole codeword slices (``random``) and bin maps (``random_raw`` words) are
-drawn natively from one reused generator: :func:`pcg_states` seeds every
-such stream a chunk's call reads, one call per kind of stream (and level),
-and each draw first assigns its stream's state.  For 2^k bins, numpy's
-bounded integers keep the top k bits of each 32-bit half of a raw word, low
-half first: Lemire's multiply-shift rule never rejects on a power-of-two
-range (NEP 19 fixes ``PCG64``'s words; ``tests/test_simulate.py`` pins the
-rule).  On a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) a ``child_rng`` set-up
-took about 30 us, a :func:`pcg_states` call about 230 us plus 1.3 us per
-stream, a state assignment about 3 us, a native value about 0.004 us and a
-gathered value 0.07-0.45 us.  So a gather loses beyond a few hundred values
+Whole codeword slices (``random``) and bin maps (``random_raw`` words, cut
+by :func:`~relaycast.typicality.draw_bin_maps`) are drawn natively from one
+reused generator: :func:`pcg_states` seeds every such stream a chunk's call
+reads, one call per kind of stream (and level), and each draw first assigns
+its stream's state.  On a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) a
+``child_rng`` set-up took about 30 us, a :func:`pcg_states` call about 230
+us plus 1.3 us per stream, a state assignment about 3 us, a native value
+about 0.004 us and a gathered value 0.07-0.45 us.  So a gather loses beyond a few hundred values
 per stream, and the top codebook level, which every trial reads, is seeded
 for a whole chunk at once and, when small, read whole.
 """

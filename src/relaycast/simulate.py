@@ -36,8 +36,9 @@ the (trial, candidate) pairs that the levels above passed.  A tuple that is
 robustly typical has sub-tuples that pass the summed cell bounds of
 :meth:`~relaycast.typicality.TypicalityTest.stage`, so the screens drop
 only candidates the full test rejects.  Whole codeword tables, which also
-serve the rows of a small top level, are drawn by numpy's ``random`` and
-bin maps are cut from raw words, from states that
+serve the rows of a small top level, are drawn by numpy's ``random``, and
+bin maps by :func:`~relaycast.typicality.draw_bin_maps`, the rule
+``assign_bins`` draws by, from states that
 :func:`~relaycast.seeds.pcg_states` seeds for many trials at once (see
 :mod:`relaycast.seeds` for why).  Streams are addressed by their paths, not
 by the order they are read, so results do not depend on the chunking.
@@ -76,7 +77,6 @@ from .seeds import (  # noqa: F401
     STREAM_SOURCE,
     check_seed,
     child_rng,
-    pcg_states,
     uniforms,
 )
 from .typicality import (
@@ -84,6 +84,7 @@ from .typicality import (
     TypicalityTest,
     build_typical_source_codebook,
     digits,
+    draw_bin_maps,
     num_bins_for_rate,
 )
 
@@ -318,8 +319,10 @@ class _Engine:
                   if c * n <= codebooks.CACHED_TABLE_BYTES)
             + 8 * (schedule.source_blocks * m + n))
 
-    def run(self, trials: int, workers: int,
-            config: dict[str, Any]) -> SimResult:
+    def run(self, trials: int, workers: int, scheme: str, B: int,
+            **keys: Any) -> SimResult:
+        """``trials`` trials on ``workers`` threads, whose result's config
+        holds the keys every scheme reports and the scheme's own ``keys``."""
         count = min(trials, max(workers, -(-trials * self.trial_bytes
                                           // codebooks.CHUNK_BYTES)))
         edges = [trials * i // count for i in range(count + 1)] if count \
@@ -328,6 +331,10 @@ class _Engine:
         erred = np.concatenate(
             [np.zeros((0, len(self.order) - 1), dtype=bool)]
             + parallel_map(self.chunk, chunks, workers))
+        config = {"scheme": scheme, "m": self.m, "n": self.n, "B": B,
+                  "trials": trials, "seed": self.seed,
+                  "epsilon": self.codebook.epsilon, "rate": self.m / self.n,
+                  "codebook_size": self.codebook.M, **keys}
         return SimResult(trials=trials,
                          errors_total=int(erred.any(axis=1).sum()),
                          per_terminal_errors={
@@ -352,26 +359,13 @@ class _Engine:
     def bin_maps(self, trials: np.ndarray, rng: np.random.Generator
                  ) -> dict[int, np.ndarray | None]:
         """Per bin type, each trial's bin map as (T, M) rows, or None for
-        the identity map.  Row k is ``typicality.assign_bins``' map of
-        ``trials[k]``, cut as numpy's bounded integers are (see
-        :mod:`relaycast.seeds`) from ceil(M/2) raw words that ``rng`` draws
-        from its stream's seeded state; the states of a type's streams are
-        seeded in one call, and one bin draws nothing."""
-        maps: dict[int, np.ndarray | None] = dict.fromkeys(self.bins)
-        M = self.codebook.M
-        for t, r in self.bins.items():
-            bits = self.num_bins[t].bit_length() - 1
-            if r is not None:
-                maps[t] = np.zeros((trials.size, M), dtype=self.map_type)
-            if r is None or not bits:
-                continue
-            words = np.empty((trials.size, -(-M // 2)), dtype="<u8")
-            for k, state in enumerate(pcg_states(
-                    self.seed, (trials, STREAM_BINS, t))):
-                rng.bit_generator.state = state
-                words[k] = rng.bit_generator.random_raw(words.shape[1])
-            maps[t][...] = words.view("<u4")[:, :M] >> (32 - bits)
-        return maps
+        the identity map: row k is ``assign_bins``' map of ``trials[k]``,
+        drawn by the same rule, ``draw_bin_maps``, with ``rng``."""
+        return {t: None if r is None else draw_bin_maps(
+                    np.empty((trials.size, self.codebook.M),
+                             dtype=self.map_type),
+                    self.num_bins[t], self.seed, (trials, STREAM_BINS, t), rng)
+                for t, r in self.bins.items()}
 
     def chunk(self, trials: range) -> np.ndarray:
         """A chunk of trials in lockstep, as (T, decoders): whether each
@@ -588,7 +582,7 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     resolves the channel stage alone first, then the source stage within
     the bin.
     """
-    m, n, _, trials, workers, schedule = check_scheme(
+    m, n, B, trials, workers, schedule = check_scheme(
         spec, "ptp", seed=seed, m=m, n=n, trials=trials, epsilon=epsilon,
         workers=workers)
     if decoder not in ("joint", "separate"):
@@ -601,14 +595,8 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
         R = None
     engine = _Engine(spec, (0, 1), schedule, {1: R},
                      decoder == "joint", m, n, epsilon, seed, input_pmf)
-    config = {
-        "scheme": "ptp",
-        "m": m, "n": n, "B": 1, "trials": trials, "seed": seed,
-        "epsilon": epsilon, "rate": m / n,
-        "bin_rate": R, "num_bins": engine.num_bins[1], "decoder": decoder,
-        "codebook_size": engine.codebook.M,
-    }
-    return engine.run(trials, workers, config)
+    return engine.run(trials, workers, "ptp", B, bin_rate=R,
+                      num_bins=engine.num_bins[1], decoder=decoder)
 
 
 def simulate_sliding_window(spec: NetworkSpec,
@@ -630,15 +618,9 @@ def simulate_sliding_window(spec: NetworkSpec,
         workers=workers)
     engine = _Engine(spec, plan.order, schedule, {0: None}, True, m, n,
                      epsilon, seed, input_pmf)
-    config = {
-        "scheme": "sliding",
-        "m": m, "n": n, "B": B, "trials": trials, "seed": seed,
-        "epsilon": epsilon, "rate": m / n,
-        "plan": list(plan.order), "codebook_size": engine.codebook.M,
-        "codebook_copies": schedule.copies,
-        "source_blocks": schedule.source_blocks,
-    }
-    return engine.run(trials, workers, config)
+    return engine.run(trials, workers, "sliding", B, plan=list(plan.order),
+                      codebook_copies=schedule.copies,
+                      source_blocks=schedule.source_blocks)
 
 
 def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
@@ -664,14 +646,9 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
              for k in range(1, K + 2)}
     engine = _Engine(spec, range(K + 2), schedule, rates, False, m, n,
                      epsilon, seed, input_pmf)
-    config = {
-        "scheme": "backward",
-        "m": m, "n": n, "B": B, "trials": trials, "seed": seed,
-        "epsilon": epsilon, "rate": m / n,
-        "bin_rates": {str(k): rates[k] for k in sorted(rates)},
-        "num_bins": {str(k): engine.num_bins[k] for k in sorted(rates)},
-        "codebook_size": engine.codebook.M,
-        "source_blocks": schedule.source_blocks,
-        "channel_blocks": schedule.channel_blocks,
-    }
-    return engine.run(trials, workers, config)
+    return engine.run(
+        trials, workers, "backward", B,
+        bin_rates={str(k): rates[k] for k in sorted(rates)},
+        num_bins={str(k): engine.num_bins[k] for k in sorted(rates)},
+        source_blocks=schedule.source_blocks,
+        channel_blocks=schedule.channel_blocks)

@@ -30,7 +30,8 @@ from .errors import (
     UnknownVariable,
 )
 from .pmf import JointPmf
-from .seeds import STREAM_BINS, child_rng
+# child_rng is unused here but stays bound: perfbench's tracer patches it
+from .seeds import STREAM_BINS, child_rng, pcg_states  # noqa: F401
 
 #: Absolute float-guard slack on the scaled count bound.
 ABS_SLACK = 1e-9
@@ -154,6 +155,32 @@ def num_bins_for_rate(m: int, rate: float) -> int:
     return 2 ** max(0, math.ceil(bits))
 
 
+def draw_bin_maps(out: np.ndarray, num_bins: int, seed: int, path: tuple,
+                  rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. uniform bins below ``num_bins``, a power of two, into each
+    row of ``out`` (S, M): row k is what numpy's ``integers(0, num_bins,
+    M)`` draws from stream k of ``path`` under ``seed`` (as in
+    :func:`~relaycast.seeds.pcg_states`).
+
+    For 2^k bins numpy's bounded integers keep the top k bits of each
+    32-bit half of a raw word, low half first: Lemire's multiply-shift
+    rule never rejects on a power-of-two range, and NEP 19 fixes
+    ``PCG64``'s words (``tests/test_typicality.py`` pins the rule).  So
+    ``rng`` draws ceil(M/2) raw words from each stream's seeded state, and
+    one bin draws nothing.
+    """
+    bits = num_bins.bit_length() - 1
+    if not bits:
+        out[...] = 0
+        return out
+    words = np.empty((out.shape[0], -(-out.shape[1] // 2)), dtype="<u8")
+    for k, state in enumerate(pcg_states(seed, path)):
+        rng.bit_generator.state = state
+        words[k] = rng.bit_generator.random_raw(words.shape[1])
+    out[...] = words.view("<u4")[:, :out.shape[1]] >> (32 - bits)
+    return out
+
+
 def assign_bins(codebook: SourceCodebook, rate: float, seed: int,
                 terminal: int = 1, trial: int | None = None) -> BinAssignment:
     """i.i.d. uniform bin assignment for every codebook sequence.
@@ -163,9 +190,11 @@ def assign_bins(codebook: SourceCodebook, rate: float, seed: int,
     it per trial, so distinct terminals get independent assignments.
     """
     num_bins = num_bins_for_rate(codebook.m, rate)
-    path = (STREAM_BINS, terminal) if trial is None \
-        else (trial, STREAM_BINS, terminal)
-    mapping = child_rng(seed, *path).integers(0, num_bins, size=codebook.M)
+    path = (() if trial is None else (trial,)) + (np.array([STREAM_BINS]),
+                                                  terminal)
+    mapping = draw_bin_maps(np.empty((1, codebook.M), dtype=np.int64),
+                            num_bins, seed, path,
+                            np.random.Generator(np.random.PCG64(0)))[0]
     return BinAssignment(terminal=terminal, rate=rate, num_bins=num_bins,
                          map=mapping, seed=seed)
 

@@ -249,6 +249,28 @@ def test_small_tables_are_cached_large_ones_drawn_again():
     np.testing.assert_array_equal(again, big)
 
 
+def test_large_top_tables_are_seeded_once(monkeypatch):
+    """A top-level table too large to cache is drawn again when read
+    again, from the state its stack seeded the first time: the stack's
+    trials are seeded in one ``pcg_states`` call, and never again."""
+    calls = []
+
+    def counted(root, path):
+        calls.append(np.atleast_1d(path[0]).size)
+        return pcg_states(root, path)
+    monkeypatch.setattr(codebooks, "pcg_states", counted)
+    laws = _net_laws("net-c", False)[-1:]
+    stack = ChannelCodebookStack(24, [4096], laws, 1, 0, np.arange(16))
+    tables = [stack.rows(0, 0, (), trial) for trial in range(16)]
+    assert tables[3].nbytes > codebooks.CACHED_TABLE_BYTES
+    again = stack.rows(0, 0, (), 3)
+    assert calls == [16]
+    assert again is not tables[3]
+    np.testing.assert_array_equal(again, tables[3])
+    np.testing.assert_array_equal(
+        again, ChannelCodebookStack(24, [4096], laws, 1, 0, 3).rows(0, 0))
+
+
 def test_chunk_tables_are_seeded_together(monkeypatch):
     """Every table is drawn from a state that ``pcg_states`` seeded, never
     from a ``child_rng``: a read seeds each level it needs in one call, and

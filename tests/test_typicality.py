@@ -13,6 +13,7 @@ from relaycast.errors import (
     UnknownVariable,
 )
 from relaycast import typicality
+from relaycast.seeds import STREAM_BINS, child_rng
 from relaycast.typicality import TypicalityTest, all_sequences
 
 
@@ -100,6 +101,28 @@ class TestAssignBins:
         a = rc.assign_bins(cb, 1.0, seed=5, terminal=1)
         b = rc.assign_bins(cb, 1.0, seed=5, terminal=2)
         assert not np.array_equal(a.map, b.map)
+
+
+@pytest.mark.parametrize("M", [1, 64, 99, 4096])
+def test_assign_bins_is_numpy_integers(M):
+    """``assign_bins`` cuts its map from raw words by the rule the trial
+    engine also draws by; numpy's stream policy (NEP 19) fixes the raw
+    words but not the ``integers`` algorithm, so the map is pinned against
+    numpy's own bounded integers of the same stream."""
+    m = 20
+    cb = typicality.SourceCodebook(m=m, epsilon=0.5, alphabet=2,
+                                   sequences=np.zeros((M, m), dtype=np.int8))
+    for num_bins in (1, 2, 32, 128, 4096, 2 ** 20):
+        rate = math.log2(num_bins) / m
+        for trial, terminal in ((None, 2), (3, 2), (2 ** 32 - 1, 2 ** 40)):
+            got = rc.assign_bins(cb, rate, seed=11, terminal=terminal,
+                                 trial=trial)
+            path = (() if trial is None else (trial,)) + (STREAM_BINS,
+                                                          terminal)
+            want = child_rng(11, *path).integers(0, num_bins, M)
+            assert got.num_bins == num_bins
+            assert got.map.dtype == want.dtype == np.int64
+            assert np.array_equal(got.map, want), (num_bins, trial)
 
 
 class TestJointTypicality:
