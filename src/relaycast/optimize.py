@@ -1,28 +1,42 @@
-"""Maximin optimization over probability simplices.
+"""Certified maximin optimization over probability simplices.
 
 Every objective the rate engine builds is a minimum of terms
-I(X_A; Y | X_C) / d, where A and C together cover every participating input.
-Each such term is concave in the input joint (it is the average over x_C of
-a mutual information concave in p(x_A | x_C), i.e. a perspective of a
-concave function), so the objective is concave too, but nonsmooth where two
-terms tie.  The engine runs a multi-start coordinate pattern search (Hooke
-& Jeeves 1961) on an exponential reparameterization: unconstrained
-parameters map to the simplex through normalized exponentials.  Coordinate
-moves can stall on a ridge where terms tie, which the restarts guard
-against.  Restart k draws its start from the stream ``(seed,
-STREAM_OPTIMIZER, salt, k)`` (restart 0 starts at the barycenter), which
-makes the search deterministic for a fixed seed and monotone in the number
-of restarts.
+f_i(p) = I(X_A; Y | X_C) / d_i, where A and C together cover every
+participating input.  Each term is concave in the input joint p (the
+average over x_C of a mutual information concave in p(x_A | x_C)), so the
+objective is concave too, but nonsmooth where two terms tie.
 
-The restarts run in lockstep.  An objective maps a (rows, dim) array of
-simplex points to their (rows,) values, and each round of the search hands
-it the 2 * dim poll points of every restart still running in one call
-(split only where the points would exceed ``BATCH_BYTES``).  Each restart
-keeps its own parameters, step and iteration count, and picks its move by
-the same sequential rule as a search run on its own, so its trajectory and
-evaluation count do not depend on the other restarts.  An exhaustive simplex
-grid, evaluated through the same batched objective, serves as the
-independent oracle for small joints.
+Every term is also positively homogeneous of degree one in p (as a function
+of the joint p(x) W(y|x)), so its gradient G_i at p satisfies
+<G_i, p> = f_i(p): the linearization of f_i at p is q -> G_i q.  Two things
+follow.
+
+* **A certificate at every point.**  The Frank-Wolfe duality gap (Frank &
+  Wolfe 1956; Jaggi 2013) of the maximin reads
+
+      OPT <= max_q min_i G_i q = min_lambda max_x sum_i lambda_i G_i(x),
+
+  the value of a small matrix game that ``certificate`` solves exactly by a
+  dual simplex.  It is a proven upper value of the maximum, from any point.
+* **A step that sees the ridge.**  The solver is an entropic prox-linear
+  method (Drusvyatskiy & Paquette 2019): from p it moves to the maximizer
+  q of the linearized maximin less KL(q || p) / step.  That subproblem
+  keeps the minimum over terms, so iterates do not zigzag across a ridge
+  where terms tie.  Its dual is a smooth problem over the term weights
+  lambda, min log sum_x p(x) exp(step (lambda G)(x)), solved by pairwise
+  weight moves (Platt 1998), and q is p tilted by exp(step lambda G).  A
+  step is kept when the least term at q reaches the subproblem's value,
+  the test of relative smoothness (Bauschke, Bolte & Teboulle 2017; Lu,
+  Freund & Nesterov 2018); kept steps grow by ``GROW`` and failed ones
+  shrink by ``SHRINK``, so the least term never falls along kept steps.
+
+The solver is deterministic and reads no seed.  Its first point is the
+barycenter.  It stops once the least upper value seen is within
+``CERTIFY_GAP`` of the best value reached, or after ``ITER_CAP`` steps with
+``converged`` false, and returns that best point.
+
+An exhaustive simplex grid, evaluated through a batched objective of values
+alone, serves as the independent oracle for small joints.
 """
 
 from __future__ import annotations
@@ -36,29 +50,48 @@ import numpy as np
 
 from .errors import SchemaError, TooLarge
 from .network import whole_number
-from .seeds import STREAM_OPTIMIZER, check_seed, child_rng
+from .seeds import check_seed, child_rng  # noqa: F401  (a tracer patches it)
 
-#: Pattern search: initial step, step shrink factor, the step at which a
-#: search has converged, and the iteration cap.
-INIT_STEP = 0.5
+#: The solver stops once its upper value is within this of its best value.
+CERTIFY_GAP = 1e-6
+
+#: Prox-linear steps: the first step, its growth after a kept step and its
+#: shrink after a failed one, and the cap on steps.
+INIT_STEP = 1.0
+GROW = 1.2
 SHRINK = 0.5
-MIN_STEP = 1e-6
 ITER_CAP = 10_000
 
-#: Bytes of float64 cells one batched evaluation may hold at once: the
-#: search sends at most this many bytes of simplex points per objective
-#: call, and the rate engine's objective composes at most this many bytes
-#: of joints at a time.  At the 4096-cell input cap one round of 16
-#: restarts polls 131,072 points, which unsplit would take gigabytes.
+#: Pairwise weight moves per step, at most.
+PAIR_MOVES = 30
+
+#: Log-probabilities stay within this of the largest one, so that every
+#: iterate keeps positive mass on every cell and its gradient is finite.
+LOG_FLOOR = 200.0
+
+#: Bytes of float64 cells one batched evaluation may hold at once: the grid
+#: oracle sends at most this many bytes of simplex points per objective
+#: call, and the rate engine's evaluator composes at most this many bytes
+#: of joints at a time.
 BATCH_BYTES = 2 ** 20
 
 #: An objective: a (rows, dim) array of simplex points to (rows,) values.
 Objective = Callable[[np.ndarray], np.ndarray]
 
+#: Terms: a (rows, dim) array of simplex points to the (rows, terms) term
+#: values and their (rows, terms, dim) gradients.
+Terms = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the maximin search, surfaced as CLI flags."""
+    """Knobs of the rate engine, surfaced as CLI flags.
+
+    ``restarts`` and ``seed`` are validated and echoed by the CLI, but the
+    certified solver reads neither.  ``certify_tol`` is the gap under which
+    ``degraded_capacity`` calls a capacity certified; ``grid_step`` swaps
+    the solver for the exhaustive grid oracle.
+    """
 
     restarts: int = 16
     certify_tol: float = 2e-3
@@ -84,103 +117,171 @@ class SearchResult:
     value: float
     evals: int
     converged: bool
-
-
-def softmax(theta: np.ndarray) -> np.ndarray:
-    """Row-wise normalized exponentials of a (rows, dim) array."""
-    z = np.exp(theta - theta.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    upper: float = math.inf    # proven upper value of the maximum
 
 
 def _rows_per_call(dim: int) -> int:
     return max(1, BATCH_BYTES // (8 * dim))
 
 
-def _poll(objective: Objective, theta: np.ndarray, step: np.ndarray,
-          active: np.ndarray) -> np.ndarray:
-    """Objective values at the 2 * dim poll points of each active restart,
-    shaped (active restarts, 2 * dim): point 2j + s of restart r moves
-    coordinate j of ``theta[r]`` by +step[r] (s = 0) or -step[r] (s = 1)."""
-    d = theta.shape[1]
-    total = active.size * 2 * d
-    values = np.empty(total)
-    chunk = _rows_per_call(d)
-    for lo in range(0, total, chunk):
-        k = np.arange(lo, min(lo + chunk, total))
-        r = active[k // (2 * d)]
-        rows = theta[r]
-        rows[np.arange(k.size), k % (2 * d) // 2] += np.where(
-            k % 2 == 0, step[r], -step[r])
-        values[lo:lo + k.size] = objective(softmax(rows))
-    return values.reshape(active.size, 2 * d)
+def _game_weights(grads: np.ndarray) -> np.ndarray:
+    """Weights lambda on the rows of ``grads`` (m, n) that minimize
+    max_x (lambda @ grads)[x].
 
-
-def _pattern_search(objective: Objective,
-                    theta0: np.ndarray) -> list[SearchResult]:
-    """Coordinate pattern search from each row of ``theta0`` (one restart
-    per row), all restarts in lockstep: a round polls every active
-    restart at once.  Restart r polls coordinates j = 0..dim-1, +step
-    before -step, and moves to the first point that beats the best value
-    seen so far by more than 1e-15; when none does, its step shrinks."""
-    theta = np.array(theta0, dtype=np.float64)
-    d = theta.shape[1]
-    starts = softmax(theta)
-    chunk = _rows_per_call(d)
-    best = np.concatenate([objective(starts[i:i + chunk])
-                           for i in range(0, len(starts), chunk)])
-    evals = np.ones(len(theta), dtype=np.int64)
-    step = np.full(len(theta), INIT_STEP)
-    iters = np.zeros(len(theta), dtype=np.int64)
-    while True:
-        active = np.flatnonzero((step > MIN_STEP) & (iters < ITER_CAP))
-        if active.size == 0:
+    The column player's program, min sum w s.t. A w >= 1, w >= 0 with
+    A = grads shifted to entries >= 1, is solved by a dual simplex on its
+    (m + 1)-row tableau; lambda is its dual solution, normalized.  Any
+    lambda gives a valid bound, so a cut-short run still returns one.
+    """
+    m, n = grads.shape
+    if m == 1:
+        return np.ones(1)
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = grads.min() - 1.0 - grads
+    tab[:m, n:n + m] = np.eye(m)
+    tab[:m, -1] = -1.0
+    tab[m, :n] = 1.0
+    for _ in range(50 * (m + 1)):
+        r = int(np.argmin(tab[:m, -1]))
+        row = tab[r, :-1]
+        entering = row < -1e-12
+        if tab[r, -1] >= -1e-12 or not entering.any():
             break
-        iters[active] += 1
-        evals[active] += 2 * d
-        values = _poll(objective, theta, step, active)
-        for r, row in zip(active.tolist(), values.tolist()):
-            move = None
-            move_val = best[r]
-            for k, val in enumerate(row):
-                if val > move_val + 1e-15:
-                    move_val = val
-                    move = k
-            if move is None:
-                step[r] *= SHRINK
-            else:
-                theta[r, move // 2] += step[r] if move % 2 == 0 else -step[r]
-                best[r] = move_val
-    points = softmax(theta)
-    return [SearchResult(points[r], float(best[r]), int(evals[r]),
-                         bool(step[r] <= MIN_STEP))
-            for r in range(len(theta))]
+        j = int(np.argmin(np.where(
+            entering, tab[m, :-1] / np.where(entering, -row, 1.0), np.inf)))
+        tab[r] /= tab[r, j]
+        others = np.arange(m + 1) != r
+        tab[others] -= np.outer(tab[others, j], tab[r])
+    weights = np.maximum(tab[m, n:n + m], 0.0)
+    total = weights.sum()
+    return weights / total if total > 0 else np.full(m, 1.0 / m)
 
 
-def maximize_over_simplex(objective: Objective, dim: int,
-                          opts: OptimizerOptions,
-                          seed_salt: int = 0) -> SearchResult:
-    """Multi-start maximization of ``objective`` over the dim-cell simplex.
+def certificate(grads: np.ndarray) -> float:
+    """The upper value min_lambda max_x sum_i lambda_i grads[i, x] that the
+    (terms, dim) gradients at any simplex point prove for the maximum of the
+    least term; +inf when a gradient is infinite."""
+    if not np.isfinite(grads).all():
+        return math.inf
+    return float((_game_weights(grads) @ grads).max())
 
-    Restarts are independent; the merge keeps the best value, breaking ties
-    by restart index.
+
+def certify(terms: Terms, point: np.ndarray) -> float:
+    """The upper value proven at ``point``, or, when it has empty cells
+    (whose gradients can be infinite), at the point that mixes it with the
+    barycenter in proportion 1e-30."""
+    if not (point > 0.0).all():
+        point = (1.0 - 1e-30) * point + 1e-30 / point.size
+    return certificate(terms(point[None])[1][0])
+
+
+def _tilt(log_p: np.ndarray, scaled: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The point p exp(scaled), normalized: (log-probabilities, point)."""
+    log_q = log_p + scaled
+    log_q = np.maximum(log_q - log_q.max(), -LOG_FLOOR)
+    q = np.exp(log_q)
+    total = q.sum()
+    return log_q - math.log(total), q / total
+
+
+def _line_minimum(base: np.ndarray, move: np.ndarray, step: float,
+                  limit: float) -> float:
+    """The t in [0, limit] minimizing log sum exp(base + step t move).
+
+    Its slope, the mean of ``move`` under the tilted point, rises with t
+    and is negative at 0; Newton steps on it, kept inside a shrinking
+    bracket, find its root."""
+    def slope(t: float) -> tuple[float, float]:
+        q = _tilt(base, step * t * move)[1]
+        mean = float(q @ move)
+        return mean, step * float(q @ (move - mean) ** 2)
+
+    if slope(limit)[0] <= 0.0:
+        return limit
+    lo, hi, t = 0.0, limit, 0.0
+    mean, curve = slope(t)
+    for _ in range(60):
+        t = t - mean / curve if curve > 0.0 else hi
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        mean, curve = slope(t)
+        if mean < 0.0:
+            lo = t
+        else:
+            hi = t
+        if mean == 0.0 or hi - lo <= 1e-15 * limit:
+            break
+    return t
+
+
+def _prox_weights(log_p: np.ndarray, grads: np.ndarray, step: float,
+                  lam: np.ndarray) -> np.ndarray:
+    """Term weights minimizing log sum_x p(x) exp(step (lambda grads)(x))
+    over the term simplex, from ``lam``: each move shifts weight from the
+    weighted term of largest mean gradient under the tilted point to the
+    term of least, by the exact minimum along that line."""
+    lam = lam.copy()
+    base = log_p + step * (lam @ grads)
+    for _ in range(PAIR_MOVES if len(lam) > 1 else 0):
+        means = grads @ _tilt(base, 0.0)[1]
+        held = np.flatnonzero(lam > 0.0)
+        i = int(held[np.argmax(means[held])])
+        j = int(np.argmin(means))
+        if means[i] - means[j] <= 1e-13 * (1.0 + np.abs(means).max()):
+            break
+        move = grads[j] - grads[i]
+        t = _line_minimum(base, move, step, float(lam[i]))
+        lam[j] += t
+        lam[i] = 0.0 if t >= lam[i] else lam[i] - t
+        base = base + step * t * move
+    return lam
+
+
+def maximize_over_simplex(terms: Terms, dim: int) -> SearchResult:
+    """Maximize the least term of ``terms`` over the dim-cell simplex.
+
+    Returns the best point evaluated, its value, the number of points
+    evaluated, whether the proven upper value came within ``CERTIFY_GAP``
+    of that value, and that upper value.
     """
     if dim < 1:
         raise TooLarge("simplex dimension must be >= 1")
-    if dim == 1:
-        p = np.ones((1, 1))
-        return SearchResult(p[0], float(objective(p)[0]), 1, True)
-    theta0 = np.zeros((opts.restarts, dim))
-    for k in range(1, opts.restarts):
-        rng = child_rng(opts.seed, STREAM_OPTIMIZER, seed_salt, k)
-        theta0[k] = rng.normal(0.0, 2.0, dim)
-    results = _pattern_search(objective, theta0)
-    best = results[0]
-    for res in results[1:]:
-        if res.value > best.value + 1e-15:
-            best = res
-    evals = sum(r.evals for r in results)
-    return SearchResult(best.point, best.value, evals,
-                        all(r.converged for r in results))
+    p = np.full(dim, 1.0 / dim)
+    log_p = np.log(p)
+    values, grads = (a[0] for a in terms(p[None]))
+    best = SearchResult(p, float(values.min()), 1, False,
+                        certificate(grads))
+    lam = np.full(len(values), 1.0 / len(values))
+    step = INIT_STEP
+    for _ in range(ITER_CAP if dim > 1 else 0):
+        if best.upper - best.value <= CERTIFY_GAP:
+            break
+        lam = _prox_weights(log_p, grads, step, lam)
+        log_q, q = _tilt(log_p, step * (lam @ grads))
+        model = float((grads @ q).min() - q @ (log_q - log_p) / step)
+        values_q, grads_q = (a[0] for a in terms(q[None]))
+        best = _better(best, q, values_q, grads_q)
+        if (values_q.min() >= model - 1e-15 * (1.0 + abs(model))
+                and np.isfinite(grads_q).all()):
+            log_p, grads = log_q, grads_q
+            step *= GROW
+        else:
+            step *= SHRINK
+    upper = max(best.upper, best.value)
+    return SearchResult(best.point, best.value, best.evals,
+                        upper - best.value <= CERTIFY_GAP, upper)
+
+
+def _better(best: SearchResult, point: np.ndarray, values: np.ndarray,
+            grads: np.ndarray) -> SearchResult:
+    """``best`` after one more evaluated point: the higher value (ties keep
+    the earlier point), the lower upper value, one more evaluation."""
+    value = float(values.min())
+    if value > best.value:
+        best = SearchResult(point, value, best.evals, False, best.upper)
+    return SearchResult(best.point, best.value, best.evals + 1, False,
+                        min(best.upper, certificate(grads)))
 
 
 def simplex_grid(dim: int, step: float, cap: int = 2_000_000
@@ -210,7 +311,8 @@ def simplex_grid(dim: int, step: float, cap: int = 2_000_000
 
 def maximize_on_grid(objective: Objective, dim: int,
                      step: float) -> SearchResult:
-    """Exhaustive grid oracle; deterministic, first maximizer wins ties."""
+    """Exhaustive grid oracle; deterministic, first maximizer wins ties.
+    It proves no upper value: its ``upper`` is +inf."""
     best_p: np.ndarray | None = None
     best_v = -np.inf
     evals = 0

@@ -8,7 +8,8 @@ kernel, :class:`InformationKernel`.  It takes a batch of joints with the
 batch axis last and sums each marginal there in the order numpy uses on
 the batch-first stack of those joints (``_Marginal``), so its values are
 those of numpy's sums bit for bit while its inner loops run along the
-batch.  The rate engine hands it every point a search polls; the
+batch.  The rate engine hands it every point its solver visits and takes
+each term's gradient in the input law from the same marginals; the
 ``JointPmf`` methods hand it their own joint as a batch of one row.
 Kernel axes are numbered as the joint's own.
 
@@ -331,16 +332,62 @@ class InformationKernel:
                  terms: Sequence[Sequence[tuple[int, ...]]]):
         drops = list(dict.fromkeys(tuple(d) for t in terms for d in t))
         self._marginals = [_Marginal.of(sizes, d) for d in drops]
+        # each marginal's cells broadcast over the joint's axes
+        self._kept_shapes = [tuple(1 if i in d else n
+                                   for i, n in enumerate(sizes))
+                             for d in drops]
         # an absent H(C) is index -1, the 0.0 a call appends
         self._terms = [[drops.index(tuple(d)) for d in t] + [-1] * (4 - len(t))
                        for t in terms]
 
     def __call__(self, joint: np.ndarray) -> np.ndarray:
+        return self.with_gradient(joint)[0]
+
+    def with_gradient(self, joint: np.ndarray,
+                      channel: np.ndarray | None = None, inputs: int = 0
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (B, terms) values of a call and, given ``channel``, each
+        term's gradient in the input law of every joint p(x) W(y|x).
+
+        ``channel`` is W, shaped as the joint without its batch axis: the
+        first ``inputs`` axes are x, the rest y.  The gradient of term
+        I(A;B|C) at input cell x is
+
+            -sum_y W(y|x) [log q_AC + log q_BC - log q_ABC - log q_C]
+
+        from the marginals the values sum (the constants of each entropy's
+        derivative cancel), returned (B, terms, input cells).  It satisfies
+        sum_x p(x) grad(x) = I exactly, up to round-off.  A cell whose
+        marginals the term divides by are zero gets +inf, an upper bound of
+        the one-sided derivative there.  Values are the same bit for bit
+        with or without ``channel``.
+        """
         joint = np.ascontiguousarray(joint)
-        h = [_entropy_rows(m(joint)) for m in self._marginals] + [0.0]
-        return _clamp_nonneg(np.stack(
+        margs = [m(joint) for m in self._marginals]
+        h = [_entropy_rows(m) for m in margs] + [0.0]
+        values = _clamp_nonneg(np.stack(
             [h[ac] + h[bc] - h[abc] - h[c] for ac, bc, abc, c in self._terms],
             axis=1), "mutual information")
+        if channel is None:
+            return values, None
+        batch = joint.shape[-1]
+        outputs = tuple(range(inputs, channel.ndim))
+        weight = channel[..., None]
+        silent = weight == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # E_k(x) = sum_y W(y|x) log2 q_k(x, y) per distinct marginal
+            expect = []
+            for marg, shape in zip(margs, self._kept_shapes):
+                cell = weight * np.log2(marg.reshape(shape + (batch,)))
+                cell[np.broadcast_to(silent, cell.shape)] = 0.0
+                expect.append(cell.sum(axis=outputs))
+            expect.append(0.0)
+            grads = np.stack([-(expect[ac] + expect[bc] - expect[abc]
+                                - expect[c])
+                              for ac, bc, abc, c in self._terms])
+        grads = np.where(np.isnan(grads), np.inf, grads)
+        return values, np.moveaxis(grads.reshape(len(self._terms), -1, batch),
+                                   -1, 0)
 
 
 def _clamp_nonneg(values: np.ndarray, what: str) -> np.ndarray:

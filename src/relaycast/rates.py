@@ -11,14 +11,22 @@ minimum over the joint input distribution of the participating terminals
 vacuous (ratio +inf); if every hop is vacuous the rate is unbounded.
 
 The cut-set bound and the single-relay broadcast capacity are minima of the
-same terms.  The search objective and every report evaluate them through one
-array path, ``_hop_evaluator``, on batches of input joints: a search round
-hands it every point it polls, a report a batch of one.  It composes each
-batch with the channel into one batch-last joint and runs the package's one
+same terms.  The solver and every report evaluate them through one array
+path, ``_hop_evaluator``, on batches of input joints: the solver hands it
+each point it visits, a report a batch of one.  It composes each batch with
+the channel into one batch-last joint and runs the package's one
 information kernel, ``pmf.InformationKernel``, which sums every distinct
-marginal once per batch (every hop of a plan shares H(A,C)).  Each row
-matches ``JointPmf.mutual_information`` bit for bit, and no ``JointPmf`` is
-built per evaluation.
+marginal once per batch (every hop of a plan shares H(A,C)) and, for the
+solver, also returns each term's gradient in the input joint from those
+marginals.  Each row matches ``JointPmf.mutual_information`` bit for bit,
+and no ``JointPmf`` is built per evaluation.
+
+Every optimized report is certified: ``optimize.maximize_over_simplex``
+proves an upper value of the optimum from the gradients (the Frank-Wolfe
+gap of the maximin), and the report carries it as ``upper``, with
+``gap = upper - rate`` and ``converged`` meaning that gap is at most
+``optimize.CERTIFY_GAP``.  A cut of the ordered cut-set bound reports its
+proven upper value as ``numerator_sup``, so the bound is an upper bound.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .network import (
 from .optimize import (
     OptimizerOptions,
     SearchResult,
+    certify,
     maximize_on_grid,
     maximize_over_simplex,
 )
@@ -212,6 +221,15 @@ class RateReport:
     evals: int = 0
     notes: tuple[str, ...] = ()
     certificate: dict[str, Any] | None = None
+    upper: float | None = None  # proven upper value of the optimized rate
+
+    @property
+    def gap(self) -> float | None:
+        """``upper - rate``, 0.0 for an unbounded rate, None unless the
+        report comes from an optimization."""
+        if self.upper is None:
+            return None
+        return 0.0 if self.upper == self.rate else self.upper - self.rate
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -225,6 +243,9 @@ class RateReport:
             "evals": self.evals,
             "notes": list(self.notes),
         }
+        if self.upper is not None:
+            out["upper"] = self.upper
+            out["gap"] = self.gap
         if self.input_pmf is not None:
             out["input_pmf"] = {
                 "variables": list(self.input_pmf.variables),
@@ -257,33 +278,39 @@ def _hop_sets(spec: NetworkSpec, plan: CooperationPlan,
     return hops
 
 
-def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]
-                   ) -> Callable[[np.ndarray], np.ndarray]:
+def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]) -> Callable:
     """The hop numerators I(a; b | cond) as a function of a batch of joints
     over every channel input: (B, input cells) rows in channel input order
-    (or (B,) + input sizes) to a (B, hops) array.
+    (or (B,) + input sizes) to a (B, hops) array; with ``gradient=True``,
+    also their (B, hops, input cells) gradients in the input joint.
 
     It composes the rows with the channel into one batch-last joint, with
     the products ``compose_joint`` takes, and runs ``pmf.InformationKernel``
     on it, built once here from axes found once; at most
     ``optimize.BATCH_BYTES`` of joints are composed at a time.  Each row's
-    numerators equal those of the row evaluated alone, bit for bit.
+    numerators equal those of the row evaluated alone, bit for bit, with or
+    without gradients.
     """
     layout = compose_joint(spec.uniform_input(), spec.channel)
     kernel = InformationKernel(layout.sizes, [
         layout.information_axes(a, b, cond) for _, a, b, cond in hops])
     shape = spec.input_sizes + (1,) * len(spec.output_sizes)
-    channel = spec.channel.probs[..., None]
+    law = spec.channel.probs
+    channel = law[..., None]
 
-    def evaluate(inputs: np.ndarray) -> np.ndarray:
+    def evaluate(inputs: np.ndarray, gradient: bool = False):
         rows = inputs.reshape(len(inputs), -1)
         out = np.empty((len(rows), len(hops)))
+        grads = np.empty(out.shape + rows.shape[1:]) if gradient else None
         chunk = max(1, optimize.BATCH_BYTES // channel.nbytes)
         for lo in range(0, len(rows), chunk):
             batch = np.ascontiguousarray(rows[lo:lo + chunk].T)
-            out[lo:lo + chunk] = kernel(
-                channel * batch.reshape(shape + (batch.shape[1],)))
-        return out
+            out[lo:lo + chunk], grad = kernel.with_gradient(
+                channel * batch.reshape(shape + (batch.shape[1],)),
+                law if gradient else None, len(spec.input_sizes))
+            if gradient:
+                grads[lo:lo + chunk] = grad
+        return (out, grads) if gradient else out
     return evaluate
 
 
@@ -375,15 +402,17 @@ def _free_labels(spec: NetworkSpec, labels: Iterable[str]) -> tuple[str, ...]:
 
 def _maximin(spec: NetworkSpec, participating: Sequence[str],
              hops: Sequence[Hop], dens: Sequence[float],
-             opts: OptimizerOptions, seed_salt: int
+             opts: OptimizerOptions
              ) -> tuple[JointPmf | None, list[HopTerm], SearchResult]:
     """Maximize the minimum non-vacuous hop ratio over the joint of the
     participating inputs (every other input pinned to symbol 0).
 
     Returns the best joint over the non-constant participating inputs (None
-    when all are constant), the hop terms there and the search result.
-    When every hop is vacuous there is nothing to search and the uniform
-    joint is returned after one evaluation.
+    when all are constant), the hop terms there and the search result,
+    whose ``upper`` is a proven upper value of the maximum (for the grid
+    oracle, the one proven at its point).  When every hop is vacuous there
+    is nothing to search and the uniform joint is returned after one
+    evaluation, with value and upper value +inf.
     """
     free = _free_labels(spec, participating)
     sizes = tuple(spec.input_sizes[int(v[1:])] for v in free)
@@ -401,37 +430,49 @@ def _maximin(spec: NetworkSpec, participating: Sequence[str],
     live = [k for k, den in enumerate(dens) if den > ZERO_ENTROPY_TOL]
     live_dens = np.array([dens[k] for k in live])
 
+    def full(points: np.ndarray) -> np.ndarray:
+        rows = np.zeros((len(points), ncells))
+        rows[:, cells] = points
+        return rows
+
     def numerators(points: np.ndarray) -> np.ndarray:
-        full = np.zeros((len(points), ncells))
-        full[:, cells] = points
-        return evaluate(full)
+        return evaluate(full(points))
 
     def objective(points: np.ndarray) -> np.ndarray:
         """The smallest non-vacuous hop ratio at each simplex point."""
         return (numerators(points)[:, live] / live_dens).min(axis=1)
 
+    def live_ratios(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The non-vacuous hop ratios at each simplex point and their
+        gradients there."""
+        nums, grads = evaluate(full(points), gradient=True)
+        return (nums[:, live] / live_dens,
+                grads[:, live][..., cells] / live_dens[:, None])
+
     if not live:
         uniform = np.full(dim, 1.0 / dim)
-        result = SearchResult(uniform, math.inf, 1, True)
+        result = SearchResult(uniform, math.inf, 1, True, math.inf)
     elif opts.grid_step is not None:
         result = maximize_on_grid(objective, dim, opts.grid_step)
+        result = dataclasses.replace(result, upper=max(
+            certify(live_ratios, result.point), result.value))
     else:
-        result = maximize_over_simplex(objective, dim, opts, seed_salt)
+        result = maximize_over_simplex(live_ratios, dim)
     best_pmf = JointPmf(free, sizes, result.point) if free else None
     terms = _hop_terms(hops, dens, numerators(result.point[None])[0])
     return best_pmf, terms, result
 
 
 def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,
-                   opts: OptimizerOptions, seed_salt: int) -> RateReport:
+                   opts: OptimizerOptions) -> RateReport:
     hops = _hop_sets(spec, plan, mode)
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
     participating = participating_inputs(spec, plan, mode)
-    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts,
-                                       seed_salt)
+    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts)
     return _report_from_terms(mode, plan, terms,
                               _shown_input(spec, best_pmf, participating),
-                              converged=result.converged, evals=result.evals)
+                              converged=result.converged, evals=result.evals,
+                              upper=result.upper)
 
 
 def optimize_plans(spec: NetworkSpec,
@@ -441,7 +482,7 @@ def optimize_plans(spec: NetworkSpec,
     """Optimized report of every candidate plan, in enumeration order.
 
     ``plan="auto"`` means every enumerated plan; otherwise the one plan
-    given.  Plan k of the list searches under seed salt k.
+    given.
     """
     opts = opts or OptimizerOptions()
     mode = mode or default_mode(spec)
@@ -454,8 +495,7 @@ def optimize_plans(spec: NetworkSpec,
         plans = [plan]
     for p in plans:
         validate_plan(spec, p, mode)
-    return [_optimize_plan(spec, p, mode, opts, salt)
-            for salt, p in enumerate(plans)]
+    return [_optimize_plan(spec, p, mode, opts) for p in plans]
 
 
 def best_report(reports: Sequence[RateReport]) -> RateReport:
@@ -474,8 +514,8 @@ def optimize_rate(spec: NetworkSpec,
     """Maximize the plan rate over the participating-input simplex.
 
     ``plan="auto"`` additionally maximizes over every enumerated plan; ties
-    go to the earlier plan in enumeration order.  Deterministic for a fixed
-    ``opts.seed`` and monotone in ``opts.restarts``.
+    go to the earlier plan in enumeration order.  Deterministic; the report
+    carries the proven upper value of the plan's optimum and its gap.
     """
     return best_report(optimize_plans(spec, plan, opts, mode))
 
@@ -487,15 +527,22 @@ def optimize_rate(spec: NetworkSpec,
 @dataclass(frozen=True)
 class CutTerm:
     cut: int                   # cut separates terminals < cut from the rest
-    numerator_sup: float
+    upper: float               # proven upper value of the numerator's sup
     denominator: float
-    ratio: float
+    ratio: float               # upper / denominator, +inf when vacuous
     input_pmf: JointPmf
+    gap: float                 # upper less the numerator at input_pmf
+
+    @property
+    def numerator_sup(self) -> float:
+        return self.upper
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "cut": self.cut,
             "numerator_sup": self.numerator_sup,
+            "upper": self.upper,
+            "gap": self.gap,
             "denominator": self.denominator,
             "ratio": self.ratio,
             "input_pmf": {
@@ -530,6 +577,8 @@ def ordered_cutset_bound(spec: NetworkSpec,
     distribution (the cut argument lets senders cooperate perfectly); the
     denominator pools all side information on the receiving side.  Valid as
     a capacity upper bound when the side information chain is degraded.
+    Each cut's ``numerator_sup`` is the solver's proven upper value of that
+    supremum, so ``bound`` is an upper bound, not a searched value.
     """
     opts = opts or OptimizerOptions()
     if spec.L != 1:
@@ -546,12 +595,12 @@ def ordered_cutset_bound(spec: NetworkSpec,
             [source_label(0)],
             [source_label(t) for t in range(i, K + 2)])
         best_pmf, (term,), result = _maximin(
-            spec, spec.input_labels(), [(i, a, b, cond)], [1.0], opts,
-            1000 + i)
-        ratio = math.inf if den <= ZERO_ENTROPY_TOL else term.numerator / den
+            spec, spec.input_labels(), [(i, a, b, cond)], [1.0], opts)
+        ratio = math.inf if den <= ZERO_ENTROPY_TOL else result.upper / den
         if best_pmf is None:
             best_pmf = spec.uniform_input((input_label(0),))
-        terms.append(CutTerm(i, term.numerator, den, ratio, best_pmf))
+        terms.append(CutTerm(i, result.upper, den, ratio, best_pmf,
+                             result.upper - term.numerator))
         total_evals += result.evals
         all_converged = all_converged and result.converged
     bound = min(t.ratio for t in terms)
@@ -564,10 +613,12 @@ def degraded_capacity(spec: NetworkSpec,
     """Source-channel capacity of a physically degraded network whose side
     information is degraded in the same order.
 
-    Evaluates the full-participation identity plan and certifies the result
-    against the ordered cut-set bound within ``opts.certify_tol``.  A caller
-    that already holds that bound, computed under the same ``opts``, passes
-    it as ``bound`` instead of paying for the search again.
+    Optimizes the full-participation identity plan and certifies its rate,
+    a value reached at an explicit input joint, against the ordered cut-set
+    bound, a proven upper value: ``certified`` means their gap is at most
+    ``opts.certify_tol``.  A caller that already holds that bound, computed
+    under the same ``opts``, passes it as ``bound`` instead of paying for
+    the search again.
     """
     opts = opts or OptimizerOptions()
     if spec.L != 1:
@@ -590,7 +641,7 @@ def degraded_capacity(spec: NetworkSpec,
         "achievable": report.rate,
         "bound": bound.bound,
         "gap": gap,
-        "certified": bool(abs(gap) <= opts.certify_tol),
+        "certified": bool(gap <= opts.certify_tol),
         "certify_tol": opts.certify_tol,
         "degraded_channel": True,
         "degraded_side_info": True,
@@ -638,11 +689,11 @@ def single_relay_broadcast_capacity(spec: NetworkSpec,
     hops = [(1, [x0], [output_label(1)], [x1])] + [
         (j, [x0, x1], [output_label(j)], []) for j in spec.destinations()[1:]]
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts,
-                                       2000)
+    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts)
     plan = CooperationPlan((0,) + spec.destinations())
     return _report_from_terms(MODE_BROADCAST, plan, terms,
                               _shown_input(spec, best_pmf, participating),
                               notes=("capacity: achievability meets the "
                                      "cut-set converse for this shape",),
-                              converged=result.converged, evals=result.evals)
+                              converged=result.converged, evals=result.evals,
+                              upper=result.upper)

@@ -11,7 +11,9 @@ Stream path layout used by the simulators::
     (trial, STREAM_BINS,     terminal)               bin assignment map
     (trial, STREAM_CODEBOOK, level, copy, *cond)     channel codeword slices
     (trial, STREAM_CHANNEL,  block)                  channel noise
-and the rate engine uses ``(STREAM_OPTIMIZER, salt, restart)``.
+
+The rate engine draws no random numbers: its solver is deterministic and
+reads no seed.
 
 :func:`uniforms` reads the same uniforms from many of these streams at once:
 it reproduces ``child_rng(...).random`` bit for bit (numpy's ``SeedSequence``
@@ -47,7 +49,6 @@ STREAM_SOURCE = 0
 STREAM_BINS = 1
 STREAM_CODEBOOK = 2
 STREAM_CHANNEL = 3
-STREAM_OPTIMIZER = 4
 
 
 def check_seed(seed: Any, what: str = "seed") -> int:

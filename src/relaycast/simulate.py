@@ -333,7 +333,8 @@ class _Engine:
             + parallel_map(self.chunk, chunks, workers))
         config = {"scheme": scheme, "m": self.m, "n": self.n, "B": B,
                   "trials": trials, "seed": self.seed,
-                  "epsilon": self.codebook.epsilon, "rate": self.m / self.n,
+                  "epsilon": float(self.codebook.epsilon),
+                  "rate": self.m / self.n,
                   "codebook_size": self.codebook.M, **keys}
         return SimResult(trials=trials,
                          errors_total=int(erred.any(axis=1).sum()),

@@ -67,6 +67,25 @@ def ternary_relay_net(seed: int) -> rc.NetworkSpec:
                             dsbs_chain([0.1, 0.2])))
 
 
+def degraded_relay_net(seed: int, sizes: tuple[int, int] = (2, 2)
+                       ) -> rc.NetworkSpec:
+    """A seeded K=1 relay network, physically degraded with its side
+    information degraded in the same order: a Dirichlet-random channel
+    p(y1 | x0, x1) p(y2 | y1, x1), with X0 of ``sizes[0]`` symbols and X1,
+    Y1, Y2 of ``sizes[1]``, and a DSBS side chain S0 - S1 - S2 with random
+    flips."""
+    rng = np.random.default_rng(seed)
+    a, b = sizes
+    relay = rng.dirichlet(np.ones(b), size=(a, b))           # (x0, x1, y1)
+    dest = rng.dirichlet(np.ones(b), size=(b, b))            # (y1, x1, y2)
+    ch = np.einsum("xuv,vuw->xuvw", relay, dest)
+    return rc.NetworkSpec(
+        K=1, L=1, channel=rc.ChannelModel((a, b, 1), (b, b),
+                                          ch.reshape(a, b, 1, b, b)),
+        sources=rc.JointPmf(("S0", "S1", "S2"), (2, 2, 2),
+                            dsbs_chain(list(rng.uniform(0.05, 0.3, 2)))))
+
+
 def random_joint(rng: np.random.Generator, variables, sizes,
                  positive: bool = False) -> rc.JointPmf:
     return rc.random_pmf(variables, sizes, rng, positive=positive)

@@ -456,6 +456,19 @@ class TestDeterminism:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_rate_and_bound_ignore_seed_and_restarts(self, capsys):
+        # the certified solver reads no seed: only the config echo differs
+        for command in (["rate", "--net", "net-b"],
+                        ["bound", "--net", "net-b", "--certify"]):
+            results, seeds = [], []
+            for flags in (["--seed", "0"], ["--seed", "7", "--restarts", "3"]):
+                _, out, _ = run_cli(command + flags, capsys)
+                payload = json.loads(out)
+                results.append(payload["result"])
+                seeds.append(payload["config"]["seed"])
+            assert results[0] == results[1]
+            assert seeds == [0, 7]
+
     def test_simulation_byte_identical_across_workers(self, capsys):
         base = ["simulate", "--net", "net-c", "--scheme", "sliding",
                 "--m", "5", "--n", "7", "--B", "3", "--trials", "40",

@@ -1,11 +1,10 @@
-"""The lockstep pattern search against a search run one restart and one
-point at a time.
+"""The certified maximin solver and its certificate.
 
-``reference_search`` below is the single-restart coordinate pattern search
-written point by point; ``reference_maximize`` runs it once per restart
-from the same starting points and merges the results.  Running all restarts
-in lockstep with batched objective calls must give the same point, value,
-evaluation count and convergence flag, compared with ``==``.
+The solver maximizes the least of several information terms over a simplex
+and proves an upper value of that maximum at every point it evaluates.  The
+tests below check the proof against independent evaluations (every grid
+point and every sampled game strategy must respect it), the stopping rule,
+and that the solver is deterministic and starts at the barycenter.
 """
 
 import numpy as np
@@ -15,90 +14,32 @@ import relaycast as rc
 import relaycast.optimize as optimize
 import relaycast.rates as rates
 from relaycast.optimize import OptimizerOptions, SearchResult
-from relaycast.seeds import STREAM_OPTIMIZER, child_rng
+from relaycast.pmf import InformationKernel
 
 
-def softmax_1d(theta):
-    z = np.exp(theta - theta.max())
-    return z / z.sum()
-
-
-def reference_search(objective, theta0):
-    """One restart, one objective call per point."""
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    best = objective(softmax_1d(theta))
-    evals = 1
-    step = optimize.INIT_STEP
-    iters = 0
-    d = theta.size
-    while step > optimize.MIN_STEP and iters < optimize.ITER_CAP:
-        iters += 1
-        move = None
-        move_val = best
-        for j in range(d):
-            for sign in (1.0, -1.0):
-                cand = theta.copy()
-                cand[j] += sign * step
-                val = objective(softmax_1d(cand))
-                evals += 1
-                if val > move_val + 1e-15:
-                    move_val = val
-                    move = cand
-        if move is None:
-            step *= optimize.SHRINK
-        else:
-            theta = move
-            best = move_val
-    converged = step <= optimize.MIN_STEP
-    return SearchResult(softmax_1d(theta), best, evals, converged)
-
-
-def reference_runs(batched, dim, opts, salt):
-    """Every restart run on its own, restart 0 from the barycenter."""
-    def objective(p):
-        return float(batched(p[None])[0])
-
-    runs = []
-    for k in range(opts.restarts):
-        theta0 = np.zeros(dim) if k == 0 else child_rng(
-            opts.seed, STREAM_OPTIMIZER, salt, k).normal(0.0, 2.0, dim)
-        runs.append(reference_search(objective, theta0))
-    return runs
-
-
-def reference_maximize(batched, dim, opts, salt=0):
-    if dim == 1:
-        p = np.array([1.0])
-        return SearchResult(p, float(batched(p[None])[0]), 1, True)
-    runs = reference_runs(batched, dim, opts, salt)
-    best = runs[0]
-    for res in runs[1:]:
-        if res.value > best.value + 1e-15:
-            best = res
-    return SearchResult(best.point, best.value, sum(r.evals for r in runs),
-                        all(r.converged for r in runs))
-
-
-def toy_maximin(dim, seed=0):
-    """A concave maximin of (rows, dim) points: the least of four linear
-    forms, less a quadratic.  Every sum runs along the last axis of a
-    C-contiguous array, which numpy sums row by row in the order of a row
-    alone (``test_pmf.py`` pins this), so a row's value does not depend on
-    the rows evaluated with it."""
+def information_terms(dim, outputs, seed):
+    """Terms I(X; Y_i) / d_i of one input X with ``dim`` symbols and
+    independent Dirichlet-random channels to ternary outputs Y_1..Y_outputs,
+    as the solver takes them: (rows, dim) points to (rows, terms) values
+    and (rows, terms, dim) gradients, from the information kernel."""
     rng = np.random.default_rng(seed)
-    forms = rng.random((4, dim))
+    law = np.ones((dim,) + (1,) * outputs)
+    for i in range(outputs):
+        shape = [dim] + [1] * outputs
+        shape[1 + i] = 3
+        law = law * rng.dirichlet(np.ones(3), size=dim).reshape(shape)
+    labels = ("X",) + tuple(f"Y{i}" for i in range(outputs))
+    layout = rc.JointPmf(labels, law.shape, law / law.sum())
+    kernel = InformationKernel(law.shape, [
+        layout.information_axes(["X"], [label]) for label in labels[1:]])
+    dens = rng.uniform(0.5, 1.5, outputs)
 
-    def objective(points):
-        least = (points[:, None, :] * forms).sum(axis=2).min(axis=1)
-        return least - 0.3 * (points * points).sum(axis=1)
-    return objective
-
-
-def barycenter_peak(dim):
-    """Maximal at the barycenter, where restart 0 starts."""
-    def objective(points):
-        return -((points - 1.0 / dim) ** 2).sum(axis=1)
-    return objective
+    def terms(points):
+        joint = law[..., None] * points.T.reshape(
+            (dim,) + (1,) * outputs + (len(points),))
+        values, grads = kernel.with_gradient(joint, law, 1)
+        return values / dens, grads / dens[:, None]
+    return terms
 
 
 def assert_same(got, want):
@@ -108,50 +49,79 @@ def assert_same(got, want):
     assert got.converged == want.converged
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 8])
-@pytest.mark.parametrize("restarts", [1, 3, 16])
-def test_lockstep_equals_one_restart_at_a_time(dim, restarts):
-    objective = toy_maximin(dim, seed=dim)
-    opts = OptimizerOptions(restarts=restarts, seed=3)
-    got = optimize.maximize_over_simplex(objective, dim, opts, seed_salt=7)
-    assert_same(got, reference_maximize(objective, dim, opts, salt=7))
+def least(terms):
+    """The values-only objective of ``terms``: the least term per point."""
+    return lambda points: terms(points)[0].min(axis=1)
 
 
-def test_iteration_cap_stops_restarts_at_different_rounds(monkeypatch):
-    dim = 5
-    monkeypatch.setattr(optimize, "ITER_CAP", 59)
-    objective = toy_maximin(dim, seed=1)
-    opts = OptimizerOptions(restarts=6, seed=0)
-    runs = reference_runs(objective, dim, opts, 0)
-    # some restarts converge within the cap and others hit it
-    assert {r.converged for r in runs} == {True, False}
-    got = optimize.maximize_over_simplex(objective, dim, opts)
-    assert_same(got, reference_maximize(objective, dim, opts))
+@pytest.mark.parametrize("dim,outputs", [(2, 1), (3, 2), (4, 2), (5, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_certified_maximum_brackets_the_grid(dim, outputs, seed):
+    terms = information_terms(dim, outputs, seed)
+    got = optimize.maximize_over_simplex(terms, dim)
+    assert got.converged
+    assert got.value <= got.upper <= got.value + optimize.CERTIFY_GAP
+    assert got.value == float(least(terms)(got.point[None])[0])
+    # the upper value is proven: no grid point may exceed it
+    grid = optimize.maximize_on_grid(least(terms), dim, 0.05)
+    assert grid.value <= got.upper + 1e-12
+    assert got.value >= grid.value - optimize.CERTIFY_GAP
 
 
-def test_restart_zero_converging_first():
-    dim = 4
-    objective = barycenter_peak(dim)
-    opts = OptimizerOptions(restarts=5, seed=1)
-    runs = reference_runs(objective, dim, opts, 0)
-    assert runs[0].evals < min(r.evals for r in runs[1:])
-    got = optimize.maximize_over_simplex(objective, dim, opts)
-    assert_same(got, reference_maximize(objective, dim, opts))
+def test_deterministic():
+    terms = information_terms(4, 2, seed=7)
+    a = optimize.maximize_over_simplex(terms, 4)
+    b = optimize.maximize_over_simplex(terms, 4)
+    assert_same(a, b)
+    assert a.upper == b.upper
 
 
-def test_batch_cap_splits_rounds_without_changing_the_search(monkeypatch):
-    dim = 5
-    objective = toy_maximin(dim, seed=2)
-    opts = OptimizerOptions(restarts=3, seed=4)
-    want = reference_maximize(objective, dim, opts)
-    sizes = []
+def test_barycenter_optimum_stops_at_the_first_point():
+    # a symmetric channel: the barycenter is optimal and proven so there
+    dim = 3
+    law = np.full((dim, dim), 0.1) + 0.7 * np.eye(dim)
+    kernel = InformationKernel(law.shape, [[(1,), (0,), ()]])
 
-    def recording(points):
-        sizes.append(len(points))
-        return objective(points)
-    monkeypatch.setattr(optimize, "BATCH_BYTES", 3 * 8 * dim)
-    assert_same(optimize.maximize_over_simplex(recording, dim, opts), want)
-    assert max(sizes) == 3
+    def terms(points):
+        return kernel.with_gradient(law[..., None] * points.T[:, None, :],
+                                    law, 1)
+    got = optimize.maximize_over_simplex(terms, dim)
+    assert got.evals == 1 and got.converged
+    assert got.point.tolist() == [1.0 / dim] * dim
+    assert got.upper - got.value <= 1e-15
+
+
+def test_iteration_cap_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(optimize, "ITER_CAP", 2)
+    terms = information_terms(5, 3, seed=1)
+    got = optimize.maximize_over_simplex(terms, 5)
+    assert got.evals == 3
+    assert not got.converged
+    assert got.upper - got.value > optimize.CERTIFY_GAP
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_certificate_is_the_value_of_the_game(m):
+    # min over term weights of max over cells, against sampled strategies
+    # of both players: every column mix q proves the value is at least
+    # min_i (G q)_i, and every weight vector at most max_x (lambda G)(x)
+    rng = np.random.default_rng(m)
+    for n in (1, 3, 9, 60):
+        grads = rng.normal(size=(m, n))
+        value = optimize.certificate(grads)
+        mixes = rng.dirichlet(np.ones(n), 20_000)
+        weights = rng.dirichlet(np.ones(m), 20_000)
+        assert (mixes @ grads.T).min(axis=1).max() <= value + 1e-12
+        assert value <= (weights @ grads).max(axis=1).min() + 1e-12
+    assert optimize.certificate(np.array([[1.0, np.inf]])) == np.inf
+
+
+def test_certify_handles_empty_cells():
+    # at a point mass, the cells without mass still bound the maximum
+    terms = information_terms(3, 2, seed=4)
+    upper = optimize.certify(terms, np.array([0.0, 1.0, 0.0]))
+    grid = optimize.maximize_on_grid(least(terms), 3, 0.05)
+    assert grid.value <= upper + 1e-12 < np.inf
 
 
 def test_grid_equals_per_point_scan(net_b, monkeypatch):
@@ -185,4 +155,3 @@ def test_grid_equals_per_point_scan(net_b, monkeypatch):
 def test_options_reject_values_that_make_no_sense(field, value):
     with pytest.raises(rc.SchemaError):
         OptimizerOptions(**{field: value})
-

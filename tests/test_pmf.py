@@ -15,6 +15,7 @@ from relaycast.errors import (
     ShapeMismatch,
     UnknownVariable,
 )
+from relaycast.pmf import InformationKernel
 
 from conftest import conv, h2
 
@@ -293,3 +294,33 @@ def test_entropy_rows_match_joint_pmf_entropy():
             got = got.tolist()
             assert got == [make("ABC", (2, 3, 2), row).entropy(keep)
                            for row in rows]
+
+
+@pytest.mark.parametrize("cond", [(), ("C",)])
+def test_kernel_gradient_in_the_input_law(cond):
+    # joints p(a, c) W(y, z | a, c): the gradient of I(A; Y | cond) in
+    # p(a, c) sums back to the information (<grad, p> = I), matches
+    # central differences along every direction inside the simplex, and
+    # leaves the values bit for bit as a call without it gives them
+    rng = np.random.default_rng(len(cond))
+    law = rng.dirichlet(np.ones(6), size=(3, 2)).reshape(3, 2, 3, 2)
+    joint = rc.JointPmf(("A", "C", "Y", "Z"), law.shape, law / 6)
+    kernel = InformationKernel(law.shape, [
+        joint.information_axes(["A"], ["Y"], cond),
+        joint.information_axes(["A", "C"], ["Z"])])
+    points = rng.dirichlet(np.ones(6), size=4)
+
+    def batch(rows):
+        return law[..., None] * rows.T.reshape(3, 2, 1, 1, len(rows))
+    values, grads = kernel.with_gradient(batch(points), law, 2)
+    assert values.tolist() == kernel(batch(points)).tolist()
+    assert np.allclose(np.einsum("btx,bx->bt", grads, points), values,
+                       rtol=0, atol=1e-14)
+    h = 1e-6
+    for a, b in itertools.combinations(range(6), 2):
+        move = np.zeros(6)
+        move[a], move[b] = h, -h
+        slope = (kernel(batch(points + move)) - kernel(batch(points - move))
+                 ) / (2 * h)
+        want = (grads[..., a] - grads[..., b])
+        assert np.allclose(slope, want, rtol=0, atol=1e-7)

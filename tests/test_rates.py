@@ -28,7 +28,7 @@ from relaycast.rates import (
     participating_inputs,
 )
 
-from conftest import conv, h2, ternary_relay_net
+from conftest import conv, degraded_relay_net, h2, ternary_relay_net
 
 FAST = rc.OptimizerOptions(restarts=4)
 
@@ -114,15 +114,19 @@ class TestOptimizeRate:
                                             abs=1e-3)
 
     def test_deterministic_and_monotone(self, net_b):
-        r1 = rc.optimize_rate(net_b, [0, 1, 2], rc.OptimizerOptions(
-            restarts=4, seed=7))
-        r2 = rc.optimize_rate(net_b, [0, 1, 2], rc.OptimizerOptions(
-            restarts=4, seed=7))
-        assert r1.rate == r2.rate
-        np.testing.assert_array_equal(r1.input_pmf.probs, r2.input_pmf.probs)
-        r8 = rc.optimize_rate(net_b, [0, 1, 2], rc.OptimizerOptions(
-            restarts=8, seed=7))
-        assert r8.rate >= r1.rate - 1e-12
+        # the solver reads neither restarts nor seed: every choice gives
+        # the same report, so more restarts can never lower the rate, and
+        # the report proves its own optimality gap
+        texts = {json.dumps(rc.optimize_rate(net_b, [0, 1, 2],
+                                             rc.OptimizerOptions(
+                                                 restarts=r, seed=seed)
+                                             ).to_dict(), sort_keys=True)
+                 for r in (1, 4, 8) for seed in (0, 7)}
+        assert len(texts) == 1
+        report = json.loads(texts.pop())
+        assert report["converged"]
+        assert 0.0 <= report["gap"] == report["upper"] - report["rate"] \
+            <= optimize.CERTIFY_GAP
 
     def test_useless_input_symbol(self):
         # ternary input whose third symbol yields a uniform output
@@ -413,14 +417,73 @@ def _assert_random_rows_match_labelled(spec, rng, count):
 def test_random_ternary_nets(seed):
     # the kernel on ternary alphabets, whose marginals sum runs of 3, 9 and
     # 27 cells, matches the labelled calculus; each searched plan is no
-    # worse than its uniform input, and auto no worse than every plan
+    # worse than its uniform input and certified, and auto no worse than
+    # every plan
     spec = ternary_relay_net(seed)
     _assert_random_rows_match_labelled(spec, np.random.default_rng(seed), 6)
     auto = rc.optimize_rate(spec, "auto", FAST).rate
     for plan in rc.enumerate_plans(spec):
-        rate = rc.optimize_rate(spec, plan, FAST).rate
-        assert rate >= rc.achievable_rate(spec, None, plan).rate
-        assert auto >= rate
+        report = rc.optimize_rate(spec, plan, FAST)
+        assert report.rate >= rc.achievable_rate(spec, None, plan).rate
+        assert report.converged
+        assert report.rate <= report.upper <= \
+            report.rate + optimize.CERTIFY_GAP
+        assert auto >= report.rate
+
+
+#: Per seed of ``ternary_relay_net``: a proven bracket of plan 0,1,2's
+#: optimal rate, the evaluations the 16-restart pattern search spent on that
+#: plan, and the values that search reached on the two cuts of the bound.
+TERNARY_REFERENCE = {
+    0: ((0.298388981, 0.298389111), 93_634,
+        (0.5013852580983194, 0.25340296923824024)),
+    1: ((0.198768848, 0.198768928), 116_080,
+        (0.6187072366910236, 0.416127945427757)),
+    2: ((0.242170216, 0.242170465), 178_666,
+        (0.45616316391575173, 0.20021344348750458)),
+    3: ((0.306872440, 0.306872588), 93_508,
+        (0.46249200584658934, 0.3620291207010289)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TERNARY_REFERENCE))
+def test_ternary_plan_meets_its_proven_bracket(seed):
+    # the ridge where two hop ratios tie stalled the pattern search up to
+    # 1.7% short; the certified solver must close on the bracket, in a
+    # tenth of the evaluations, and prove both cuts above the old values
+    (lo, hi), old_evals, old_cuts = TERNARY_REFERENCE[seed]
+    spec = ternary_relay_net(seed)
+    report = rc.optimize_rate(spec, [0, 1, 2])
+    assert report.converged and report.gap <= optimize.CERTIFY_GAP
+    assert report.rate <= hi and report.upper >= lo
+    assert report.rate >= lo - optimize.CERTIFY_GAP
+    assert report.evals <= old_evals / 10
+    for cut, old in zip(rc.ordered_cutset_bound(spec).per_cut, old_cuts):
+        assert cut.upper >= old - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degraded_family(seed):
+    # a physically degraded relay net with its side information degraded
+    # in the same order: every plan's rate stays under the proven cut-set
+    # bound and under its own upper value, and the capacity certificate
+    # holds exactly when its gap is within tolerance.  DF need not meet
+    # the bound: the bound takes each cut's supremum on its own, while
+    # the converse uses one input law for every cut.
+    spec = degraded_relay_net(seed)
+    bound = rc.ordered_cutset_bound(spec)
+    assert bound.converged
+    for cut in bound.per_cut:
+        assert 0.0 <= cut.gap <= optimize.CERTIFY_GAP
+    reports = rc.optimize_plans(spec, "auto")
+    for report in reports:
+        assert report.rate <= bound.bound + 1e-12
+        assert report.rate <= report.upper
+    capacity = rc.degraded_capacity(spec, bound=bound)
+    assert capacity.rate <= capacity.upper
+    cert = capacity.certificate
+    assert cert["gap"] == bound.bound - capacity.rate >= 0.0
+    assert cert["certified"] == (cert["gap"] <= cert["certify_tol"])
 
 
 def test_hop_evaluator_rows_with_different_zero_patterns(net_d):

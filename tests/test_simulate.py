@@ -426,6 +426,27 @@ def test_results_match_golden(key, scheme, net, kwargs, workers):
         json.dumps(golden, sort_keys=True)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_results_are_strict_json(key, scheme, net, kwargs):
+    res = SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
+    json.loads(json.dumps(res.to_dict()), parse_constant=_reject_constant)
+
+
+def test_epsilon_echo_does_not_depend_on_its_type(net_a_noiseless):
+    # an int epsilon and the equal float give the same result bytes
+    texts = [json.dumps(rc.simulate_ptp(net_a_noiseless, m=6, n=8, R=None,
+                                        epsilon=eps, trials=5,
+                                        seed=0).to_dict(), sort_keys=True)
+             for eps in (3, 3.0)]
+    assert texts[0] == texts[1]
+    assert '"epsilon": 3.0' in texts[0]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("key,scheme,net,kwargs", GOLDEN_CASES,
                          ids=[c[0] for c in GOLDEN_CASES])
