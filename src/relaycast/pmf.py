@@ -5,13 +5,12 @@ finite-alphabet variables.  All entropies and mutual informations in the
 package are computed in bits (base-2 logs), with the ``0 * log 0 = 0``
 convention and zero-mass conditioning cells skipped, by one information
 kernel, :class:`InformationKernel`.  It takes a batch of joints with the
-batch axis last and sums each marginal there in the order numpy uses on
-the batch-first stack of those joints (``_Marginal``), so its values are
-those of numpy's sums bit for bit while its inner loops run along the
-batch.  The rate engine hands it every point its solver visits and takes
-each term's gradient in the input law from the same marginals; the
-``JointPmf`` methods hand it their own joint as a batch of one row.
-Kernel axes are numbered as the joint's own.
+batch axis first and sums each marginal with numpy's own ``sum``, which
+gives every row what that row gives summed alone.  The rate engine hands
+it every point its solver visits and takes each term's gradient in the
+input law from the same marginals; the ``JointPmf`` methods hand it their
+own joint as a batch of one row.  Kernel axes are numbered as the joint's
+own.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -126,8 +125,7 @@ class JointPmf:
     def entropy(self, targets: Iterable[str] | None = None) -> float:
         """Joint entropy H(targets) in bits (all variables if None)."""
         drop = () if targets is None else self._drop_axes(targets)
-        return float(_entropy_rows(
-            _Marginal.of(self.sizes, drop)(self.probs[..., None]))[0])
+        return float(_entropy_rows(self.probs.sum(axis=drop)[None])[0])
 
     def conditional_entropy(self, targets: Iterable[str],
                             given: Iterable[str] = ()) -> float:
@@ -164,7 +162,7 @@ class JointPmf:
                            cond: Iterable[str] = ()) -> float:
         """I(a; b | cond) in bits, clamped to be nonnegative."""
         return float(InformationKernel(self.sizes, [
-            self.information_axes(a, b, cond)])(self.probs[..., None])[0, 0])
+            self.information_axes(a, b, cond)])(self.probs[None])[0, 0])
 
     def is_markov_chain(self, chain: Sequence[str],
                         tol: float = DEFAULT_TOL) -> bool:
@@ -227,93 +225,25 @@ class JointPmf:
         return JointPmf(self.variables, self.sizes, probs)
 
 
-#: numpy's pairwise summation (``pairwise_sum`` in
-#: numpy/_core/src/umath/loops_utils.h.src): a run of fewer than
-#: _PAIRWISE_UNROLL cells adds left to right; a run of up to
-#: _PAIRWISE_BLOCK cells keeps _PAIRWISE_UNROLL running sums over strides of
-#: _PAIRWISE_UNROLL; a longer run splits in halves at a multiple of
-#: _PAIRWISE_UNROLL.
-_PAIRWISE_UNROLL = 8
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of a run of cells over axis -2 of ``x``, shaped
-    (..., run, B) with the batch axis last, in vector operations along B."""
-    n = x.shape[-2]
-    if n < _PAIRWISE_UNROLL:
-        return x.sum(axis=-2)      # B innermost: left to right
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - (n // 2) % _PAIRWISE_UNROLL
-        return _pairwise_sum(x[..., :half, :]) + _pairwise_sum(x[..., half:, :])
-    whole = n - n % _PAIRWISE_UNROLL
-    r = x[..., :whole, :].reshape(x.shape[:-2] + (
-        whole // _PAIRWISE_UNROLL, _PAIRWISE_UNROLL, x.shape[-1])).sum(axis=-3)
-    # r holds the running sums r0..r7, each added left to right
-    r = r[..., 0::2, :] + r[..., 1::2, :]   # (r0+r1), (r2+r3), ...
-    r = r[..., 0::2, :] + r[..., 1::2, :]   # ((r0+r1)+(r2+r3)), ...
-    r = r[..., 0, :] + r[..., 1, :]
-    for i in range(whole, n):
-        r = r + x[..., i, :]
-    return r
-
-
-@dataclass(frozen=True)
-class _Marginal:
-    """Sums out axes of a batch-last joint, (cells..., B), in the order
-    numpy adds them when it sums the same axes of the batch-first stack
-    (each axis one higher there), so every marginal cell is bit for bit
-    the same.
-
-    Unit axes play no part.  The trailing run of summed-out axes is ``run``
-    contiguous cells per row, which numpy sums pairwise; those run sums and
-    the other summed-out axes, ``outer`` (axes of ``pre``), are then added
-    left to right in C order, as a reduce with B innermost does.
-    """
-
-    pre: tuple[int, ...]
-    run: int                   # 0: the last non-unit axis is kept
-    outer: tuple[int, ...]
-
-    @classmethod
-    def of(cls, sizes: Sequence[int], drop: Iterable[int]) -> "_Marginal":
-        """The sum of axes ``drop`` of a joint shaped ``sizes``."""
-        drop = set(drop)
-        axes = [(n, i in drop) for i, n in enumerate(sizes) if n > 1]
-        kept = max((k + 1 for k, (_, d) in enumerate(axes) if not d),
-                   default=0)
-        run = [n for n, _ in axes[kept:]]
-        return cls(tuple(n for n, _ in axes[:kept]),
-                   int(np.prod(run)) if run else 0,
-                   tuple(k for k, (_, d) in enumerate(axes[:kept]) if d))
-
-    def __call__(self, joint: np.ndarray) -> np.ndarray:
-        """The marginal of C-contiguous ``joint`` as (kept cells..., B)."""
-        batch = joint.shape[-1]
-        if self.run:
-            marg = _pairwise_sum(joint.reshape(self.pre + (self.run, batch)))
-        else:
-            marg = joint.reshape(self.pre + (batch,))
-        return marg.sum(axis=self.outer) if self.outer else marg
-
-
 def _entropy_rows(marg: np.ndarray) -> np.ndarray:
-    """Entropies in bits of the B marginals in ``marg``, (cells..., B).
+    """Entropies in bits of the B marginals in ``marg``, (B, cells...).
 
-    The row sums run on a C-contiguous (B, cells) copy, where numpy sums
-    each row in the same pairwise order as a 1-D array, so every row equals
-    the one-row computation.  Rows whose zero cells differ take a per-row
-    path.
+    numpy sums each row of the C-contiguous (B, cells) array in the
+    pairwise order of that row alone.  Rows whose zero cells differ take a
+    per-row path.  A NaN or infinite cell raises NotNormalized.
     """
-    p = np.ascontiguousarray(marg.reshape(-1, marg.shape[-1]).T)
+    p = marg.reshape(len(marg), -1)
+    if not np.isfinite(p).all():
+        raise NotNormalized("pmf has a NaN or infinite entry")
     live = p > 0.0
     if (live == live[0]).all():
+        # a boolean column index does not return C order
         pos = np.ascontiguousarray(p[:, live[0]])
-        return -(pos * np.log2(pos)).sum(axis=1)
-    out = np.empty(p.shape[0])
+        return 0.0 - (pos * np.log2(pos)).sum(axis=1)
+    out = np.empty(len(p))
     for b, (row, keep) in enumerate(zip(p, live)):
         pos = row[keep]
-        out[b] = -(pos * np.log2(pos)).sum()
+        out[b] = 0.0 - (pos * np.log2(pos)).sum()
     return out
 
 
@@ -323,19 +253,17 @@ class InformationKernel:
 
     Each term is given by the axes of the joint its entropies sum out
     (``JointPmf.information_axes``), without H(C)'s when C is empty.  A
-    call takes the joints batch-last, (sizes..., B), and returns (B,
-    terms), clamped to be nonnegative.  Each distinct marginal is summed
-    once per call, so terms sharing an entropy share its work.
+    call takes the joints batch-first, (B, sizes...), and returns (B,
+    terms), clamped to be nonnegative.  Each distinct marginal is numpy's
+    own sum of the batch, summed once per call, so terms sharing an
+    entropy share its work.
     """
 
     def __init__(self, sizes: Sequence[int],
                  terms: Sequence[Sequence[tuple[int, ...]]]):
         drops = list(dict.fromkeys(tuple(d) for t in terms for d in t))
-        self._marginals = [_Marginal.of(sizes, d) for d in drops]
-        # each marginal's cells broadcast over the joint's axes
-        self._kept_shapes = [tuple(1 if i in d else n
-                                   for i, n in enumerate(sizes))
-                             for d in drops]
+        # the same axes of the batch-first joint
+        self._drops = [tuple(i + 1 for i in d) for d in drops]
         # an absent H(C) is index -1, the 0.0 a call appends
         self._terms = [[drops.index(tuple(d)) for d in t] + [-1] * (4 - len(t))
                        for t in terms]
@@ -362,32 +290,24 @@ class InformationKernel:
         the one-sided derivative there.  Values are the same bit for bit
         with or without ``channel``.
         """
-        joint = np.ascontiguousarray(joint)
-        margs = [m(joint) for m in self._marginals]
+        margs = [joint.sum(axis=d, keepdims=True) for d in self._drops]
         h = [_entropy_rows(m) for m in margs] + [0.0]
         values = _clamp_nonneg(np.stack(
             [h[ac] + h[bc] - h[abc] - h[c] for ac, bc, abc, c in self._terms],
             axis=1), "mutual information")
         if channel is None:
             return values, None
-        batch = joint.shape[-1]
-        outputs = tuple(range(inputs, channel.ndim))
-        weight = channel[..., None]
-        silent = weight == 0.0
+        outputs = tuple(range(1 + inputs, 1 + channel.ndim))
+        silent = channel == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # E_k(x) = sum_y W(y|x) log2 q_k(x, y) per distinct marginal
-            expect = []
-            for marg, shape in zip(margs, self._kept_shapes):
-                cell = weight * np.log2(marg.reshape(shape + (batch,)))
-                cell[np.broadcast_to(silent, cell.shape)] = 0.0
-                expect.append(cell.sum(axis=outputs))
-            expect.append(0.0)
+            expect = [np.where(silent, 0.0, channel * np.log2(marg)
+                               ).sum(axis=outputs) for marg in margs] + [0.0]
             grads = np.stack([-(expect[ac] + expect[bc] - expect[abc]
                                 - expect[c])
-                              for ac, bc, abc, c in self._terms])
+                              for ac, bc, abc, c in self._terms], axis=1)
         grads = np.where(np.isnan(grads), np.inf, grads)
-        return values, np.moveaxis(grads.reshape(len(self._terms), -1, batch),
-                                   -1, 0)
+        return values, grads.reshape(grads.shape[:2] + (-1,))
 
 
 def _clamp_nonneg(values: np.ndarray, what: str) -> np.ndarray:

@@ -14,7 +14,7 @@ The cut-set bound and the single-relay broadcast capacity are minima of the
 same terms.  The solver and every report evaluate them through one array
 path, ``_hop_evaluator``, on batches of input joints: the solver hands it
 each point it visits, a report a batch of one.  It composes each batch with
-the channel into one batch-last joint and runs the package's one
+the channel into one batch-first joint and runs the package's one
 information kernel, ``pmf.InformationKernel``, which sums every distinct
 marginal once per batch (every hop of a plan shares H(A,C)) and, for the
 solver, also returns each term's gradient in the input joint from those
@@ -284,7 +284,7 @@ def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]) -> Callable:
     (or (B,) + input sizes) to a (B, hops) array; with ``gradient=True``,
     also their (B, hops, input cells) gradients in the input joint.
 
-    It composes the rows with the channel into one batch-last joint, with
+    It composes the rows with the channel into one batch-first joint, with
     the products ``compose_joint`` takes, and runs ``pmf.InformationKernel``
     on it, built once here from axes found once; at most
     ``optimize.BATCH_BYTES`` of joints are composed at a time.  Each row's
@@ -296,17 +296,16 @@ def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]) -> Callable:
         layout.information_axes(a, b, cond) for _, a, b, cond in hops])
     shape = spec.input_sizes + (1,) * len(spec.output_sizes)
     law = spec.channel.probs
-    channel = law[..., None]
 
     def evaluate(inputs: np.ndarray, gradient: bool = False):
         rows = inputs.reshape(len(inputs), -1)
         out = np.empty((len(rows), len(hops)))
         grads = np.empty(out.shape + rows.shape[1:]) if gradient else None
-        chunk = max(1, optimize.BATCH_BYTES // channel.nbytes)
+        chunk = max(1, optimize.BATCH_BYTES // law.nbytes)
         for lo in range(0, len(rows), chunk):
-            batch = np.ascontiguousarray(rows[lo:lo + chunk].T)
+            batch = rows[lo:lo + chunk]
             out[lo:lo + chunk], grad = kernel.with_gradient(
-                channel * batch.reshape(shape + (batch.shape[1],)),
+                law * batch.reshape((len(batch),) + shape),
                 law if gradient else None, len(spec.input_sizes))
             if gradient:
                 grads[lo:lo + chunk] = grad

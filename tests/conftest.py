@@ -86,6 +86,20 @@ def degraded_relay_net(seed: int, sizes: tuple[int, int] = (2, 2)
                             dsbs_chain(list(rng.uniform(0.05, 0.3, 2)))))
 
 
+def broadcast_relay_net(seed: int, relay_size: int) -> rc.NetworkSpec:
+    """A seeded K=0, L=2 relay-broadcast network: ternary X0, an X1 of
+    ``relay_size`` symbols (1: the relay is silent), a Dirichlet-random
+    channel p(y1, y2 | x0, x1) with ternary outputs, and a DSBS side chain
+    S0 - S1 - S2 with random flips."""
+    rng = np.random.default_rng(seed)
+    ch = rng.dirichlet(np.ones(9), size=3 * relay_size)
+    return rc.NetworkSpec(
+        K=0, L=2, channel=rc.ChannelModel(
+            (3, relay_size, 1), (3, 3), ch.reshape(3, relay_size, 1, 3, 3)),
+        sources=rc.JointPmf(("S0", "S1", "S2"), (2, 2, 2),
+                            dsbs_chain(list(rng.uniform(0.05, 0.3, 2)))))
+
+
 def random_joint(rng: np.random.Generator, variables, sizes,
                  positive: bool = False) -> rc.JointPmf:
     return rc.random_pmf(variables, sizes, rng, positive=positive)

@@ -35,8 +35,7 @@ def information_terms(dim, outputs, seed):
     dens = rng.uniform(0.5, 1.5, outputs)
 
     def terms(points):
-        joint = law[..., None] * points.T.reshape(
-            (dim,) + (1,) * outputs + (len(points),))
+        joint = law * points.reshape((len(points), dim) + (1,) * outputs)
         values, grads = kernel.with_gradient(joint, law, 1)
         return values / dens, grads / dens[:, None]
     return terms
@@ -83,8 +82,7 @@ def test_barycenter_optimum_stops_at_the_first_point():
     kernel = InformationKernel(law.shape, [[(1,), (0,), ()]])
 
     def terms(points):
-        return kernel.with_gradient(law[..., None] * points.T[:, None, :],
-                                    law, 1)
+        return kernel.with_gradient(law * points[:, :, None], law, 1)
     got = optimize.maximize_over_simplex(terms, dim)
     assert got.evals == 1 and got.converged
     assert got.point.tolist() == [1.0 / dim] * dim

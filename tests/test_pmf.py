@@ -110,6 +110,30 @@ class TestConditionalEntropy:
         with pytest.raises(OverlappingSets):
             rc.conditional_entropy(dsbs(0.1), {"S0"}, {"S0", "S1"})
 
+    def test_zero_entropy_is_positive_zero(self):
+        # "clamped to 0" means +0.0, as max(0.0, v) gives it, never -0.0
+        pmf = make(("A", "B"), (2, 2), [1.0, 0.0, 0.0, 0.0])
+        for h in (pmf.entropy(), pmf.entropy(["A"]),
+                  rc.conditional_entropy(pmf, {"A"}),
+                  rc.conditional_entropy(pmf, {"A"}, {"B"}),
+                  make(("A",), (2,), [1.0, 0.0]).entropy()):
+            assert h == 0.0 and not np.signbit(h)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0, 1.0],
+                                     [0.5, 0.0, 0.0, math.inf]])
+    def test_non_finite_mass_raises(self, bad):
+        # a `p > 0` mask would drop a NaN cell and report the rest
+        pmf = make(("A", "B"), (2, 2), bad)
+        for measure in (lambda: pmf.entropy(),
+                        lambda: pmf.entropy(["A"]),
+                        lambda: rc.conditional_entropy(pmf, {"A"}),
+                        lambda: rc.conditional_entropy(pmf, {"A"}, {"B"}),
+                        lambda: rc.mutual_information(pmf, {"A"}, {"B"})):
+            with pytest.raises(NotNormalized, match="NaN or infinite"):
+                measure()
+        with pytest.raises(NotNormalized, match="NaN or infinite"):
+            make(("A",), (2,), [math.nan, 1.0]).entropy()
+
     def test_bounds_and_conditioning(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -256,10 +280,11 @@ def test_numpy_row_sums_match_one_dimensional_sums():
     (3, 1, 3, 3, 3, 3),        # runs of 81 and 243 cells (split in halves)
     (130, 65),                 # runs of 65, 130 and 8,450 cells
 ])
-def test_batch_last_marginals_match_numpy_sums(shape):
-    # the information kernel sums marginals on a batch-last copy in the
-    # order numpy's probs.sum(axis=drop) adds them on the batch-first joint;
-    # an installed numpy that sums in another order fails here
+def test_batch_sums_match_row_sums(shape):
+    # the information kernel takes each marginal as numpy's sum of the
+    # batch-first joint, (rows,) + shape, and relies on every row of that
+    # sum being what the row gives summed alone; an installed numpy that
+    # sums a batch in another order fails here
     rng = np.random.default_rng(13)
     axes = range(len(shape))
     for rows in (1, 7, 129):
@@ -267,16 +292,26 @@ def test_batch_last_marginals_match_numpy_sums(shape):
             [1e-3, 1.0, 7.0], (rows,) + (1,) * len(shape))
         probs[probs < 0.2] = 0.0
         probs[rows // 2] = 0.0
-        batch_last = np.ascontiguousarray(np.moveaxis(probs, 0, -1))
         for drop in itertools.chain.from_iterable(
                 itertools.combinations(axes, r)
                 for r in range(len(shape) + 1)):
-            want = probs.sum(axis=tuple(a + 1 for a in drop)).reshape(
+            batch = tuple(a + 1 for a in drop)
+            got = probs.sum(axis=batch, keepdims=True).reshape(rows, -1)
+            want = np.array([row.sum(axis=drop) for row in probs]).reshape(
                 rows, -1)
-            got = rc.pmf._Marginal.of(shape, drop)(batch_last)
-            assert np.array_equal(got.reshape(-1, rows).T, want), (
+            assert np.array_equal(got, want), (
                 f"numpy {np.__version__} sums {(rows,) + shape} over axes "
-                f"{drop} in an order the kernel does not reproduce")
+                f"{batch} in an order that differs from each row's own")
+        # the gradient's sum over the output axes: the joint times the log
+        # of a marginal broadcast against it, summed over trailing axes
+        cells = probs * np.log2(1.0 + probs.sum(axis=1, keepdims=True))
+        for inputs in axes:
+            outputs = tuple(range(inputs, len(shape)))
+            got = cells.sum(axis=tuple(a + 1 for a in outputs))
+            want = np.array([row.sum(axis=outputs) for row in cells])
+            assert np.array_equal(got, want), (
+                f"numpy {np.__version__} sums {(rows,) + shape} over axes "
+                f"{outputs} in an order that differs from each row's own")
 
 
 def test_entropy_rows_match_joint_pmf_entropy():
@@ -286,11 +321,10 @@ def test_entropy_rows_match_joint_pmf_entropy():
     batch[:3, 1, 2, :] = 0.0
     for rows in (batch[:3], batch):
         rows = rows / rows.sum(axis=(1, 2, 3), keepdims=True)
-        batch_last = np.ascontiguousarray(np.moveaxis(rows, 0, -1))
         for drop in [(), (0,), (1, 2), (0, 2)]:
             keep = [v for i, v in enumerate("ABC") if i not in drop]
-            got = rc.pmf._entropy_rows(
-                rc.pmf._Marginal.of((2, 3, 2), drop)(batch_last))
+            got = rc.pmf._entropy_rows(rows.sum(
+                axis=tuple(a + 1 for a in drop), keepdims=True))
             got = got.tolist()
             assert got == [make("ABC", (2, 3, 2), row).entropy(keep)
                            for row in rows]
@@ -311,7 +345,7 @@ def test_kernel_gradient_in_the_input_law(cond):
     points = rng.dirichlet(np.ones(6), size=4)
 
     def batch(rows):
-        return law[..., None] * rows.T.reshape(3, 2, 1, 1, len(rows))
+        return law * rows.reshape(len(rows), 3, 2, 1, 1)
     values, grads = kernel.with_gradient(batch(points), law, 2)
     assert values.tolist() == kernel(batch(points)).tolist()
     assert np.allclose(np.einsum("btx,bx->bt", grads, points), values,
