@@ -63,9 +63,8 @@ def _resolve_network(ref: str) -> NetworkSpec:
 
 
 def _optimizer_options(args) -> OptimizerOptions:
-    return OptimizerOptions(
-        restarts=args.restarts, certify_tol=args.certify_tol,
-        seed=args.seed, grid_step=args.grid_step)
+    return OptimizerOptions(certify_tol=args.certify_tol,
+                            grid_step=args.grid_step)
 
 
 def _finite(value: Any) -> Any:
@@ -220,7 +219,8 @@ def cmd_simulate(args) -> str:
     opts = _optimizer_options(args)
     r_star = functools.cache(
         lambda: optimize_rate(spec, rate_plan, opts).rate)
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}", CSV_HEADER]
+    echo = json.dumps(config, sort_keys=True, allow_nan=False)
+    lines = [f"# config: {echo}", CSV_HEADER]
     for point in ladder:
         m, B, trials = point["m"], point["B"], point["trials"]
         targets = [(None, point["n"])] if not scales else [
@@ -382,7 +382,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(_load_config_file(argv)).parse_args(argv)
         if hasattr(args, "seed"):
+            # the rate engine reads neither flag, but the config echoes both
             check_seed(args.seed, "--seed")
+            if args.restarts < 1:
+                raise SchemaError(
+                    f"--restarts must be >= 1, got {args.restarts}")
+        # a config line is strict JSON, whichever scheme reads the rates
+        for flag in ("bin_rate", "bin_rate_delta"):
+            if not math.isfinite(getattr(args, flag, None) or 0.0):
+                raise SchemaError(f"--{flag.replace('_', '-')} must be finite")
         text = args.fn(args)
     except RelaycastError as exc:
         err = {"error_code": exc.code, "message": str(exc)}

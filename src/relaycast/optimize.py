@@ -49,8 +49,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import SchemaError, TooLarge
-from .network import whole_number
-from .seeds import check_seed, child_rng  # noqa: F401  (a tracer patches it)
+from .seeds import child_rng  # noqa: F401  (a tracer patches it)
 
 #: The solver stops once its upper value is within this of its best value.
 CERTIFY_GAP = 1e-6
@@ -87,23 +86,16 @@ Terms = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 class OptimizerOptions:
     """Knobs of the rate engine, surfaced as CLI flags.
 
-    ``restarts`` and ``seed`` are validated and echoed by the CLI, but the
-    certified solver reads neither.  ``certify_tol`` is the gap under which
-    ``degraded_capacity`` calls a capacity certified; ``grid_step`` swaps
-    the solver for the exhaustive grid oracle.
+    ``certify_tol`` is the gap under which ``degraded_capacity`` calls a
+    capacity certified; ``grid_step`` swaps the solver for the exhaustive
+    grid oracle.  The solver is deterministic, so there is no seed or
+    restart count to set.
     """
 
-    restarts: int = 16
     certify_tol: float = 2e-3
-    seed: int = 0
     grid_step: float | None = None
 
     def __post_init__(self):
-        restarts = whole_number(self.restarts, "restarts")
-        if restarts < 1:
-            raise SchemaError(f"restarts must be >= 1, got {restarts}")
-        object.__setattr__(self, "restarts", restarts)
-        object.__setattr__(self, "seed", check_seed(self.seed))
         tol = self.certify_tol
         if (isinstance(tol, bool) or not isinstance(tol, (int, float))
                 or not (math.isfinite(tol) and tol >= 0)):

@@ -208,6 +208,12 @@ class HopTerm:
         return dataclasses.asdict(self)
 
 
+def _pmf_dict(pmf: JointPmf) -> dict[str, Any]:
+    """An input joint as a report prints it: its probabilities flat."""
+    return {"variables": list(pmf.variables), "sizes": list(pmf.sizes),
+            "probs": pmf.probs.reshape(-1).tolist()}
+
+
 @dataclass(frozen=True)
 class RateReport:
     mode: str
@@ -247,11 +253,7 @@ class RateReport:
             out["upper"] = self.upper
             out["gap"] = self.gap
         if self.input_pmf is not None:
-            out["input_pmf"] = {
-                "variables": list(self.input_pmf.variables),
-                "sizes": list(self.input_pmf.sizes),
-                "probs": self.input_pmf.probs.reshape(-1).tolist(),
-            }
+            out["input_pmf"] = _pmf_dict(self.input_pmf)
         if self.certificate is not None:
             out["certificate"] = self.certificate
         return out
@@ -544,11 +546,7 @@ class CutTerm:
             "gap": self.gap,
             "denominator": self.denominator,
             "ratio": self.ratio,
-            "input_pmf": {
-                "variables": list(self.input_pmf.variables),
-                "sizes": list(self.input_pmf.sizes),
-                "probs": self.input_pmf.probs.reshape(-1).tolist(),
-            },
+            "input_pmf": _pmf_dict(self.input_pmf),
         }
 
 

@@ -280,9 +280,11 @@ class TypicalityTest:
         (from :meth:`flatten`): (n,) for every candidate, or (G, n) with
         row g for the g-th of G equal runs of consecutive candidates (one
         run per trial when a chunk of trials is checked at once, one per
-        candidate when each has its own row).  Candidates are checked in
-        chunks under ``CHECK_BATCH_BYTES``; no candidates give an empty
-        mask, and C not a multiple of G raises ``ValueError``.
+        candidate when each has its own row).  Two or more rows are folded
+        into their runs' candidate index, which then counts every cell
+        against one all-zero row.  Candidates are checked in chunks under
+        ``CHECK_BATCH_BYTES``; no candidates give an empty mask, and C not
+        a multiple of G raises ``ValueError``.
         """
         c = candidates.shape[0]
         if c == 0:
@@ -294,63 +296,41 @@ class TypicalityTest:
         if fixed_flat.ndim == 2 and fixed_flat.shape[0] == 1:
             fixed_flat = fixed_flat[0]
         tail = self.tail
-        if fixed_flat.ndim == 2 and fixed_flat.shape[0] == c:
-            # a row per candidate is folded into it: its index then runs
-            # over every cell, against one all-zero row, which counts
-            # faster than runs of one
-            candidates = np.multiply(candidates, tail,
-                                     dtype=np.min_scalar_type(-self.ncells))
-            candidates += fixed_flat
+        if fixed_flat.ndim == 2:
+            # rows are cast first: an int64 add costs about twice as much
+            cell_type = np.min_scalar_type(-self.ncells)
+            candidates = np.multiply(candidates, tail, dtype=cell_type)
+            candidates.reshape(fixed_flat.shape[0], -1, self.n)[...] += \
+                fixed_flat.astype(cell_type)[:, None]
             fixed_flat, tail = np.zeros(self.n, dtype=np.int64), 1
         step = max(1, CHECK_BATCH_BYTES // (8 * (self.n + self.ncells)))
-        if fixed_flat.ndim == 1:
-            if c <= step:
-                return self._check(candidates, fixed_flat, tail)
-            return np.concatenate([
-                self._check(candidates[i:i + step], fixed_flat, tail)
-                for i in range(0, c, step)])
-        run = c // fixed_flat.shape[0]
-        groups = max(1, step // run)
+        if c <= step:
+            return self._check(candidates, fixed_flat, tail)
         return np.concatenate([
-            self._check(candidates[g * run:(g + groups) * run],
-                        fixed_flat[g:g + groups], tail)
-            for g in range(0, fixed_flat.shape[0], groups)])
+            self._check(candidates[i:i + step], fixed_flat, tail)
+            for i in range(0, c, step)])
 
     def _check(self, candidates: np.ndarray, fixed_flat: np.ndarray,
                tail: int) -> np.ndarray:
         """One chunk of :meth:`check_batch`, whose candidates' index
-        counts cells in steps of ``tail``.  A shared fixed row is counted
-        by the form that ``CELLWISE_SYMBOLS_PER_CELL`` picks for the
-        chunk's size; runs with their own rows cell by cell."""
+        counts cells in steps of ``tail`` against the shared fixed row, by
+        the form that ``CELLWISE_SYMBOLS_PER_CELL`` picks for the chunk's
+        size."""
         c = candidates.shape[0]
-        runs = fixed_flat.ndim == 2
-        if not runs and c * self.n < CELLWISE_SYMBOLS_PER_CELL * self.ncells:
+        if c * self.n < CELLWISE_SYMBOLS_PER_CELL * self.ncells:
             idx = np.multiply(candidates, tail, dtype=np.int64)
             idx += fixed_flat
             idx += np.arange(c, dtype=np.int64)[:, None] * self.ncells
             counts = np.bincount(idx.reshape(-1), minlength=c * self.ncells)
             counts = counts.reshape(c, self.ncells)
             return ((counts >= self.lo) & (counts <= self.hi)).all(axis=1)
-        if runs:
-            # (positions, runs, run length), each run against its own row
-            by_position = np.ascontiguousarray(candidates.reshape(
-                fixed_flat.shape[0], -1, self.n).transpose(2, 0, 1))
-        else:
-            by_position = candidates.T
-        ok = np.ones(by_position.shape[1:], dtype=bool)
+        ok = np.ones(c, dtype=bool)
         count_type = np.min_scalar_type(self.n)
         for tail_value in range(tail):
-            if runs:
-                column = by_position
-                where = (fixed_flat.T == tail_value)[:, :, None]
-            else:
-                # (positions whose fixed labels take this value, C)
-                column = by_position[fixed_flat == tail_value]
+            # (positions whose fixed labels take this value, C)
+            column = candidates.T[fixed_flat == tail_value]
             for lead_value in range(self.ncells // tail):
                 cell = lead_value * tail + tail_value
-                hit = column == lead_value
-                if runs:
-                    hit &= where
-                count = hit.sum(axis=0, dtype=count_type)
+                count = (column == lead_value).sum(axis=0, dtype=count_type)
                 ok &= (count >= self.lo[cell]) & (count <= self.hi[cell])
-        return ok.reshape(-1)
+        return ok

@@ -70,7 +70,7 @@ class TestRate:
         assert code == 0
         result = json.loads(out)["result"]
         per_plan = result.pop("per_plan")
-        opts = rc.OptimizerOptions(restarts=2)
+        opts = rc.OptimizerOptions()
         assert result == rc.optimize_rate(net_d, "auto", opts).to_dict()
         reports = rc.optimize_plans(net_d, "auto", opts)
         assert per_plan == [{"plan": list(r.plan.order), "rate": r.rate}
@@ -190,6 +190,27 @@ def test_random_net_reports_are_strict_json(command, tmp_path, capsys):
         raise ValueError(f"{constant} is not JSON")
     payload = json.loads(out, parse_constant=reject)
     assert payload["command"] == command[0]
+
+
+#: A small run of each scheme, on a network it takes.
+SCHEME_RUNS = {
+    scheme: ["simulate", "--net", net, "--scheme", scheme, "--m", "4",
+             "--n", "6", "--B", "2", "--trials", "2"]
+    for scheme, net in (("ptp", "net-a"), ("sliding", "net-c"),
+                        ("backward", "net-c"))}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_RUNS))
+def test_simulate_config_line_is_strict_json(scheme, capsys):
+    code, out, _ = run_cli(SCHEME_RUNS[scheme], capsys)
+    assert code == 0
+    line = out.splitlines()[0]
+    assert line.startswith("# config:")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    config = json.loads(line[len("# config:"):], parse_constant=reject)
+    assert config["scheme"] == scheme
 
 
 class TestSimulate:
@@ -384,6 +405,31 @@ class TestFlagValues:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error_code"] == "SchemaError"
+
+    @pytest.mark.parametrize("flags", [
+        ["--bin-rate", "inf"], ["--bin-rate", "nan"],
+        ["--bin-rate-delta", "nan"], ["--bin-rate-delta=-inf"],
+    ])
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_RUNS))
+    def test_non_finite_bin_rates(self, scheme, flags, capsys, monkeypatch):
+        """Every scheme rejects them, read or not: the config line would
+        echo them as no JSON number."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the bin rates")
+        for name in ("simulate_ptp", "simulate_sliding_window",
+                     "simulate_backward"):
+            monkeypatch.setattr(f"relaycast.cli.{name}", no_simulation)
+        code, out, err = run_cli(SCHEME_RUNS[scheme] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "SchemaError"
+
+    def test_finite_bin_rate_beyond_range(self, capsys):
+        code, out, err = run_cli(SCHEME_RUNS["ptp"] + ["--bin-rate", "1e9"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "TooLarge"
 
     @pytest.mark.parametrize("values", [
         {"restarts": 2.5}, {"seed": [1]}, {"seed": True}, {"seed": -3},

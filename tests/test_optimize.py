@@ -145,8 +145,6 @@ def test_grid_equals_per_point_scan(net_b, monkeypatch):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("restarts", 0), ("restarts", -3), ("restarts", 2.5), ("restarts", True),
-    ("seed", -1), ("seed", 1.5), ("seed", None),
     ("certify_tol", float("nan")), ("certify_tol", -1.0),
     ("certify_tol", float("inf")), ("certify_tol", "0.1"),
 ])

@@ -45,7 +45,7 @@ def test_tracer_installs_and_restores():
         assert rates.compose_joint is not before[NAMESPACES.index(rates)][
             "compose_joint"]
         report = rc.optimize_rate(rc.bundled_network("net-a"), [0, 1],
-                                  rc.OptimizerOptions(restarts=1))
+                                  rc.OptimizerOptions())
     metrics = tracer.layer_metrics(0)
     assert metrics["rates.plans"] == 1
     # net-a's optimum is the barycenter of its 2-cell simplex, proven at

@@ -23,7 +23,7 @@ from relaycast.cli import main
 
 GOLDEN_REPORTS = Path(__file__).parent / "golden" / "rate_reports.json"
 
-FAST = rc.OptimizerOptions(restarts=4)
+FAST = rc.OptimizerOptions()
 
 L1_NETS = ["net-a", "net-a-noiseless", "net-b", "net-c", "net-d"]
 

@@ -216,6 +216,21 @@ def _check_batch_cases():
         y = rng.integers(0, 2, n)
         flips = rng.random((c, n)) < 0.1
         cases.append((test, (y ^ flips).astype(np.int8), y))
+    # four 4-symbol labels: 256 cells, so a folded index is int16.  The
+    # mass sits on the diagonal (s, s, s, s), whose index over k labels is
+    # s (4^k - 1) / 3, and candidates stray from it at a tenth of places
+    quad = np.full(256, 0.1 / 252)
+    quad[np.arange(4) * 85] = 0.9 / 4
+    ref = rc.JointPmf(labels, (4, 4, 4, 4), quad)
+    for lead in (1, 2):
+        for c, n in [(128, 7), (4096, 12), (4096, 64)]:
+            test = TypicalityTest(ref, labels, n, 3.0, lead=lead)
+            lead_size = test.ncells // test.tail
+            s = rng.integers(0, 4, n)
+            stray = rng.random((c, n)) < 0.1
+            cand = np.where(stray, rng.integers(0, lead_size, (c, n)),
+                            s * (lead_size - 1) // 3).astype(np.int8)
+            cases.append((test, cand, s * (test.tail - 1) // 3))
     # a point mass over a long block: counts above 255 must not wrap
     mass = rc.JointPmf(("A", "B"), (2, 2), [1.0, 0.0, 0.0, 0.0])
     test = TypicalityTest(mass, ("A", "B"), 300, 0.1)
@@ -268,8 +283,9 @@ class TestCheckBatch:
         under any chunk cap; runs of one candidate each included."""
         monkeypatch.setattr(typicality, "CHECK_BATCH_BYTES", cap)
         rng = np.random.default_rng(5)
-        runs = 0
+        runs = widest = 0
         for test, cand, fixed in _check_batch_cases():
+            widest = max(widest, test.ncells)
             for groups in (2, 3, cand.shape[0]):
                 if cand.shape[0] % groups:
                     continue
@@ -282,6 +298,7 @@ class TestCheckBatch:
                     test.check_batch(cand, tails), want)
                 runs += 1
         assert runs > 20
+        assert widest > 127               # a folded index wider than int8
 
     def test_no_candidates_give_an_empty_mask(self):
         """A decoding stage may leave no candidates: they check to an empty
