@@ -53,13 +53,23 @@ CSV_HEADER = ("m,n,B,trials,scheme,rate_scale,rate,p_e,"
               "errors_total,per_terminal_errors,seed")
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at ``path``: a ``SchemaError`` when it cannot be
+    read, a ``ParseError`` when its bytes are not text."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path!r} is not text: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _resolve_network(ref: str) -> NetworkSpec:
     if ref.strip().lower() in BUNDLED:
         return bundled_network(ref)
-    path = Path(ref)
-    if not path.exists():
+    if not Path(ref).exists():
         raise SchemaError(f"{ref!r} is neither a bundled network nor a file")
-    return load_network(path.read_text())
+    return load_network(_read_text(ref, "network document"))
 
 
 def _optimizer_options(args) -> OptimizerOptions:
@@ -142,11 +152,9 @@ def _simulate_one(spec: NetworkSpec, scheme: str, plan: CooperationPlan,
         return simulate_sliding_window(spec, plan, m, n, B, args.epsilon,
                                        trials, args.seed,
                                        workers=args.workers)
-    if scheme == "backward":
-        return simulate_backward(spec, m, n, B, args.epsilon, trials,
-                                 args.seed, bin_rate_delta=args.bin_rate_delta,
-                                 workers=args.workers)
-    raise SchemaError(f"unknown scheme {scheme!r}")
+    return simulate_backward(spec, m, n, B, args.epsilon, trials, args.seed,
+                             bin_rate_delta=args.bin_rate_delta,
+                             workers=args.workers)
 
 
 def _validated_ladder(ladder) -> list[dict[str, int]]:
@@ -168,8 +176,6 @@ def _validated_ladder(ladder) -> list[dict[str, int]]:
 def cmd_simulate(args) -> str:
     spec = _resolve_network(args.net)
     scheme = args.scheme
-    if scheme not in ("ptp", "sliding", "backward"):
-        raise SchemaError(f"unknown scheme {scheme!r}")
     rate_plan = "auto" if args.plan == "auto" else plan_from_string(args.plan)
     sim_plan = CooperationPlan(tuple(range(spec.K + 2))) \
         if rate_plan == "auto" else rate_plan
@@ -272,9 +278,17 @@ def parse_report(text: str) -> dict[str, Any]:
     return {"config": config, "rows": rows, "r_star": r_star}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise ``SchemaError``, so they
+    leave as the JSON error line of every other failure."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser(config: dict[str, Any] | None = None
                  ) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relaycast",
         description="Rates, bounds and protocol simulation for relay "
                     "networks with side information")
@@ -362,15 +376,13 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
 def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
     """Load the JSON defaults of ``--config PATH`` in argv, the flag read
     by argparse itself, so that every spelling it accepts counts."""
-    pre = argparse.ArgumentParser(prog="relaycast", add_help=False)
+    pre = _Parser(prog="relaycast", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return {}
     try:
-        loaded = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise SchemaError(f"config file {path!r} not found") from exc
+        loaded = json.loads(_read_text(path, "config file"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
@@ -392,12 +404,17 @@ def main(argv: list[str] | None = None) -> int:
             if not math.isfinite(getattr(args, flag, None) or 0.0):
                 raise SchemaError(f"--{flag.replace('_', '-')} must be finite")
         text = args.fn(args)
+        if args.out:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise SchemaError(
+                    f"cannot write --out {args.out!r}: {exc}") from exc
     except RelaycastError as exc:
         err = {"error_code": exc.code, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -1,19 +1,22 @@
 """Achievable source-channel code rates, capacity values and cut-set bounds.
 
-A cooperation plan fixes which terminals decode and in which order.  Hop i of
-a plan contributes the ratio
+A cooperation plan fixes which terminals decode and in which order, and its
+senders which transmit.  Hop i, terminal pi(i) decoding the senders before
+plan position i given those from position i on, contributes the ratio
 
-    I(X_{pi(0..i-1)}; Y_{pi(i)} | X_downstream) / H(S_0 | S_{pi(i)})
+    I(X_{senders < i}; Y_{pi(i)} | X_{senders >= i}) / H(S_0 | S_{pi(i)})
 
-and the plan's rate is the minimum ratio.  ``optimize_rate`` maximizes that
-minimum over the joint input distribution of the participating terminals
-(and, in auto mode, over all plans).  A vanishing denominator makes the hop
-vacuous (ratio +inf); if every hop is vacuous the rate is unbounded.
+and the plan's rate is the minimum ratio: a relay-broadcast plan's senders
+are its terminals, a single-destination plan's all but the last, broadcast's
+(0,) and the single-relay broadcast capacity's (0, 1).  ``optimize_rate``
+maximizes that minimum over the senders' joint input (and, in auto mode,
+over all plans).  A vanishing denominator makes the hop vacuous (ratio
++inf); if every hop is vacuous the rate is unbounded.
 
-The cut-set bound and the single-relay broadcast capacity are minima of the
-same terms.  The solver and every report evaluate them through one array
-path, ``_hop_evaluator``, on batches of input joints: the solver hands it
-each point it visits, a report a batch of one.  It composes each batch with
+The cut-set bound is a minimum of such terms over pooled outputs.  The
+solver and every report evaluate them through one array path,
+``_hop_evaluator``, on batches of input joints: the solver hands it each
+point it visits, a report a batch of one.  It composes each batch with
 the channel into one batch-first joint and runs the package's one
 information kernel, ``pmf.InformationKernel``, which sums every distinct
 marginal once per batch (every hop of a plan shares H(A,C)) and, for the
@@ -151,43 +154,36 @@ def default_mode(spec: NetworkSpec) -> str:
     return MODE_SINGLE if spec.L == 1 else MODE_BROADCAST
 
 
+def _senders(plan: CooperationPlan, mode: str) -> tuple[int, ...]:
+    """The terminals that transmit under ``plan``: all of them, but a
+    single destination only listens."""
+    return plan.order[:-1] if mode == MODE_SINGLE else plan.order
+
+
 def participating_inputs(spec: NetworkSpec, plan: CooperationPlan,
                          mode: str) -> tuple[str, ...]:
     """Input labels of the terminals that transmit under this plan."""
-    senders = plan.order[:-1] if mode == MODE_SINGLE else plan.order
-    return tuple(input_label(t) for t in senders)
+    return tuple(input_label(t) for t in _senders(plan, mode))
 
 
 def enumerate_plans(spec: NetworkSpec, mode: str | None = None,
                     cap: int = DEFAULT_PLAN_CAP) -> list[CooperationPlan]:
-    """All valid plans: every relay subset in every order, deterministic
-    (length-then-lexicographic) order."""
+    """All valid plans sorted by (hops, order): every relay subset in every
+    order, before a single destination or mixed with every destination."""
     mode = mode or default_mode(spec)
-    relays = list(range(1, spec.K + 1))
-    if mode == MODE_SINGLE:
-        if spec.L != 1:
-            raise InvalidPlan("single-destination enumeration requires L=1")
-        count = sum(math.perm(len(relays), r) for r in range(len(relays) + 1))
-        if count > cap:
-            raise TooManyPlans(
-                f"{count} plans exceed the cap {cap}; pass an explicit plan")
-        plans = []
-        for r in range(len(relays) + 1):
-            for perm in itertools.permutations(relays, r):
-                plans.append(CooperationPlan((0,) + perm + (spec.K + 1,)))
-        return plans
-    dests = list(spec.destinations())
-    count = sum(math.comb(len(relays), r) * math.factorial(r + len(dests))
-                for r in range(len(relays) + 1))
+    if mode == MODE_SINGLE and spec.L != 1:
+        raise InvalidPlan("single-destination enumeration requires L=1")
+    joined, last = (((), (spec.K + 1,)) if mode == MODE_SINGLE
+                    else (spec.destinations(), ()))
+    count = sum(math.comb(spec.K, r) * math.factorial(r + len(joined))
+                for r in range(spec.K + 1))
     if count > cap:
         raise TooManyPlans(
             f"{count} plans exceed the cap {cap}; pass an explicit plan")
-    plans = []
-    for r in range(len(relays) + 1):
-        for subset in itertools.combinations(relays, r):
-            members = sorted(subset + tuple(dests))
-            for perm in itertools.permutations(members):
-                plans.append(CooperationPlan((0,) + perm))
+    plans = [CooperationPlan((0,) + perm + last)
+             for r in range(spec.K + 1)
+             for subset in itertools.combinations(range(1, spec.K + 1), r)
+             for perm in itertools.permutations(subset + joined)]
     plans.sort(key=lambda p: (p.num_hops, p.order))
     return plans
 
@@ -263,21 +259,15 @@ class RateReport:
 Hop = tuple[int, list[str], list[str], list[str]]
 
 
-def _hop_sets(spec: NetworkSpec, plan: CooperationPlan,
-              mode: str) -> list[Hop]:
-    """Per hop: (terminal, message inputs, observed output, conditioning)."""
+def _hop_sets(plan: CooperationPlan, senders: Sequence[int]) -> list[Hop]:
+    """Hop i of ``plan``: terminal pi(i) decodes the inputs of the
+    ``senders`` before plan position i, given the inputs of the senders
+    from position i on."""
     order = plan.order
-    n = plan.num_hops
-    hops = []
-    for i in range(1, n + 1):
-        a = [input_label(order[j]) for j in range(i)]
-        b = [output_label(order[i])]
-        if mode == MODE_SINGLE:
-            cond = [input_label(order[j]) for j in range(i, n)]
-        else:
-            cond = [input_label(order[j]) for j in range(i, n + 1)]
-        hops.append((order[i], a, b, cond))
-    return hops
+    return [(t, [input_label(s) for s in senders if s in order[:i]],
+             [output_label(t)],
+             [input_label(s) for s in senders if s not in order[:i]])
+            for i, t in enumerate(order[1:], 1)]
 
 
 def _hop_evaluator(spec: NetworkSpec, hops: Sequence[Hop]) -> Callable:
@@ -325,10 +315,13 @@ def _hop_terms(hops: Sequence[Hop], dens: Sequence[float],
 
 
 def _report_at(spec: NetworkSpec, mode: str, plan: CooperationPlan,
-               hops: Sequence[Hop], input_pmf: JointPmf | None,
-               participating: Sequence[str]) -> RateReport:
-    """The report of ``hops`` evaluated once at ``input_pmf`` (None: uniform
-    over the non-constant ``participating`` inputs)."""
+               senders: Sequence[int],
+               input_pmf: JointPmf | None) -> RateReport:
+    """The report of ``plan``'s hops with ``senders`` transmitting,
+    evaluated once at ``input_pmf`` (None: uniform over their non-constant
+    inputs)."""
+    hops = _hop_sets(plan, senders)
+    participating = tuple(input_label(t) for t in senders)
     full = spec.extend_input(input_pmf, participating)
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
     numerators = _hop_evaluator(spec, hops)(np.transpose(
@@ -385,8 +378,7 @@ def achievable_rate(spec: NetworkSpec, input_pmf: JointPmf | None,
         if stray:
             raise AlphabetMismatch(
                 f"input pmf covers non-participating inputs {sorted(stray)}")
-    return _report_at(spec, mode, plan, _hop_sets(spec, plan, mode),
-                      input_pmf, participating)
+    return _report_at(spec, mode, plan, _senders(plan, mode), input_pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +457,17 @@ def _maximin(spec: NetworkSpec, participating: Sequence[str],
 
 
 def _optimize_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str,
-                   opts: OptimizerOptions) -> RateReport:
-    hops = _hop_sets(spec, plan, mode)
+                   opts: OptimizerOptions, senders: Sequence[int],
+                   notes: Sequence[str] = ()) -> RateReport:
+    """The report of ``plan`` at the best joint of its ``senders``' inputs."""
+    hops = _hop_sets(plan, senders)
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    participating = participating_inputs(spec, plan, mode)
+    participating = tuple(input_label(t) for t in senders)
     best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts)
     return _report_from_terms(mode, plan, terms,
                               _shown_input(spec, best_pmf, participating),
-                              converged=result.converged, evals=result.evals,
-                              upper=result.upper)
+                              notes=notes, converged=result.converged,
+                              evals=result.evals, upper=result.upper)
 
 
 def optimize_plans(spec: NetworkSpec,
@@ -496,7 +490,8 @@ def optimize_plans(spec: NetworkSpec,
         plans = [plan]
     for p in plans:
         validate_plan(spec, p, mode)
-    return [_optimize_plan(spec, p, mode, opts) for p in plans]
+    return [_optimize_plan(spec, p, mode, opts, _senders(p, mode))
+            for p in plans]
 
 
 def best_report(reports: Sequence[RateReport]) -> RateReport:
@@ -661,10 +656,8 @@ def broadcast_rate(spec: NetworkSpec,
     x0 = input_label(0)
     if input_pmf is not None and set(input_pmf.variables) != {x0}:
         raise AlphabetMismatch(f"input pmf must cover exactly {x0}")
-    hops = [(d, [x0], [output_label(d)], []) for d in spec.destinations()]
-    return _report_at(spec, "broadcast",
-                      CooperationPlan((0,) + spec.destinations()), hops,
-                      input_pmf, (x0,))
+    plan = CooperationPlan((0,) + spec.destinations())
+    return _report_at(spec, "broadcast", plan, (0,), input_pmf)
 
 
 def single_relay_broadcast_capacity(spec: NetworkSpec,
@@ -681,16 +674,7 @@ def single_relay_broadcast_capacity(spec: NetworkSpec,
         raise NotLemmaShape("requires K=0 and L >= 2")
     if any(spec.input_sizes[d] != 1 for d in spec.destinations()[1:]):
         raise NotLemmaShape("only terminal 1 may have a non-constant input")
-    x0, x1 = input_label(0), input_label(1)
-    participating = (x0, x1)
-    hops = [(1, [x0], [output_label(1)], [x1])] + [
-        (j, [x0, x1], [output_label(j)], []) for j in spec.destinations()[1:]]
-    dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    best_pmf, terms, result = _maximin(spec, participating, hops, dens, opts)
-    plan = CooperationPlan((0,) + spec.destinations())
-    return _report_from_terms(MODE_BROADCAST, plan, terms,
-                              _shown_input(spec, best_pmf, participating),
-                              notes=("capacity: achievability meets the "
-                                     "cut-set converse for this shape",),
-                              converged=result.converged, evals=result.evals,
-                              upper=result.upper)
+    return _optimize_plan(spec, CooperationPlan((0,) + spec.destinations()),
+                          MODE_BROADCAST, opts, (0, 1),
+                          notes=("capacity: achievability meets the cut-set "
+                                 "converse for this shape",))

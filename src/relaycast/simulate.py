@@ -258,10 +258,6 @@ class _Engine:
                  schedule: Schedule, bins: dict[int, float | None],
                  joint: bool, m: int, n: int, epsilon: float, seed: int,
                  input_pmf: JointPmf | None):
-        sizes = spec.sources.sizes + spec.input_sizes + spec.output_sizes
-        if max(sizes) > MAX_ALPHABET:
-            raise TooLarge(f"an alphabet of {max(sizes)} symbols exceeds the "
-                           f"int8 symbol storage ({MAX_ALPHABET})")
         if n * int(np.prod(spec.output_sizes)) > MAX_CELLS:
             raise TooLarge(f"a channel block of n={n} exceeds {MAX_CELLS} "
                            f"cells")
@@ -529,11 +525,14 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
                  epsilon: float = 0.0, workers: int = 1
                  ) -> tuple[int, int, int, int, int, Schedule]:
     """Raise the input error the ``scheme`` simulator raises before it
-    builds anything: root ``seed``; m, n, ``B`` and ``workers`` whole
-    numbers >= 1 and ``trials`` >= 0; ``epsilon`` a finite number >= 0;
-    network shape, sliding ``plan`` and block count; backward
-    ``bin_rates`` keys that name no decoder.  Returns (m, n, B, trials,
-    workers) as ints and the run's schedule (ptp: backward, K=0, B=1)."""
+    builds anything: the scheme name; root ``seed``; m, n, ``B`` and
+    ``workers`` whole numbers >= 1 and ``trials`` >= 0; ``epsilon`` a
+    finite number >= 0; alphabets the int8 symbol storage holds; network
+    shape, sliding ``plan`` and block count; backward ``bin_rates`` keys
+    that name no decoder.  Returns (m, n, B, trials, workers) as ints and
+    the run's schedule (ptp: backward, K=0, B=1)."""
+    if scheme not in ("ptp", "sliding", "backward"):
+        raise SchemaError(f"unknown scheme {scheme!r}")
     check_seed(seed)
     m, n, B, workers = (_count(v, what, 1) for v, what in (
         (m, "m"), (n, "n"), (B, "B"), (workers, "workers")))
@@ -542,6 +541,10 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
             or not (math.isfinite(epsilon) and epsilon >= 0)):
         raise SchemaError(f"epsilon must be a finite number >= 0, "
                           f"got {epsilon!r}")
+    alphabet = max(spec.sources.sizes + spec.input_sizes + spec.output_sizes)
+    if alphabet > MAX_ALPHABET:
+        raise TooLarge(f"an alphabet of {alphabet} symbols exceeds the int8 "
+                       f"symbol storage ({MAX_ALPHABET})")
     if scheme == "ptp" and (spec.K != 0 or spec.L != 1):
         raise PlanMismatch("simulate_ptp requires K=0, L=1")
     if scheme == "sliding":

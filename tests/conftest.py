@@ -55,6 +55,21 @@ def net_h():
     return rc.bundled_network("net-h")
 
 
+def k3_parallel_document() -> dict:
+    """A K=3 network document: four noiseless parallel links."""
+    ch = np.zeros((2, 2, 2, 2, 1) + (2, 2, 2, 2))
+    for idx in np.ndindex((2, 2, 2, 2)):
+        ch[idx + (0,) + idx] = 1.0
+    return {
+        "K": 3, "L": 1,
+        "input_alphabets": [2, 2, 2, 2, 1],
+        "output_alphabets": [2, 2, 2, 2],
+        "source_alphabets": [2] * 5,
+        "channel": ch.reshape(-1).tolist(),
+        "sources": [1 / 32] * 32,
+    }
+
+
 def ternary_relay_net(seed: int) -> rc.NetworkSpec:
     """A seeded K=1 relay network with ternary inputs and outputs and a
     Dirichlet-random channel, p(y1, y2 | x0, x1); no bundled network is

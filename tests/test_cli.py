@@ -9,7 +9,7 @@ import relaycast as rc
 from relaycast.cli import main, parse_report
 from relaycast.nets import dsbs_chain
 
-from conftest import conv, h2, ternary_relay_net
+from conftest import conv, h2, k3_parallel_document, ternary_relay_net
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,20 +22,8 @@ def run_cli(args, capsys):
 
 def _k3_document(tmp_path) -> str:
     """Path of a K=3 network document: four noiseless parallel links."""
-    import numpy as np
-    ch = np.zeros((2, 2, 2, 2, 1) + (2, 2, 2, 2))
-    for idx in np.ndindex((2, 2, 2, 2)):
-        ch[idx + (0,) + idx] = 1.0
-    doc = {
-        "K": 3, "L": 1,
-        "input_alphabets": [2, 2, 2, 2, 1],
-        "output_alphabets": [2, 2, 2, 2],
-        "source_alphabets": [2] * 5,
-        "channel": ch.reshape(-1).tolist(),
-        "sources": [1 / 32] * 32,
-    }
     path = tmp_path / "k3.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(k3_parallel_document()))
     return str(path)
 
 
@@ -480,6 +468,89 @@ class TestFlagValues:
         config = json.loads(out)["config"]
         assert (config["restarts"], config["seed"]) == (2, 4)
         assert type(config["restarts"]) is int
+
+
+class TestErrorLine:
+    """Every failure leaves as one JSON error line on stderr, exit 2."""
+
+    @pytest.mark.parametrize("args, error", [
+        (["simulate", "--net", "net-c", "--m", "abc"], "SchemaError"),
+        (["simulate", "--net", "net-c", "--m", "2.5"], "SchemaError"),
+        (["simulate", "--net", "net-c", "--scheme", "nope"], "SchemaError"),
+        (["simulate", "--net", "net-c", "--bin-rate-delta", "-inf"],
+         "SchemaError"),
+        (["rate", "--net", "net-a", "--bogus"], "SchemaError"),
+        (["rate"], "SchemaError"),
+        (["nope"], "SchemaError"),
+        (["rate", "--net", "net-a", "--config"], "SchemaError"),
+        (["rate", "--net", "{dir}"], "SchemaError"),
+        (["rate", "--config", "{dir}"], "SchemaError"),
+        (["rate", "--net", "{binary}"], "ParseError"),
+        (["rate", "--config", "{binary}"], "ParseError"),
+        (["gen-net", "net-a", "--out", "{missing}"], "SchemaError"),
+        (["gen-net", "net-a", "--out", "{dir}"], "SchemaError"),
+    ], ids=["m-abc", "m-2.5", "scheme-nope", "delta-minus-inf",
+            "unknown-flag", "no-net", "no-command", "config-no-value",
+            "net-dir", "config-dir", "net-binary", "config-binary",
+            "out-missing-dir", "out-dir"])
+    def test_rejections_are_json(self, args, error, tmp_path, capsys,
+                                 monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a command after a rejection")
+        for name in ("optimize_rate", "optimize_plans", "simulate_ptp",
+                     "simulate_sliding_window", "simulate_backward"):
+            monkeypatch.setattr(f"relaycast.cli.{name}", no_work)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\x80\xff\x00")
+        paths = {"dir": tmp_path, "binary": binary,
+                 "missing": tmp_path / "no" / "such" / "x.json"}
+        code, out, err = run_cli([a.format(**paths) for a in args], capsys)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error_code"] == error
+
+    @pytest.mark.parametrize("args", [["--help"], ["rate", "--help"]])
+    def test_help_still_exits_zero(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: relaycast")
+
+    def test_config_scheme_checked_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulated an unknown scheme")
+        for name in ("optimize_rate", "simulate_ptp",
+                     "simulate_sliding_window", "simulate_backward"):
+            monkeypatch.setattr(f"relaycast.cli.{name}", no_work)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": "nope"}))
+        for extra in ([], ["--rate-scale", "0.8"], ["--dry-run"]):
+            code, out, err = run_cli(
+                ["simulate", "--net", "net-a", "--config", str(path), "--m",
+                 "4", "--trials", "1"] + extra, capsys)
+            assert code == 2
+            assert out == ""
+            assert json.loads(err) == {"error_code": "SchemaError",
+                                       "message": "unknown scheme 'nope'"}
+
+    def test_oversized_alphabet_fails_before_the_rate_search(
+            self, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("rate search ran before the alphabet check")
+        monkeypatch.setattr("relaycast.cli.optimize_rate", no_search)
+        doc = {"K": 0, "L": 1, "input_alphabets": [2, 1],
+               "output_alphabets": [2], "source_alphabets": [129, 1],
+               "channel": [0.9, 0.1, 0.1, 0.9], "sources": [1 / 129] * 129}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["simulate", "--net", str(path), "--scheme", "ptp", "--m", "1",
+             "--trials", "1", "--rate-scale", "0.8"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_code"] == "TooLarge"
 
 
 class TestGenNet:

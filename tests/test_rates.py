@@ -1,5 +1,6 @@
 """Rate engine: plans, achievable rates, optimization, bounds, capacities."""
 
+import itertools
 import json
 import math
 
@@ -22,10 +23,14 @@ from relaycast.network import ChannelModel, NetworkSpec
 from relaycast.nets import branch_sources, dsbs_chain
 from relaycast.rates import (
     _DF_BOTTLENECK_NOTE,
+    MODE_BROADCAST,
+    MODE_SINGLE,
     _hop_evaluator,
     _hop_sets,
+    _senders,
     default_mode,
     participating_inputs,
+    validate_plan,
 )
 
 from conftest import (
@@ -33,6 +38,7 @@ from conftest import (
     conv,
     degraded_relay_net,
     h2,
+    k3_parallel_document,
     ternary_relay_net,
 )
 
@@ -111,6 +117,46 @@ class TestEnumeratePlans:
     def test_cap(self, net_d):
         with pytest.raises(TooManyPlans):
             rc.enumerate_plans(net_d, cap=3)
+
+
+def _k2_l2_net() -> NetworkSpec:
+    """A K=2, L=2 network with silent destinations."""
+    ch = np.random.default_rng(0).dirichlet(np.ones(16), size=8)
+    return NetworkSpec(K=2, L=2, channel=ChannelModel(
+        (2, 2, 2, 1, 1), (2, 2, 2, 2), ch.reshape((2, 2, 2, 1, 1) + (2,) * 4)),
+        sources=rc.JointPmf(tuple(f"S{t}" for t in range(5)), (2,) * 5,
+                            dsbs_chain([0.1, 0.2, 0.15, 0.25])))
+
+
+def _oracle_plans(spec, mode):
+    """Every tuple of distinct terminals starting at 0 that
+    ``validate_plan`` accepts, sorted by (hops, order)."""
+    others = range(1, spec.K + spec.L + 1)
+    plans = []
+    for r in range(1, len(others) + 1):
+        for tail in itertools.permutations(others, r):
+            try:
+                validate_plan(spec, rc.CooperationPlan((0,) + tail), mode)
+            except InvalidPlan:
+                continue
+            plans.append(rc.CooperationPlan((0,) + tail))
+    return sorted(plans, key=lambda p: (p.num_hops, p.order))
+
+
+@pytest.mark.parametrize("name", sorted(rc.BUNDLED) + ["k3", "k2-l2"])
+def test_enumeration_is_every_valid_plan(name):
+    spec = {"k3": lambda: rc.load_network(k3_parallel_document()),
+            "k2-l2": _k2_l2_net}.get(name, lambda: rc.bundled_network(name))()
+    modes = [MODE_BROADCAST] + ([MODE_SINGLE] if spec.L == 1 else [])
+    for mode in modes:
+        want = _oracle_plans(spec, mode)
+        assert want and rc.enumerate_plans(spec, mode) == want
+        for cap in range(len(want) + 2):
+            if len(want) > cap:
+                with pytest.raises(TooManyPlans):
+                    rc.enumerate_plans(spec, mode, cap)
+            else:
+                assert rc.enumerate_plans(spec, mode, cap) == want
 
 
 class TestOptimizeRate:
@@ -360,8 +406,8 @@ def _kernel_cases(spec):
     """(hops, participating inputs) of every plan of ``spec`` and, for L=1,
     of every cut of the ordered cut-set bound."""
     mode = default_mode(spec)
-    cases = [(_hop_sets(spec, plan, mode), participating_inputs(spec, plan,
-                                                                mode))
+    cases = [(_hop_sets(plan, _senders(plan, mode)),
+              participating_inputs(spec, plan, mode))
              for plan in rc.enumerate_plans(spec)]
     if spec.L == 1:
         everyone = spec.input_labels()
@@ -534,7 +580,7 @@ def test_information_round_off_below_zero_reports_positive_zero():
     spec = NetworkSpec(K=0, L=1, channel=ChannelModel((3, 1), (3,), ch),
                        sources=rc.JointPmf(("S0", "S1"), (2, 2),
                                            dsbs_chain([0.25])))
-    hops = _hop_sets(spec, rc.CooperationPlan((0, 1)), default_mode(spec))
+    hops = _hop_sets(rc.CooperationPlan((0, 1)), (0,))
     rng = np.random.default_rng(3)
     pmfs = [rc.random_pmf(("X0",), (3,), rng) for _ in range(64)]
     rows = _input_rows(spec, ("X0",), pmfs)

@@ -346,6 +346,20 @@ def test_simulators_reject_alphabets_beyond_int8(net_a):
         rc.simulate_sliding_window(wide, [0, 1], B=1, **kw)
     with pytest.raises(TooLarge):
         rc.simulate_backward(wide, B=1, **kw)
+    # check_scheme needs no block length to see it, so the CLI checks it
+    # before the rate search
+    for scheme in ("ptp", "sliding", "backward"):
+        with pytest.raises(TooLarge, match="int8 symbol storage"):
+            simulate.check_scheme(wide, scheme,
+                                  plan=rc.CooperationPlan((0, 1)))
+
+
+def test_check_scheme_rejects_an_unknown_scheme_first(net_c):
+    # before the seed, count and shape checks that would also fail
+    with pytest.raises(SchemaError, match="unknown scheme 'nope'"):
+        simulate.check_scheme(net_c, "nope")
+    with pytest.raises(SchemaError, match="unknown scheme 'nope'"):
+        simulate.check_scheme(net_c, "nope", seed=-1, m=0)
 
 
 def test_ptp_rejects_negative_seed(net_a):
