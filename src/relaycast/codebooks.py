@@ -40,18 +40,31 @@ from .seeds import STREAM_CODEBOOK, child_rng, pcg_states, uniforms  # noqa
 #: point-to-point pass by a fifth (2-vCPU x86 VM, numpy 2.4).
 ROWS_DRAW_BYTES = 2 ** 20
 
-#: Cap, in bytes, on what a lockstep chunk of trials holds for all its
-#: trials (bin maps, cached tables, source and noise uniforms) and on the
-#: candidates one decoding group holds at once, charged C x n cells per
-#: trial, one byte each where a window's candidate indices fit in int8
-#: (else eight).  A window holds its top level's C x n int8 rows per trial,
-#: and the indices of the candidates its screens keep, at most as many.  A
-#: group's gathers are drawn in pieces under ``GATHER_CELLS`` and its
-#: checks run in chunks under ``typicality.CHECK_BATCH_BYTES``, so its
-#: candidates are what it keeps.  Backward decoding at criterion 5's points
-#: (C=128, n=7 at the destination) decodes a whole chunk per group;
-#: criterion 6's 4096 x 24 candidates are tested one trial at a time.
-CHUNK_BYTES = 2 ** 17
+#: Cap, in bytes, on what a lockstep chunk holds for all its trials for
+#: its whole run: ``simulate._Engine.trial_bytes`` per trial (bin maps,
+#: cached tables, source blocks and estimates, every block's channel
+#: outputs, error flags, and the source and one block's noise uniforms).
+#: The per-chunk cost (stream set-up, one check per stage) does not depend
+#: on the trial count, so fewer chunks pay it fewer times.  Criterion 5's
+#: two 300-trial points (about 1.5 KB and 0.9 KB a trial) each run as one
+#: chunk; criterion 6's binned point, 8.6 KB a trial for its 4096-entry
+#: bin maps, as 7 chunks of 57-58 trials.
+CHUNK_BYTES = 2 ** 19
+
+#: Cap, in bytes, on the candidates one decoding group holds at once,
+#: charged C x n cells per trial, one byte each where a window's candidate
+#: indices fit in int8 (else eight), and on the C surviving-bin flags per
+#: trial of one settle span.  A window holds its top level's C x n int8
+#: rows per trial, and the indices of the candidates its screens keep, at
+#: most as many.  A group's gathers are drawn in pieces under
+#: ``GATHER_CELLS`` and its checks run in chunks under
+#: ``typicality.CHECK_BATCH_BYTES``, so its candidates are what it keeps.
+#: Groups and spans run inside a chunk, so this decode working set does
+#: not grow with ``CHUNK_BYTES``: backward decoding at criterion 5's points
+#: (C=128, n=7 at the destination) decodes up to 146 trials per group, and
+#: criterion 6's 4096 x 24 candidates are tested one trial at a time and
+#: settled 32 trials per span.
+GROUP_BYTES = 2 ** 17
 
 #: Largest slice table a stack keeps for later reads, in bytes.  Small
 #: tables are read again across a trial's decodes and cost mostly the

@@ -169,8 +169,12 @@ def participating_inputs(spec: NetworkSpec, plan: CooperationPlan,
 def enumerate_plans(spec: NetworkSpec, mode: str | None = None,
                     cap: int = DEFAULT_PLAN_CAP) -> list[CooperationPlan]:
     """All valid plans sorted by (hops, order): every relay subset in every
-    order, before a single destination or mixed with every destination."""
+    order, before a single destination or mixed with every destination.
+    An unknown ``mode`` raises :class:`InvalidPlan` before any plan is
+    built."""
     mode = mode or default_mode(spec)
+    if mode not in (MODE_SINGLE, MODE_BROADCAST):
+        raise InvalidPlan(f"unknown mode {mode!r}")
     if mode == MODE_SINGLE and spec.L != 1:
         raise InvalidPlan("single-destination enumeration requires L=1")
     joined, last = (((), (spec.K + 1,)) if mode == MODE_SINGLE

@@ -163,10 +163,10 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T],
     Threads can pay only where a chunk spends most of its time in numpy
     calls that release the GIL, as in the point-to-point scheme, and only
     on a host that runs two threads at once: at m=12, n=24 (400 trials at
-    each of its two points) on a 2-vCPU VM that did not always do so, a
-    pass took a median 1.05 and 0.94 s serially against 0.99 and 0.91 s on
-    two threads in two rounds of 12 alternating pairs, serial slower in 7
-    of 12 each time, at 1.16-1.22x the CPU time (README, ``--workers``).
+    each of its two points) on a 2-vCPU VM that did so, a pass took a
+    median 0.35 and 0.36 s serially against 0.25 and 0.24 s on two threads
+    in two rounds of 12 alternating pairs, serial slower in 11 and 12 of
+    12, at 1.16-1.17x the CPU time (README, ``--workers``).
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -251,7 +251,10 @@ class _Engine:
     Chunks may run on pool threads, so nothing here changes after
     construction.  A chunk holds ``trial_bytes`` per trial for its whole
     run; chunks are sized so that this stays under ``codebooks.CHUNK_BYTES``,
-    with at least one chunk per worker.
+    with at least one chunk per worker.  Inside a chunk, each decode runs
+    its channel tests in groups of trials and settles in spans of trials,
+    both sized under the smaller ``codebooks.GROUP_BYTES``, so a larger
+    chunk only amortizes its fixed costs and never widens a decode.
     """
 
     def __init__(self, spec: NetworkSpec, order: Sequence[int],
@@ -306,14 +309,22 @@ class _Engine:
         self.channel = _ChannelSampler(spec)
         self.strides = [self.channel.in_strides[t] for t in self.order[:-1]]
         # bytes a trial holds for its whole chunk: bin maps, a cached table
-        # per level, source uniforms and a block's channel uniforms
+        # per level, its source blocks (int8), the codebook index estimates
+        # of every plan position (int64), its channel outputs of every
+        # block (int8), its error flags, and the source uniforms and one
+        # block's channel uniforms
         self.map_type = np.min_scalar_type(max(self.num_bins.values()) - 1)
         binned = sum(r is not None for r in bins.values())
+        Q = schedule.source_blocks
         self.trial_bytes = (
             self.map_type.itemsize * self.codebook.M * binned
             + sum(c * n for c in self.level_sizes
                   if c * n <= codebooks.CACHED_TABLE_BYTES)
-            + 8 * (schedule.source_blocks * m + n))
+            + len(spec.sources.sizes) * Q * m
+            + 8 * (Q + 1) * len(self.order)
+            + len(spec.output_sizes) * n * schedule.channel_blocks
+            + len(self.order) - 1
+            + 8 * (Q * m + n))
 
     def run(self, trials: int, workers: int, scheme: str, B: int,
             **keys: Any) -> SimResult:
@@ -408,9 +419,10 @@ class _Engine:
 
         def decode(ev: Decode) -> None:
             """Event ``ev`` for every trial, in spans whose bin masks and
-            groups whose candidates fit under the cap: each window's channel
-            test on a group's trials with candidates left, then the span's
-            decisions, into ``est``; then its errors, into ``erred``."""
+            groups whose candidates fit under ``codebooks.GROUP_BYTES``:
+            each window's channel test on a group's trials with candidates
+            left, then the span's decisions, into ``est``; then its errors,
+            into ``erred``."""
             own, terminal = est[ev.position], self.order[ev.position]
             side = self.side_tests[ev.position]
             # every window of an event tests one bin type's C candidates
@@ -426,8 +438,8 @@ class _Engine:
             # a group holds each trial's C x n candidate indices at once
             cell = max(self.cand_types[ev.position, first, lead].itemsize
                        for _, first, lead in ev.windows)
-            step = max(1, codebooks.CHUNK_BYTES // (cell * C * n))
-            span = max(1, codebooks.CHUNK_BYTES // C)
+            step = max(1, codebooks.GROUP_BYTES // (cell * C * n))
+            span = max(1, codebooks.GROUP_BYTES // C)
             for s in range(0, T, span):
                 spanned = everyone[s:s + span]
                 survivors = np.ones((spanned.size, C), dtype=bool)

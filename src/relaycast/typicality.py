@@ -177,7 +177,9 @@ def draw_bin_maps(out: np.ndarray, num_bins: int, seed: int, path: tuple,
     for k, state in enumerate(pcg_states(seed, path)):
         rng.bit_generator.state = state
         words[k] = rng.bit_generator.random_raw(words.shape[1])
-    out[...] = words.view("<u4")[:, :out.shape[1]] >> (32 - bits)
+    # shifted straight into ``out``: no (S, M) uint32 temporary
+    np.right_shift(words.view("<u4")[:, :out.shape[1]], 32 - bits, out=out,
+                   casting="unsafe")
     return out
 
 

@@ -118,6 +118,13 @@ class TestEnumeratePlans:
         with pytest.raises(TooManyPlans):
             rc.enumerate_plans(net_d, cap=3)
 
+    def test_unknown_mode(self, net_d):
+        # rejected before the plans are counted against the cap
+        with pytest.raises(InvalidPlan, match="unknown mode 'bogus'"):
+            rc.enumerate_plans(net_d, "bogus")
+        with pytest.raises(InvalidPlan, match="unknown mode 'bogus'"):
+            rc.enumerate_plans(net_d, "bogus", cap=0)
+
 
 def _k2_l2_net() -> NetworkSpec:
     """A K=2, L=2 network with silent destinations."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -582,10 +583,10 @@ CHUNKED_CASES = ["ptp-joint", "sliding-k2", "backward-k1"]
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("key", CHUNKED_CASES)
 def test_results_do_not_depend_on_chunking(key, workers, monkeypatch):
-    """Trials run in lockstep chunks sized under ``codebooks.CHUNK_BYTES``,
-    which also sizes the decoding groups and the table cache: one trial per
-    chunk (with one-trial gathers), a few chunks and every trial in as few
-    chunks as there are workers all give the golden bytes."""
+    """Trials run in lockstep chunks sized under ``codebooks.CHUNK_BYTES``
+    (decoding groups stay under ``codebooks.GROUP_BYTES`` inside them): one
+    trial per chunk (with one-trial gathers), a few chunks and every trial
+    in as few chunks as there are workers all give the golden bytes."""
     _, scheme, net, kwargs = next(c for c in GOLDEN_CASES if c[0] == key)
     golden = json.dumps(json.loads(GOLDEN_RESULTS.read_text())[key],
                         sort_keys=True)
@@ -617,7 +618,7 @@ def test_results_do_not_depend_on_chunking(key, workers, monkeypatch):
 @pytest.mark.parametrize("key", CHUNKED_CASES)
 def test_results_do_not_depend_on_decode_groups(key, monkeypatch):
     """Decodes settle spans of trials whose C surviving-bin flags fit under
-    ``codebooks.CHUNK_BYTES``, and run the channel tests in groups of a
+    ``codebooks.GROUP_BYTES``, and run the channel tests in groups of a
     span's trials whose candidates fit under it.  With every trial in one
     chunk, groups and spans of one trial, groups of one trial in spans of
     two (at the largest bin count C), and one group and span of the whole
@@ -632,7 +633,7 @@ def test_results_do_not_depend_on_decode_groups(key, monkeypatch):
     def one_chunk(engine, *args):
         init(engine, *args)
         engine.trial_bytes = 0
-        monkeypatch.setattr(codebooks, "CHUNK_BYTES",
+        monkeypatch.setattr(codebooks, "GROUP_BYTES",
                             cap_for[0](max(engine.level_sizes)))
 
     def spy(engine, position, block, first, lead, codeword, own, at, fixed):
@@ -653,7 +654,7 @@ def test_results_do_not_depend_on_decode_groups(key, monkeypatch):
         cap_for[:], groups[:], spans[:] = [cap], [], []
         res = SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
         assert json.dumps(res.to_dict(), sort_keys=True) == golden
-        assert all(S <= max(1, codebooks.CHUNK_BYTES // C) for S, C in spans)
+        assert all(S <= max(1, codebooks.GROUP_BYTES // C) for S, C in spans)
         largest = max(C for _, C in spans)
         assert max(groups) == group
         assert max(S for S, C in spans if C == largest) == span
@@ -662,7 +663,8 @@ def test_results_do_not_depend_on_decode_groups(key, monkeypatch):
 def test_decode_groups_are_charged_their_int8_candidates(monkeypatch):
     """A group is charged C x n bytes per trial for int8 candidates: at
     criterion 5's point below threshold (C=128, n=7 at the destination) a
-    75-trial chunk decodes in one group under the default cap."""
+    75-trial chunk decodes in one group under the default
+    ``codebooks.GROUP_BYTES``."""
     window, groups = simulate._Engine.window, []
 
     def spy(engine, position, block, first, lead, codeword, own, at, fixed):
@@ -673,6 +675,92 @@ def test_decode_groups_are_charged_their_int8_candidates(monkeypatch):
     rc.simulate_backward(rc.bundled_network("net-c"), m=6, n=7, B=2,
                          epsilon=4.0, trials=75, seed=0)
     assert max(size for C, size in groups if C == 128) == 75
+
+
+def test_criterion_5_points_run_as_one_chunk_each(monkeypatch):
+    """At ``workers=1`` each of criterion 5's 300-trial points (net-c, m=6,
+    0.8 and 1.5 r*: n=7 and 3) runs as one chunk under the default
+    ``codebooks.CHUNK_BYTES``."""
+    chunks, pool = [], simulate.parallel_map
+
+    def spy(fn, items, workers=1):
+        chunks.append((fn.__self__.n, [len(chunk) for chunk in items]))
+        return pool(fn, items, workers)
+    monkeypatch.setattr(simulate, "parallel_map", spy)
+    r_star = min(1 / h2(0.1), 1 / h2(conv(0.1, 0.2)))
+    for scale in (0.8, 1.5):
+        rc.simulate_backward(rc.bundled_network("net-c"), m=6,
+                             n=rc.blocklength_for_scale(6, r_star, scale),
+                             B=2, epsilon=4.0, trials=300, seed=0)
+    assert chunks == [(7, [300]), (3, [300])]
+
+
+@pytest.mark.parametrize("R", [1.0, h2(0.25) + 2 / 12],
+                         ids=["no-binning", "binned"])
+def test_criterion_6_decodes_one_trial_per_group(R, monkeypatch):
+    """At criterion 6's points (m=12, n=24, C=4096 at both) a chunk of 40
+    trials tests its candidates one trial per group and settles them in
+    spans of 32 trials, as ``codebooks.GROUP_BYTES`` sizes them, whatever
+    the chunk holds."""
+    window, settle = simulate._Engine.window, simulate._settle
+    chunks, groups, spans, pool = [], [], [], simulate.parallel_map
+
+    def pool_spy(fn, items, workers=1):
+        chunks.append([len(chunk) for chunk in items])
+        return pool(fn, items, workers)
+
+    def spy(engine, position, block, first, lead, codeword, own, at, fixed):
+        groups.append(at.size)
+        return window(engine, position, block, first, lead, codeword, own,
+                      at, fixed)
+
+    def settle_spy(survivors, *args):
+        spans.append(survivors.shape)
+        return settle(survivors, *args)
+    monkeypatch.setattr(simulate, "parallel_map", pool_spy)
+    monkeypatch.setattr(simulate._Engine, "window", spy)
+    monkeypatch.setattr(simulate, "_settle", settle_spy)
+    rc.simulate_ptp(rc.bundled_network("net-a-noiseless"), m=12, n=24, R=R,
+                    epsilon=3.0, trials=40, seed=9)
+    assert chunks == [[40]]
+    assert groups == [1] * 40
+    assert spans == [(32, 4096), (8, 4096)]
+
+
+#: The golden cases, and a K=2 backward schedule of 49 channel blocks whose
+#: received blocks (growing as B^2) outweigh its tables.
+KEPT_CASES = GOLDEN_CASES + [
+    ("backward-k2-B6", "backward", "net-d",
+     dict(m=4, n=10, B=6, epsilon=4.0, trials=2, seed=3))]
+
+
+@pytest.mark.parametrize("key,scheme,net,kwargs", KEPT_CASES,
+                         ids=[c[0] for c in KEPT_CASES])
+def test_trial_bytes_cover_what_a_chunk_keeps(key, scheme, net, kwargs):
+    """``_Engine.trial_bytes`` counts at least the per-trial bytes of the
+    arrays a chunk keeps until it ends: every block's channel outputs, the
+    source blocks, every plan position's estimates (the source's own
+    indices included) and the error flags, read from the chunk's locals as
+    it returns."""
+    code, kept = simulate._Engine.chunk.__code__, []
+
+    def spy(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            loc = frame.f_locals
+            engine, y_blocks = loc["self"], loc["y_blocks"]
+            assert len(y_blocks) == engine.schedule.channel_blocks
+            arrays = [*y_blocks.values(), loc["src"], *loc["est"],
+                      loc["erred"]]
+            kept.append((engine.trial_bytes, loc["T"],
+                         sum(a.nbytes for a in arrays)))
+    sys.setprofile(spy)
+    try:
+        SIMULATORS[scheme](rc.bundled_network(net), **kwargs)
+    finally:
+        sys.setprofile(None)
+    assert kept
+    for trial_bytes, T, nbytes in kept:
+        assert trial_bytes * T >= nbytes, (trial_bytes, nbytes / T)
 
 
 #: (id, bins C, codewords M, bin map type or None for the identity).
@@ -817,7 +905,7 @@ def test_window_hits_equal_one_full_test(net, kwargs, later, cap,
     monkeypatch.setattr(simulate._Engine, "__init__", one_chunk)
     monkeypatch.setattr(simulate._Engine, "chunk", chunk_spy)
     monkeypatch.setattr(simulate._Engine, "window", spy)
-    monkeypatch.setattr(codebooks, "CHUNK_BYTES", cap)
+    monkeypatch.setattr(codebooks, "GROUP_BYTES", cap)
     rc.simulate_backward(spec, **kwargs)
     assert seen["lead"] > 0 and seen["hits"] > 0
     assert (seen["screened"] > 0) == later
@@ -845,8 +933,10 @@ def test_window_hits_equal_one_full_test(net, kwargs, later, cap,
 def test_chunk_bin_maps_are_assign_bins(scheme, net, kwargs, M, bins,
                                         map_type, monkeypatch):
     """Each chunk draws its trials' bin maps from seeded states; row k of a
-    terminal's maps is ``assign_bins``' map of the chunk's trial k."""
+    terminal's maps is ``assign_bins``' map of the chunk's trial k.  A
+    16 KiB chunk budget splits every case into two or more chunks."""
     draw, seen = simulate._Engine.bin_maps, []
+    monkeypatch.setattr(codebooks, "CHUNK_BYTES", 2 ** 14)
 
     def spy(engine, trials, rng):
         maps = draw(engine, trials, rng)
