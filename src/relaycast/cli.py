@@ -28,19 +28,18 @@ from typing import Any
 
 from .errors import ParseError, RelaycastError, SchemaError
 from .nets import BUNDLED, bundled_network
-from .network import NetworkSpec, load_network, whole_number
+from .network import NetworkSpec, finite_number, load_network, whole_number
 from .optimize import OptimizerOptions
 from .rates import (
     CooperationPlan,
+    as_plan,
     best_report,
     degraded_capacity,
     optimize_plans,
     optimize_rate,
     ordered_cutset_bound,
-    plan_from_string,
 )
 from .schedules import render_backward_schedule, render_sliding_schedule
-from .seeds import check_seed
 from .simulate import (
     blocklength_for_scale,
     check_scheme,
@@ -72,11 +71,6 @@ def _resolve_network(ref: str) -> NetworkSpec:
     return load_network(_read_text(ref, "network document"))
 
 
-def _optimizer_options(args) -> OptimizerOptions:
-    return OptimizerOptions(certify_tol=args.certify_tol,
-                            grid_step=args.grid_step)
-
-
 def _finite(value: Any) -> Any:
     """``value`` with every non-finite float replaced by None: RFC 8259 JSON
     has no Infinity or NaN.  The reports already say why a value is
@@ -100,7 +94,7 @@ def _json_payload(command: str, config: dict[str, Any],
 
 def cmd_rate(args) -> str:
     spec = _resolve_network(args.net)
-    opts = _optimizer_options(args)
+    opts = OptimizerOptions(grid_step=args.grid_step)
     config = {
         "net": args.net, "plan": args.plan, "restarts": args.restarts,
         "seed": args.seed, "grid_step": args.grid_step,
@@ -117,7 +111,7 @@ def cmd_rate(args) -> str:
 
 def cmd_bound(args) -> str:
     spec = _resolve_network(args.net)
-    opts = _optimizer_options(args)
+    opts = OptimizerOptions(args.certify_tol, args.grid_step)
     config = {
         "net": args.net, "restarts": args.restarts, "seed": args.seed,
         "certify": args.certify, "certify_tol": args.certify_tol,
@@ -163,20 +157,39 @@ def _validated_ladder(ladder) -> list[dict[str, int]]:
     out = []
     for point in ladder:
         try:
-            clean = {k: whole_number(point[k], f"ladder {k}")
-                     for k in ("m", "n", "B", "trials")}
+            out.append({k: whole_number(point[k], f"ladder {k}", 1)
+                        for k in ("m", "n", "B", "trials")})
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad ladder point {point!r}: {exc}") from exc
-        if any(v < 1 for v in clean.values()):
-            raise SchemaError(f"ladder entries must be positive: {point!r}")
-        out.append(clean)
     return out
 
 
+def _rate_scales(value: Any, ladder: list[dict[str, int]]) -> list[float]:
+    """The ``--rate-scale`` factors, from a comma list or a ``--config``
+    list: finite numbers > 0, each with every ladder m / factor finite (a
+    factor whose m / factor overflows leaves no usable block length)."""
+    pieces = value.split(",") if isinstance(value, str) else value or []
+    try:
+        scales = [finite_number(float(s) if isinstance(s, str) else s,
+                                "rate-scale factor") for s in pieces]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad rate-scale list {value!r}") from exc
+    for s in scales:
+        if not (s > 0 and all(math.isfinite(p["m"] / s) for p in ladder)):
+            raise SchemaError(f"rate-scale factor {s!r} must be > 0, with "
+                              f"m / factor finite")
+    return scales
+
+
 def cmd_simulate(args) -> str:
+    # a config line is strict JSON, whichever scheme reads the rates
+    for flag in ("bin_rate", "bin_rate_delta"):
+        if getattr(args, flag) is not None:
+            finite_number(getattr(args, flag),
+                          f"--{flag.replace('_', '-')}")
     spec = _resolve_network(args.net)
     scheme = args.scheme
-    rate_plan = "auto" if args.plan == "auto" else plan_from_string(args.plan)
+    rate_plan = "auto" if args.plan == "auto" else as_plan(args.plan)
     sim_plan = CooperationPlan(tuple(range(spec.K + 2))) \
         if rate_plan == "auto" else rate_plan
     if args.dry_run:
@@ -198,19 +211,7 @@ def cmd_simulate(args) -> str:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"--ladder is not valid JSON: {exc}") from exc
     ladder = _validated_ladder(ladder)
-    scales = args.rate_scale
-    try:
-        if isinstance(scales, str):
-            scales = scales.split(",")
-        scales = [float(s) for s in (scales or [])]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad rate-scale list {args.rate_scale!r}") from exc
-    # a factor whose m / factor overflows leaves no usable block length
-    for s in scales:
-        if not (math.isfinite(s) and s > 0
-                and all(math.isfinite(p["m"] / s) for p in ladder)):
-            raise SchemaError(f"rate-scale factor {s!r} must be finite and "
-                              f"> 0, with m / factor finite")
+    scales = _rate_scales(args.rate_scale, ladder)
     config = {
         "net": args.net, "scheme": scheme, "ladder": ladder,
         "rate_scale": scales, "epsilon": args.epsilon, "seed": args.seed,
@@ -222,7 +223,7 @@ def cmd_simulate(args) -> str:
     for point in ladder:
         check_scheme(spec, scheme, point["B"], sim_plan,
                      epsilon=args.epsilon, workers=args.workers)
-    opts = _optimizer_options(args)
+    opts = OptimizerOptions(grid_step=args.grid_step)
     r_star = functools.cache(
         lambda: optimize_rate(spec, rate_plan, opts).rate)
     echo = json.dumps(config, sort_keys=True, allow_nan=False)
@@ -295,36 +296,37 @@ def build_parser(config: dict[str, Any] | None = None
     sub = parser.add_subparsers(dest="command", required=True)
     config = config or {}
 
-    def add_common(p):
+    p_rate = sub.add_parser("rate", help="achievable-rate report")
+    p_bound = sub.add_parser("bound", help="ordered cut-set bound report")
+    p_sim = sub.add_parser("simulate", help="Monte-Carlo protocol simulation")
+    for p in (p_rate, p_bound, p_sim):
         p.add_argument("--config", default=None,
                        help="JSON file of default values for any flag")
         p.add_argument("--net", required="net" not in config,
                        help="bundled network name or JSON document path")
-        p.add_argument("--plan", default="auto",
-                       help='"auto" or comma list like "0,1,3"')
         p.add_argument("--restarts", type=int, default=16)
-        p.add_argument("--certify-tol", type=float, default=2e-3)
         p.add_argument("--grid-step", type=float, default=None,
                        help="use the exhaustive simplex grid oracle")
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, help="write results to a file")
+    for p in (p_rate, p_sim):
+        p.add_argument("--plan", default="auto",
+                       help='"auto" or comma list like "0,1,3"')
+    # no bound reads --workers: acceptance criterion 9 passes it, asking for
+    # the same bytes at any thread count
+    for p in (p_bound, p_sim):
         p.add_argument("--workers", type=int, default=1,
                        help="threads for simulation trials")
-        p.add_argument("--out", default=None, help="write results to a file")
 
-    p_rate = sub.add_parser("rate", help="achievable-rate report")
-    add_common(p_rate)
     p_rate.add_argument("--list-plans", action="store_true",
                         help="report every candidate plan's optimum")
     p_rate.set_defaults(fn=cmd_rate)
 
-    p_bound = sub.add_parser("bound", help="ordered cut-set bound report")
-    add_common(p_bound)
     p_bound.add_argument("--certify", action="store_true",
                          help="also certify the degraded capacity")
+    p_bound.add_argument("--certify-tol", type=float, default=2e-3)
     p_bound.set_defaults(fn=cmd_bound)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo protocol simulation")
-    add_common(p_sim)
     p_sim.add_argument("--scheme", choices=("ptp", "sliding", "backward"),
                        default="sliding")
     p_sim.add_argument("--m", type=int, default=6)
@@ -361,16 +363,12 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
     """A ``--config`` value for a flag, as the flag's ``type`` reads it.
 
     argparse converts string defaults itself; other values of a typed flag
-    must be numbers of that type (booleans and fractional counts are
-    rejected rather than truncated)."""
+    must be whole or finite numbers, by the library's own rules (booleans
+    and fractional counts are rejected rather than truncated)."""
     if action.type is None or value is None or isinstance(value, str):
         return value
-    name = action.option_strings[0]
-    if action.type is int:
-        return whole_number(value, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{name} must be a number, got {value!r}")
-    return action.type(value)
+    rule = whole_number if action.type is int else finite_number
+    return rule(value, action.option_strings[0])
 
 
 def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
@@ -392,17 +390,16 @@ def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser(_load_config_file(argv)).parse_args(argv)
+        config = _load_config_file(argv)
+        args = build_parser(config).parse_args(argv)
+        stray = sorted(set(config) - set(vars(args)))
+        if stray:
+            raise SchemaError(f"config key {stray[0]!r} names no flag of "
+                              f"{args.command}")
         if hasattr(args, "seed"):
             # the rate engine reads neither flag, but the config echoes both
-            check_seed(args.seed, "--seed")
-            if args.restarts < 1:
-                raise SchemaError(
-                    f"--restarts must be >= 1, got {args.restarts}")
-        # a config line is strict JSON, whichever scheme reads the rates
-        for flag in ("bin_rate", "bin_rate_delta"):
-            if not math.isfinite(getattr(args, flag, None) or 0.0):
-                raise SchemaError(f"--{flag.replace('_', '-')} must be finite")
+            whole_number(args.seed, "--seed", 0)
+            whole_number(args.restarts, "--restarts", 1)
         text = args.fn(args)
         if args.out:
             try:

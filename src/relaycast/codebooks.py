@@ -112,13 +112,10 @@ def conditional_input_laws(joint: JointPmf,
     by transmissions drawn from the joint itself.
     """
     laws = []
-    P = len(labels_bottom_up)
-    for p in range(P):
-        labels = labels_bottom_up[p:]
-        marg = joint.marginalize(labels)
+    for p in range(len(labels_bottom_up)):
         # axes ordered (upper levels p+1..P-1, own)
-        order = [marg.variables.index(v) for v in labels[1:] + (labels[0],)]
-        probs = np.transpose(marg.probs, order)
+        probs = joint.marginal_array(labels_bottom_up[p + 1:]
+                                     + labels_bottom_up[p:p + 1])
         denom = probs.sum(axis=-1, keepdims=True)
         own = probs.shape[-1]
         with np.errstate(divide="ignore", invalid="ignore"):

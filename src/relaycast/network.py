@@ -5,11 +5,16 @@ terminals 1..K are relays; terminals K+1..K+L are destinations.  Channel
 inputs are labelled ``X0..X{K+L}`` (size-1 alphabets encode terminals that
 never transmit), channel outputs ``Y1..Y{K+L}``, and the source/side
 information joint is over ``S0..S{K+L}``.
+
+The module also holds the two rules every entry point checks the numbers it
+is given by: :func:`whole_number` and :func:`finite_number`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -109,8 +114,7 @@ def compose_joint(input_pmf: JointPmf, channel: ChannelModel) -> JointPmf:
     if set(input_pmf.variables) != set(want):
         raise AlphabetMismatch(
             f"input pmf covers {input_pmf.variables}, channel needs {want}")
-    aligned = np.transpose(input_pmf.probs,
-                           [input_pmf.axis_of(v) for v in want])
+    aligned = input_pmf.marginal_array(want)
     if aligned.shape != channel.input_sizes:
         raise AlphabetMismatch(
             f"input sizes {aligned.shape} != channel {channel.input_sizes}")
@@ -131,11 +135,7 @@ class NetworkSpec:
     name: str | None = None
 
     def __post_init__(self):
-        K, L = int(self.K), int(self.L)
-        if K < 0:
-            raise SchemaError(f"K must be >= 0, got {K}")
-        if L < 1:
-            raise SchemaError(f"L must be >= 1, got {L}")
+        K, L = whole_number(self.K, "K", 0), whole_number(self.L, "L", 1)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "L", L)
         n = K + L
@@ -193,9 +193,9 @@ class NetworkSpec:
         """Full input joint: ``partial`` times point mass at symbol 0 elsewhere.
 
         ``partial`` (default uniform over ``participating``) must be a valid
-        pmf (NotNormalized or NegativeMass otherwise) and only cover declared
-        input labels with matching sizes; every non-covered input with
-        alphabet size > 1 is pinned to the constant symbol 0.
+        ``JointPmf`` (SchemaError, NotNormalized or NegativeMass otherwise)
+        and only cover declared input labels with matching sizes; every
+        non-covered input with alphabet size > 1 is pinned to symbol 0.
         """
         all_labels = self.input_labels()
         if partial is None:
@@ -205,6 +205,9 @@ class NetworkSpec:
                          if self.input_sizes[int(v[1:])] > 1)
             partial = self.uniform_input(live) if live else None
         if partial is not None:
+            if not isinstance(partial, JointPmf):
+                raise SchemaError(f"an input pmf must be a JointPmf, got "
+                                  f"{type(partial).__name__}")
             partial.validated()
             for v in partial.variables:
                 if v not in all_labels:
@@ -286,17 +289,38 @@ _REQUIRED_FIELDS = ("K", "L", "input_alphabets", "output_alphabets",
                     "source_alphabets", "channel", "sources")
 
 
-def whole_number(value: Any, what: str) -> int:
-    """``value`` as an int; booleans and numbers with a fractional part,
-    which ``int()`` would silently truncate, raise :class:`SchemaError`."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise SchemaError(f"{what} must be a whole number, got {value!r}")
+def whole_number(value: Any, what: str, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``.  Booleans, numbers with a
+    fractional part, which ``int()`` would silently truncate, and anything
+    ``int()`` cannot read raise :class:`SchemaError`."""
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what} must be a whole number, got {value!r}"
                           ) from exc
+    if isinstance(value, bool) or (isinstance(value, numbers.Real)
+                                   and number != value):
+        raise SchemaError(f"{what} must be a whole number, got {value!r}")
+    return _at_least(number, least, what, value)
+
+
+def finite_number(value: Any, what: str, least: float | None = None
+                  ) -> float:
+    """``value`` as a float of at least ``least``.  Booleans, strings and
+    other non-numbers, NaN and the infinities raise :class:`SchemaError`."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        number = math.inf
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    return _at_least(number, least, what, value)
+
+
+def _at_least(number, least, what: str, value: Any):
+    if least is not None and number < least:
+        raise SchemaError(f"{what} must be >= {least}, got {value!r}")
+    return number
 
 
 def _tensor(document: dict[str, Any], field: str) -> np.ndarray:

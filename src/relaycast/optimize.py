@@ -49,6 +49,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import SchemaError, TooLarge
+from .network import finite_number
 from .seeds import child_rng  # noqa: F401  (a tracer patches it)
 
 #: The solver stops once its upper value is within this of its best value.
@@ -86,21 +87,23 @@ Terms = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 class OptimizerOptions:
     """Knobs of the rate engine, surfaced as CLI flags.
 
-    ``certify_tol`` is the gap under which ``degraded_capacity`` calls a
-    capacity certified; ``grid_step`` swaps the solver for the exhaustive
-    grid oracle.  The solver is deterministic, so there is no seed or
-    restart count to set.
+    ``certify_tol``, a finite number >= 0, is the gap under which
+    ``degraded_capacity`` calls a capacity certified; ``grid_step``, a
+    step in (0, 1], swaps the solver for the exhaustive grid oracle.  Other
+    values raise :class:`SchemaError` here, before any search.  The solver
+    is deterministic, so there is no seed or restart count to set.
     """
 
     certify_tol: float = 2e-3
     grid_step: float | None = None
 
     def __post_init__(self):
-        tol = self.certify_tol
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not (math.isfinite(tol) and tol >= 0)):
-            raise SchemaError(f"certify_tol must be a finite number >= 0, "
-                              f"got {tol!r}")
+        finite_number(self.certify_tol, "certify_tol", least=0.0)
+        step = self.grid_step
+        if step is not None and not (0.0 < finite_number(step, "grid_step")
+                                     <= 1.0 and math.isfinite(1.0 / step)):
+            raise SchemaError(f"grid_step {step!r} is not a usable number "
+                              f"in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -278,10 +281,8 @@ def _better(best: SearchResult, point: np.ndarray, values: np.ndarray,
 
 def simplex_grid(dim: int, step: float, cap: int = 2_000_000
                  ) -> Iterable[np.ndarray]:
-    """All points of the dim-cell simplex with coordinates multiple of step."""
-    if not 0.0 < step <= 1.0 or math.isinf(1.0 / step):
-        raise SchemaError(f"grid step {step} is not a usable number in "
-                          f"(0, 1]")
+    """All points of the dim-cell simplex with coordinates multiple of
+    ``step``, a step ``OptimizerOptions`` admits."""
     levels = int(round(1.0 / step))
     count = math.comb(levels + dim - 1, dim - 1)
     if count > cap:

@@ -84,9 +84,6 @@ class JointPmf:
             raise UnknownVariable(
                 f"variable {label!r} not in {self.variables}") from None
 
-    def _axes_of(self, labels: Iterable[str]) -> list[int]:
-        return [self.axis_of(v) for v in labels]
-
     # -- operations -------------------------------------------------------
 
     def validated(self, tol: float = DEFAULT_TOL) -> "JointPmf":
@@ -121,6 +118,14 @@ class JointPmf:
         kept = tuple(v for i, v in enumerate(self.variables) if i not in drop)
         return JointPmf(kept, tuple(self.sizes[self.axis_of(v)] for v in kept),
                         self.probs.sum(axis=drop) if drop else self.probs)
+
+    def marginal_array(self, labels: Sequence[str]) -> np.ndarray:
+        """The probabilities of ``marginalize(labels)`` with their axes in
+        the order of ``labels`` (a view when nothing is summed out)."""
+        drop = self._drop_axes(labels)
+        kept = [v for i, v in enumerate(self.variables) if i not in drop]
+        return np.transpose(self.probs.sum(axis=drop) if drop else self.probs,
+                            [kept.index(v) for v in labels])
 
     def entropy(self, targets: Iterable[str] | None = None) -> float:
         """Joint entropy H(targets) in bits (all variables if None)."""
@@ -191,10 +196,7 @@ class JointPmf:
                                   tol: float = DEFAULT_TOL) -> bool:
         """True iff p(b | a, cond) == p(b | cond) wherever p(a, cond) > 0."""
         a, b, cond = tuple(a), tuple(b), tuple(cond)
-        sub = self.marginalize(a + b + cond)
-        # reorder axes to (a..., cond..., b...)
-        order = sub._axes_of(a + cond + b)
-        p = np.transpose(sub.probs, order)
+        p = self.marginal_array(a + cond + b)
         na, nc = len(a), len(cond)
         a_cells = int(np.prod(p.shape[:na])) if na else 1
         c_cells = int(np.prod(p.shape[na:na + nc])) if nc else 1

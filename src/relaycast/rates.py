@@ -50,6 +50,7 @@ from .errors import (
     NotBroadcastShape,
     NotDegraded,
     NotLemmaShape,
+    SchemaError,
     TooLarge,
     TooManyPlans,
 )
@@ -61,6 +62,7 @@ from .network import (
     is_side_info_degraded,
     output_label,
     source_label,
+    whole_number,
 )
 from .optimize import (
     OptimizerOptions,
@@ -93,12 +95,17 @@ _DF_BOTTLENECK_NOTE = (
 
 @dataclass(frozen=True)
 class CooperationPlan:
-    """Ordered decoding plan: order = (pi(0)=0, pi(1), ..., pi(N))."""
+    """Ordered decoding plan: order = (pi(0)=0, pi(1), ..., pi(N)), whole
+    numbers (InvalidPlan for any other entry, ``1.7`` and ``True`` too)."""
 
     order: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(t) for t in self.order))
+        try:
+            order = tuple(whole_number(t, "a plan entry") for t in self.order)
+        except (SchemaError, TypeError) as exc:
+            raise InvalidPlan(f"bad plan {self.order!r}: {exc}") from exc
+        object.__setattr__(self, "order", order)
 
     @property
     def num_hops(self) -> int:
@@ -112,11 +119,12 @@ class CooperationPlan:
         return ",".join(str(t) for t in self.order)
 
 
-def plan_from_string(text: str) -> CooperationPlan:
-    try:
-        return CooperationPlan(tuple(int(x) for x in text.split(",")))
-    except ValueError as exc:
-        raise InvalidPlan(f"cannot parse plan {text!r}: {exc}") from exc
+def as_plan(plan: CooperationPlan | Sequence[int] | str) -> CooperationPlan:
+    """``plan`` as a :class:`CooperationPlan`: a plan itself, a comma list
+    of terminals such as ``"0,1,3"`` or a sequence of terminals."""
+    if isinstance(plan, CooperationPlan):
+        return plan
+    return CooperationPlan(plan.split(",") if isinstance(plan, str) else plan)
 
 
 def validate_plan(spec: NetworkSpec, plan: CooperationPlan, mode: str) -> None:
@@ -158,12 +166,6 @@ def _senders(plan: CooperationPlan, mode: str) -> tuple[int, ...]:
     """The terminals that transmit under ``plan``: all of them, but a
     single destination only listens."""
     return plan.order[:-1] if mode == MODE_SINGLE else plan.order
-
-
-def participating_inputs(spec: NetworkSpec, plan: CooperationPlan,
-                         mode: str) -> tuple[str, ...]:
-    """Input labels of the terminals that transmit under this plan."""
-    return tuple(input_label(t) for t in _senders(plan, mode))
 
 
 def enumerate_plans(spec: NetworkSpec, mode: str | None = None,
@@ -322,14 +324,19 @@ def _report_at(spec: NetworkSpec, mode: str, plan: CooperationPlan,
                senders: Sequence[int],
                input_pmf: JointPmf | None) -> RateReport:
     """The report of ``plan``'s hops with ``senders`` transmitting,
-    evaluated once at ``input_pmf`` (None: uniform over their non-constant
-    inputs)."""
+    evaluated once at ``input_pmf``, a joint over some of their inputs
+    (None: uniform over their non-constant inputs)."""
     hops = _hop_sets(plan, senders)
     participating = tuple(input_label(t) for t in senders)
     full = spec.extend_input(input_pmf, participating)
+    covered = () if input_pmf is None else input_pmf.variables
+    stray = set(covered) - set(participating)
+    if stray:
+        raise AlphabetMismatch(
+            f"input pmf covers non-participating inputs {sorted(stray)}")
     dens = [spec.source_entropy_given(t) for t, _, _, _ in hops]
-    numerators = _hop_evaluator(spec, hops)(np.transpose(
-        full.probs, [full.axis_of(v) for v in spec.input_labels()])[None])[0]
+    numerators = _hop_evaluator(spec, hops)(
+        full.marginal_array(spec.input_labels())[None])[0]
     return _report_from_terms(mode, plan, _hop_terms(hops, dens, numerators),
                               _shown_input(spec, input_pmf, participating))
 
@@ -365,23 +372,17 @@ def _report_from_terms(mode: str, plan: CooperationPlan,
 
 
 def achievable_rate(spec: NetworkSpec, input_pmf: JointPmf | None,
-                    plan: CooperationPlan | Sequence[int],
+                    plan: CooperationPlan | Sequence[int] | str,
                     mode: str | None = None) -> RateReport:
-    """Rate achieved by decode-and-forward under ``plan`` at ``input_pmf``.
+    """Rate achieved by decode-and-forward under ``plan`` (in any form
+    :func:`as_plan` reads) at ``input_pmf``.
 
     ``input_pmf`` is a joint over the participating terminals' inputs
     (non-participants are pinned to the constant symbol); None means uniform.
     """
-    if not isinstance(plan, CooperationPlan):
-        plan = CooperationPlan(tuple(plan))
+    plan = as_plan(plan)
     mode = mode or default_mode(spec)
     validate_plan(spec, plan, mode)
-    participating = participating_inputs(spec, plan, mode)
-    if input_pmf is not None:
-        stray = set(input_pmf.variables) - set(participating)
-        if stray:
-            raise AlphabetMismatch(
-                f"input pmf covers non-participating inputs {sorted(stray)}")
     return _report_at(spec, mode, plan, _senders(plan, mode), input_pmf)
 
 
@@ -481,17 +482,14 @@ def optimize_plans(spec: NetworkSpec,
     """Optimized report of every candidate plan, in enumeration order.
 
     ``plan="auto"`` means every enumerated plan; otherwise the one plan
-    given.
+    given, in any form :func:`as_plan` reads.
     """
     opts = opts or OptimizerOptions()
     mode = mode or default_mode(spec)
     if isinstance(plan, str) and plan == "auto":
         plans = enumerate_plans(spec, mode)
     else:
-        if not isinstance(plan, CooperationPlan):
-            plan = plan_from_string(plan) if isinstance(plan, str) \
-                else CooperationPlan(tuple(plan))
-        plans = [plan]
+        plans = [as_plan(plan)]
     for p in plans:
         validate_plan(spec, p, mode)
     return [_optimize_plan(spec, p, mode, opts, _senders(p, mode))
@@ -652,14 +650,12 @@ def degraded_capacity(spec: NetworkSpec,
 
 def broadcast_rate(spec: NetworkSpec,
                    input_pmf: JointPmf | None = None) -> RateReport:
-    """min_i I(X_0; Y_i) / H(S_0 | S_i) for K=0 and silent destinations."""
+    """min_i I(X_0; Y_i) / H(S_0 | S_i) for K=0 and silent destinations,
+    at ``input_pmf``, a joint over X_0 (None: uniform)."""
     if spec.K != 0 or any(spec.input_sizes[d] != 1
                           for d in spec.destinations()):
         raise NotBroadcastShape(
             "broadcast rate requires K=0 and constant destination inputs")
-    x0 = input_label(0)
-    if input_pmf is not None and set(input_pmf.variables) != {x0}:
-        raise AlphabetMismatch(f"input pmf must cover exactly {x0}")
     plan = CooperationPlan((0,) + spec.destinations())
     return _report_at(spec, "broadcast", plan, (0,), input_pmf)
 

@@ -62,20 +62,20 @@ from .codebooks import (
 from .errors import BTooSmall, PlanMismatch, SchemaError, TooLarge
 from .network import (
     NetworkSpec,
+    finite_number,
     input_label,
     output_label,
     source_label,
     whole_number,
 )
 from .pmf import JointPmf
-from .rates import MODE_SINGLE, CooperationPlan, validate_plan
+from .rates import MODE_SINGLE, CooperationPlan, as_plan, validate_plan
 from .schedules import Decode, Schedule, backward_schedule, sliding_schedule
 # child_rng is unused here but stays bound: perfbench's tracer patches it
 from .seeds import (  # noqa: F401
     STREAM_BINS,
     STREAM_CHANNEL,
     STREAM_SOURCE,
-    check_seed,
     child_rng,
     uniforms,
 )
@@ -139,11 +139,12 @@ def blocklength_for_scale(m: int, r_star: float, scale: float) -> int:
     Below threshold (scale <= 1) rounds n up, keeping the operating rate at
     or under the target; above threshold rounds n down, keeping it at or
     over.  Block-edge factors of the schedules are ignored here.  Raises
-    :class:`SchemaError` when ``scale`` is not finite or m/(scale r_star)
-    is not a finite positive number.
+    :class:`SchemaError` when ``m`` is not a whole number >= 1, ``scale``
+    not a finite number or m/(scale r_star) not a finite positive number.
     """
+    m, scale = whole_number(m, "m", 1), finite_number(scale, "scale")
     raw = m / (scale * r_star) if scale * r_star > 0 else math.inf
-    if not (math.isfinite(scale) and math.isfinite(raw)):
+    if not math.isfinite(raw):
         raise SchemaError(f"no finite block length for m={m} at "
                           f"{scale!r} x r*={r_star!r}")
     if scale <= 1.0:
@@ -523,13 +524,6 @@ class _Engine:
         return hits
 
 
-def _count(value: Any, what: str, least: int) -> int:
-    count = whole_number(value, what)
-    if count < least:
-        raise SchemaError(f"{what} must be >= {least}, got {value!r}")
-    return count
-
-
 def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
                  plan: CooperationPlan | None = None, seed: int = 0,
                  m: int = 1, n: int = 1, trials: int = 0,
@@ -537,22 +531,19 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
                  epsilon: float = 0.0, workers: int = 1
                  ) -> tuple[int, int, int, int, int, Schedule]:
     """Raise the input error the ``scheme`` simulator raises before it
-    builds anything: the scheme name; root ``seed``; m, n, ``B`` and
-    ``workers`` whole numbers >= 1 and ``trials`` >= 0; ``epsilon`` a
+    builds anything: the scheme name; root ``seed`` >= 0 and m, n, ``B``
+    and ``workers`` >= 1 whole numbers, ``trials`` >= 0; ``epsilon`` a
     finite number >= 0; alphabets the int8 symbol storage holds; network
-    shape, sliding ``plan`` and block count; backward ``bin_rates`` keys
-    that name no decoder.  Returns (m, n, B, trials, workers) as ints and
-    the run's schedule (ptp: backward, K=0, B=1)."""
+    shape, sliding ``plan`` and block count; backward ``bin_rates`` that
+    are no finite number or name no decoder.  Returns (m, n, B, trials,
+    workers) as ints and the run's schedule (ptp: backward, K=0, B=1)."""
     if scheme not in ("ptp", "sliding", "backward"):
         raise SchemaError(f"unknown scheme {scheme!r}")
-    check_seed(seed)
-    m, n, B, workers = (_count(v, what, 1) for v, what in (
+    whole_number(seed, "seed", 0)
+    m, n, B, workers = (whole_number(v, what, 1) for v, what in (
         (m, "m"), (n, "n"), (B, "B"), (workers, "workers")))
-    trials = _count(trials, "trials", 0)
-    if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
-            or not (math.isfinite(epsilon) and epsilon >= 0)):
-        raise SchemaError(f"epsilon must be a finite number >= 0, "
-                          f"got {epsilon!r}")
+    trials = whole_number(trials, "trials", 0)
+    finite_number(epsilon, "epsilon", least=0.0)
     alphabet = max(spec.sources.sizes + spec.input_sizes + spec.output_sizes)
     if alphabet > MAX_ALPHABET:
         raise TooLarge(f"an alphabet of {alphabet} symbols exceeds the int8 "
@@ -570,10 +561,15 @@ def check_scheme(spec: NetworkSpec, scheme: str, B: int = 1,
     if scheme == "backward" and spec.L != 1:
         raise PlanMismatch("backward simulation requires L=1")
     schedule = backward_schedule(spec.K, B if scheme == "backward" else 1)
-    unknown = [k for k in bin_rates or {} if k not in range(1, spec.K + 2)]
+    rates = bin_rates or {}
+    if not isinstance(rates, dict):
+        raise SchemaError(f"bin_rates must be a dict, got {bin_rates!r}")
+    unknown = [k for k in rates if k not in range(1, spec.K + 2)]
     if unknown:
         raise SchemaError(f"bin_rates keys {unknown!r} name no decoder "
                           f"(1..{spec.K + 1})")
+    for k, rate in rates.items():
+        finite_number(rate, f"bin_rates[{k!r}]")
     return m, n, B, trials, workers, schedule
 
 
@@ -604,7 +600,8 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
     if decoder not in ("joint", "separate"):
         raise PlanMismatch(f"unknown decoder {decoder!r}")
     src_size = spec.sources.sizes[0]
-    if R is not None and not 0.0 <= R <= math.log2(src_size) + 1e-9:
+    if R is not None and not (0.0 <= finite_number(R, "bin rate R")
+                              <= math.log2(src_size) + 1e-9):
         raise TooLarge(f"bin rate {R} outside [0, log2 {src_size}]")
     if R is not None and R >= spec.sources.marginalize(
             [source_label(0)]).entropy() - 1e-9:
@@ -616,19 +613,19 @@ def simulate_ptp(spec: NetworkSpec, m: int, n: int, R: float | None,
 
 
 def simulate_sliding_window(spec: NetworkSpec,
-                            plan: CooperationPlan | Sequence[int],
+                            plan: CooperationPlan | Sequence[int] | str,
                             m: int, n: int, B: int, epsilon: float,
                             trials: int, seed: int,
                             input_pmf: JointPmf | None = None,
                             workers: int = 1) -> SimResult:
-    """Block-Markov scheme without binning over B channel blocks.
+    """Block-Markov scheme without binning over B channel blocks, under
+    ``plan`` in any form :func:`~relaycast.rates.as_plan` reads.
 
     A trial errs iff any cooperating terminal mis-estimates any source
     block (union accounting over all decode events, error propagation
     included: relays forward their own estimates).
     """
-    if not isinstance(plan, CooperationPlan):
-        plan = CooperationPlan(tuple(plan))
+    plan = as_plan(plan)
     m, n, B, trials, workers, schedule = check_scheme(
         spec, "sliding", B, plan, seed, m, n, trials, epsilon=epsilon,
         workers=workers)
@@ -657,7 +654,8 @@ def simulate_backward(spec: NetworkSpec, m: int, n: int, B: int,
         spec, "backward", B, seed=seed, m=m, n=n, trials=trials,
         bin_rates=bin_rates, epsilon=epsilon, workers=workers)
     K = spec.K
-    delta = 2.0 / m if bin_rate_delta is None else bin_rate_delta
+    delta = 2.0 / m if bin_rate_delta is None else finite_number(
+        bin_rate_delta, "bin_rate_delta")
     rates = {k: (bin_rates or {}).get(k, spec.source_entropy_given(k) + delta)
              for k in range(1, K + 2)}
     engine = _Engine(spec, range(K + 2), schedule, rates, False, m, n,

@@ -234,9 +234,7 @@ class TypicalityTest:
 
     def __init__(self, reference: JointPmf, labels: Sequence[str], n: int,
                  epsilon: float, lead: int = 1):
-        marg = reference.marginalize(labels)
-        probs = np.transpose(marg.probs,
-                             [marg.variables.index(v) for v in labels])
+        probs = reference.marginal_array(labels)
         self.labels = tuple(labels)
         self.sizes = probs.shape
         self.ncells = int(np.prod(self.sizes))

@@ -1,12 +1,14 @@
 """Command-line harness: reports, round-trips, determinism, error codes."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import relaycast as rc
-from relaycast.cli import main, parse_report
+from relaycast.cli import build_parser, main, parse_report
 from relaycast.nets import dsbs_chain
 
 from conftest import conv, h2, k3_parallel_document, ternary_relay_net
@@ -422,6 +424,8 @@ class TestFlagValues:
     @pytest.mark.parametrize("values", [
         {"restarts": 2.5}, {"seed": [1]}, {"seed": True}, {"seed": -3},
         {"epsilon": [3.0]}, {"certify_tol": False},
+        # keys that name no flag of simulate, and a factor that is a bool
+        {"certify_tol": 0.1}, {"list_plans": True}, {"rate_scale": [True]},
     ])
     def test_bad_config_values(self, values, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -459,6 +463,14 @@ class TestFlagValues:
         assert out == ""
         assert json.loads(err)["error_code"] == error
 
+    def test_config_plan_list_is_the_plan_flag(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plan": [0, 1, 2]}))
+        command = ["simulate", "--net", "net-c", "--B", "3", "--dry-run"]
+        code, out, _ = run_cli(command + ["--config", str(path)], capsys)
+        assert code == 0
+        assert out == run_cli(command + ["--plan", "0,1,2"], capsys)[1]
+
     def test_config_values_take_the_flag_type(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"net": "net-a", "restarts": 2.0,
@@ -489,10 +501,18 @@ class TestErrorLine:
         (["rate", "--config", "{binary}"], "ParseError"),
         (["gen-net", "net-a", "--out", "{missing}"], "SchemaError"),
         (["gen-net", "net-a", "--out", "{dir}"], "SchemaError"),
+        # flags a command would ignore are not its flags
+        (["bound", "--net", "net-b", "--plan", "9,9"], "SchemaError"),
+        (["rate", "--net", "net-a", "--workers", "2"], "SchemaError"),
+        (["rate", "--net", "net-a", "--certify-tol", "0.1"], "SchemaError"),
+        (["simulate", "--net", "net-c", "--certify-tol", "0.1"],
+         "SchemaError"),
+        (["simulate", "--net", "net-c", "--plan", "0,1.7,2"], "InvalidPlan"),
     ], ids=["m-abc", "m-2.5", "scheme-nope", "delta-minus-inf",
             "unknown-flag", "no-net", "no-command", "config-no-value",
             "net-dir", "config-dir", "net-binary", "config-binary",
-            "out-missing-dir", "out-dir"])
+            "out-missing-dir", "out-dir", "bound-plan", "rate-workers",
+            "rate-certify-tol", "simulate-certify-tol", "plan-1.7"])
     def test_rejections_are_json(self, args, error, tmp_path, capsys,
                                  monkeypatch):
         def no_work(*args, **kwargs):
@@ -603,3 +623,22 @@ class TestDeterminism:
         # emitted JSON is stable under a parse/dump cycle
         again = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert again == out
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """The flags README's "Flags by command" list names, per command."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Flags by command")[1].split("\n\n")[1]
+    return {item.split("`")[1].split()[0]:
+            set(re.findall(r"`(--[A-Za-z][\w-]*)", item))
+            for item in block.split("\n- ")}
+
+
+def test_readme_lists_every_flag_of_every_command():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {s for a in p._actions
+                     if not isinstance(a, argparse._HelpAction)
+                     for s in a.option_strings}
+              for name, p in commands.choices.items()}
+    assert _readme_flags() == parsed

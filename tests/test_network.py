@@ -201,6 +201,11 @@ class TestLoadNetwork:
         doc = net_a.to_document()
         doc["K"], doc["source_alphabets"] = 0.0, [2.0, 2]
         assert rc.load_network(doc).K == 0
+        # the constructor reads K and L by the same rule
+        for K, L in [(0.5, 1), (0, 1.5), (0, True)]:
+            with pytest.raises(SchemaError):
+                NetworkSpec(K=K, L=L, channel=net_a.channel,
+                            sources=net_a.sources)
 
     @pytest.mark.parametrize("field", ["channel", "sources"])
     @pytest.mark.parametrize("value", [

@@ -147,6 +147,9 @@ def test_grid_equals_per_point_scan(net_b, monkeypatch):
 @pytest.mark.parametrize("field,value", [
     ("certify_tol", float("nan")), ("certify_tol", -1.0),
     ("certify_tol", float("inf")), ("certify_tol", "0.1"),
+    ("grid_step", "0.1"), ("grid_step", -1.0),
+    ("grid_step", 0.0), ("grid_step", 1.5), ("grid_step", float("nan")),
+    ("grid_step", 1e-320), ("grid_step", True),
 ])
 def test_options_reject_values_that_make_no_sense(field, value):
     with pytest.raises(rc.SchemaError):

@@ -84,6 +84,20 @@ class TestMarginalize:
             marg = rc.marginalize(pmf, {"A", "C"})
             assert abs(marg.probs.sum() - 1.0) <= 1e-9
 
+    def test_marginal_array_is_the_marginal_in_label_order(self):
+        pmf = rc.random_pmf(("A", "B", "C"), (2, 3, 4),
+                            np.random.default_rng(2))
+        for r in (1, 2, 3):
+            for labels in itertools.permutations(("A", "B", "C"), r):
+                marg = pmf.marginalize(labels)
+                want = np.transpose(marg.probs,
+                                    [marg.variables.index(v) for v in labels])
+                got = pmf.marginal_array(labels)
+                assert got.shape == tuple(pmf.size_of(v) for v in labels)
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(UnknownVariable):
+            pmf.marginal_array(("A", "Z"))
+
 
 def dsbs(flip):
     """Joint of (S0, S1) with S0 uniform binary, S1 = S0 xor Bern(flip)."""

@@ -17,6 +17,7 @@ from relaycast.errors import (
     NotDegraded,
     NotLemmaShape,
     NotNormalized,
+    SchemaError,
     TooManyPlans,
 )
 from relaycast.network import ChannelModel, NetworkSpec
@@ -29,7 +30,6 @@ from relaycast.rates import (
     _hop_sets,
     _senders,
     default_mode,
-    participating_inputs,
     validate_plan,
 )
 
@@ -98,6 +98,26 @@ class TestAchievableRate:
             rc.achievable_rate(net_c, None, [1, 0, 2])    # must start at 0
         with pytest.raises(InvalidPlan):
             rc.achievable_rate(net_c, None, [0, 1, 1, 2])
+        # int() would read each of these as another plan, or crash
+        for order in [("x",), (0, 1.7, 2), (0, True, 2), "0,1.5,2", 5]:
+            with pytest.raises(InvalidPlan):
+                rc.achievable_rate(net_c, None, order)
+            with pytest.raises(InvalidPlan):
+                rc.CooperationPlan(order)
+
+    def test_every_plan_form_names_the_same_plan(self, net_c):
+        want = rc.achievable_rate(net_c, None, [0, 1, 2]).to_dict()
+        for plan in ["0,1,2", (0, 1, 2), np.arange(3), [0, 1.0, 2],
+                     rc.CooperationPlan((0, 1, 2))]:
+            assert rc.achievable_rate(net_c, None, plan).to_dict() == want
+            assert rc.optimize_rate(net_c, plan).to_dict() == \
+                rc.optimize_rate(net_c, [0, 1, 2]).to_dict()
+
+    def test_rejects_an_input_pmf_that_is_no_joint_pmf(self, net_a):
+        with pytest.raises(SchemaError, match="JointPmf"):
+            rc.achievable_rate(net_a, [0.5, 0.5], [0, 1])
+        with pytest.raises(SchemaError, match="JointPmf"):
+            rc.broadcast_rate(net_a, [0.5, 0.5])
 
 
 class TestEnumeratePlans:
@@ -414,7 +434,7 @@ def _kernel_cases(spec):
     of every cut of the ordered cut-set bound."""
     mode = default_mode(spec)
     cases = [(_hop_sets(plan, _senders(plan, mode)),
-              participating_inputs(spec, plan, mode))
+              tuple(f"X{t}" for t in _senders(plan, mode)))
              for plan in rc.enumerate_plans(spec)]
     if spec.L == 1:
         everyone = spec.input_labels()

@@ -13,6 +13,7 @@ from relaycast import codebooks, network, simulate
 from relaycast.errors import (
     BTooSmall,
     DegenerateTypicalSet,
+    InvalidPlan,
     PlanMismatch,
     SchemaError,
     TooLarge,
@@ -330,9 +331,12 @@ class TestBlocklengthForScale:
     def test_no_finite_length_is_an_error(self):
         for r_star, scale in [(1.0, float("nan")), (1.0, float("inf")),
                               (1.0, 1e-320), (0.5, 1e-308), (0.0, 0.8),
-                              (1.0, 0.0), (1.0, -2.0)]:
+                              (1.0, 0.0), (1.0, -2.0), (1.0, "x")]:
             with pytest.raises(SchemaError):
                 rc.blocklength_for_scale(6, r_star, scale)
+        for m in (4.5, "x", 0):
+            with pytest.raises(SchemaError):
+                rc.blocklength_for_scale(m, 1.0, 0.8)
 
 
 def test_simulators_reject_alphabets_beyond_int8(net_a):
@@ -1032,10 +1036,24 @@ NET_C = rc.bundled_network("net-c")
     (rc.simulate_sliding_window, NET_C, dict(plan=[0, 1, 2], B=2,
                                              workers=1.5), SchemaError),
     (rc.simulate_backward, NET_C, dict(B=2, workers=0), SchemaError),
+    # bin rates are finite numbers, an input pmf a JointPmf and a plan
+    # whole numbers: none is truncated or left to crash later
+    (rc.simulate_ptp, NET_A, dict(R="0.5"), SchemaError),
+    (rc.simulate_backward, NET_C, dict(B=2, bin_rate_delta="x"),
+     SchemaError),
+    (rc.simulate_backward, NET_C, dict(B=2, bin_rates={1: "x"}),
+     SchemaError),
+    (rc.simulate_backward, NET_C, dict(B=2, bin_rates=[1.0]), SchemaError),
+    (rc.simulate_ptp, NET_A, dict(input_pmf=[0.5, 0.5]), SchemaError),
+    (rc.simulate_sliding_window, NET_C, dict(plan=[0, 1.7, 2], B=2),
+     InvalidPlan),
+    (rc.simulate_sliding_window, NET_C, dict(plan="0,x,2", B=2),
+     InvalidPlan),
 ], ids=["m=0", "trials=-1", "n=0", "m=4.5", "n=7.5", "B=2.5", "trials=2.5",
         "bin_rates-key", "channel-block-cap", "table-cap", "epsilon=nan",
         "epsilon=inf", "epsilon=-1", "workers=-5", "workers=1.5",
-        "workers=0"])
+        "workers=0", "R=str", "bin_rate_delta=str", "bin_rates-value",
+        "bin_rates-list", "input_pmf-list", "plan-1.7", "plan-x"])
 def test_simulators_reject_bad_inputs(simulate, spec, kwargs, error):
     args = dict(m=4, n=8, epsilon=3.0, trials=2, seed=0)
     if simulate is rc.simulate_ptp:
