@@ -26,9 +26,15 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError, RelaycastError, SchemaError
+from .errors import (
+    ParseError,
+    RelaycastError,
+    SchemaError,
+    finite_number,
+    whole_number,
+)
 from .nets import BUNDLED, bundled_network
-from .network import NetworkSpec, finite_number, load_network, whole_number
+from .network import NetworkSpec, load_network
 from .optimize import OptimizerOptions
 from .rates import (
     CooperationPlan,
@@ -61,6 +67,15 @@ def _read_text(path: str, what: str) -> str:
         raise ParseError(f"{what} {path!r} is not text: {exc}") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _json(text: str, what: str) -> Any:
+    """``text`` parsed as JSON: a ``ParseError`` naming ``what`` when it is
+    not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _resolve_network(ref: str) -> NetworkSpec:
@@ -206,10 +221,7 @@ def cmd_simulate(args) -> str:
     if args.ladder:
         ladder = args.ladder
         if isinstance(ladder, str):
-            try:
-                ladder = json.loads(ladder)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"--ladder is not valid JSON: {exc}") from exc
+            ladder = _json(ladder, "--ladder")
     ladder = _validated_ladder(ladder)
     scales = _rate_scales(args.rate_scale, ladder)
     config = {
@@ -252,17 +264,18 @@ def cmd_gen_net(args) -> str:
 
 
 def parse_report(text: str) -> dict[str, Any]:
-    """Parse an emitted report (JSON or CSV) back into config + results."""
+    """Parse an emitted report (JSON or CSV) back into config + results;
+    malformed JSON or no CSV header raises :class:`ParseError`."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return json.loads(text)
+        return _json(text, "report")
     config: dict[str, Any] = {}
     rows = []
     r_star = None
     header: list[str] | None = None
     for line in text.splitlines():
         if line.startswith("# config:"):
-            config = json.loads(line[len("# config:"):])
+            config = _json(line[len("# config:"):], "config line")
         elif line.startswith("#") or not line.strip():
             continue
         elif header is None:
@@ -379,10 +392,7 @@ def _load_config_file(argv: list[str] | None) -> dict[str, Any]:
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return {}
-    try:
-        loaded = json.loads(_read_text(path, "config file"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config file is not valid JSON: {exc}") from exc
+    loaded = _json(_read_text(path, "config file"), "config file")
     if not isinstance(loaded, dict):
         raise SchemaError("config file must hold a JSON object")
     return loaded

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import whole_number
 from .pmf import JointPmf
 # child_rng is unused here but stays bound: perfbench's tracer patches it
 from .seeds import STREAM_CODEBOOK, child_rng, pcg_states, uniforms  # noqa
@@ -139,13 +140,16 @@ class ChannelCodebookStack:
     def __init__(self, n: int, level_sizes: list[int],
                  laws: list[np.ndarray], copies: int, root_seed: int,
                  trials: int | np.ndarray):
-        self.n = int(n)
-        self.level_sizes = [int(s) for s in level_sizes]
+        self.n = whole_number(n, "n", 1)
+        self.level_sizes = [whole_number(s, "a level size", 1)
+                            for s in level_sizes]
         # per level, the cumulative symbol law under each upper tuple
         self.cum = [np.cumsum(law, axis=-1) for law in laws]
-        self.copies = max(1, int(copies))
-        self.root_seed = int(root_seed)
-        self.trials = np.atleast_1d(np.asarray(trials, dtype=np.int64))
+        self.copies = whole_number(copies, "copies", 1)
+        self.root_seed = whole_number(root_seed, "root_seed", 0)
+        self.trials = np.array([whole_number(t, "a trial", 0)
+                                for t in np.atleast_1d(trials).tolist()],
+                               dtype=np.int64)
         # per (level, copy), the small tables drawn, by (trial, *upper)
         self._cache: dict[tuple, dict[tuple, np.ndarray]] = {}
         # the one generator of the stack's seeded draws: each draw assigns

@@ -5,16 +5,11 @@ terminals 1..K are relays; terminals K+1..K+L are destinations.  Channel
 inputs are labelled ``X0..X{K+L}`` (size-1 alphabets encode terminals that
 never transmit), channel outputs ``Y1..Y{K+L}``, and the source/side
 information joint is over ``S0..S{K+L}``.
-
-The module also holds the two rules every entry point checks the numbers it
-is given by: :func:`whole_number` and :func:`finite_number`.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -29,6 +24,8 @@ from .errors import (
     ParseError,
     SchemaError,
     ShapeMismatch,
+    finite_number,
+    whole_number,
 )
 from .pmf import DEFAULT_TOL, JointPmf, point_mass, product_pmf, uniform_pmf
 
@@ -58,8 +55,9 @@ class ChannelModel:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        input_sizes = tuple(int(s) for s in self.input_sizes)
-        output_sizes = tuple(int(s) for s in self.output_sizes)
+        input_sizes, output_sizes = (
+            tuple(whole_number(s, "a channel alphabet size", 1) for s in sizes)
+            for sizes in (self.input_sizes, self.output_sizes))
         probs = np.asarray(self.probs, dtype=np.float64)
         shape = input_sizes + output_sizes
         ncells = int(np.prod(shape))
@@ -75,6 +73,7 @@ class ChannelModel:
 
     def validated(self, tol: float = DEFAULT_TOL) -> "ChannelModel":
         """Every input tuple must index a valid output pmf."""
+        tol = finite_number(tol, "tol", 0.0)
         if not np.isfinite(self.probs).all():
             raise NotNormalized("channel conditional has a NaN or infinite "
                                 "entry")
@@ -138,6 +137,8 @@ class NetworkSpec:
         K, L = whole_number(self.K, "K", 0), whole_number(self.L, "L", 1)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "L", L)
+        if self.name is not None and not isinstance(self.name, str):
+            raise SchemaError(f"name must be a string, got {self.name!r}")
         n = K + L
         if self.channel.num_inputs != n + 1:
             raise SchemaError(
@@ -252,6 +253,7 @@ def is_physically_degraded(spec: NetworkSpec, tol: float = 1e-6) -> bool:
     tested under two witness input distributions: the uniform joint and one
     seeded strictly positive random joint.  Both must pass.
     """
+    tol = finite_number(tol, "tol", 0.0)
     if spec.L != 1:
         raise MultipleDestinations(
             f"physical degradedness is defined for L=1, network has L={spec.L}")
@@ -275,6 +277,7 @@ def is_physically_degraded(spec: NetworkSpec, tol: float = 1e-6) -> bool:
 
 def is_side_info_degraded(spec: NetworkSpec, tol: float = 1e-9) -> bool:
     """True iff S_0 -> S_1 -> ... -> S_{K+L} forms a Markov chain."""
+    tol = finite_number(tol, "tol", 0.0)
     chain = [source_label(i) for i in range(spec.num_terminals)]
     if len(chain) < 3:
         return True
@@ -287,40 +290,6 @@ def is_side_info_degraded(spec: NetworkSpec, tol: float = 1e-9) -> bool:
 
 _REQUIRED_FIELDS = ("K", "L", "input_alphabets", "output_alphabets",
                     "source_alphabets", "channel", "sources")
-
-
-def whole_number(value: Any, what: str, least: int | None = None) -> int:
-    """``value`` as an int of at least ``least``.  Booleans, numbers with a
-    fractional part, which ``int()`` would silently truncate, and anything
-    ``int()`` cannot read raise :class:`SchemaError`."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be a whole number, got {value!r}"
-                          ) from exc
-    if isinstance(value, bool) or (isinstance(value, numbers.Real)
-                                   and number != value):
-        raise SchemaError(f"{what} must be a whole number, got {value!r}")
-    return _at_least(number, least, what, value)
-
-
-def finite_number(value: Any, what: str, least: float | None = None
-                  ) -> float:
-    """``value`` as a float of at least ``least``.  Booleans, strings and
-    other non-numbers, NaN and the infinities raise :class:`SchemaError`."""
-    try:
-        number = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:
-        number = math.inf
-    if isinstance(value, bool) or not math.isfinite(number):
-        raise SchemaError(f"{what} must be a finite number, got {value!r}")
-    return _at_least(number, least, what, value)
-
-
-def _at_least(number, least, what: str, value: Any):
-    if least is not None and number < least:
-        raise SchemaError(f"{what} must be >= {least}, got {value!r}")
-    return number
 
 
 def _tensor(document: dict[str, Any], field: str) -> np.ndarray:
@@ -351,10 +320,8 @@ def load_network(document: str | dict[str, Any]) -> NetworkSpec:
     K = whole_number(document["K"], "K")
     L = whole_number(document["L"], "L")
     try:
-        in_sizes, out_sizes, src_sizes = (
-            tuple(whole_number(s, f"an entry of {key}") for s in document[key])
-            for key in ("input_alphabets", "output_alphabets",
-                        "source_alphabets"))
+        in_sizes, out_sizes, src_sizes = (tuple(document[key]) for key in (
+            "input_alphabets", "output_alphabets", "source_alphabets"))
     except TypeError as exc:
         raise SchemaError(f"malformed size field: {exc}") from exc
     n = K + L

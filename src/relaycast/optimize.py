@@ -48,8 +48,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import SchemaError, TooLarge
-from .network import finite_number
+from .errors import SchemaError, TooLarge, finite_number
 from .seeds import child_rng  # noqa: F401  (a tracer patches it)
 
 #: The solver stops once its upper value is within this of its best value.

@@ -30,6 +30,8 @@ from .errors import (
     OverlappingSets,
     ShapeMismatch,
     UnknownVariable,
+    finite_number,
+    whole_number,
 )
 
 #: Default absolute tolerance for normalization and comparison checks.
@@ -53,14 +55,13 @@ class JointPmf:
 
     def __post_init__(self):
         variables = tuple(str(v) for v in self.variables)
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(whole_number(s, "an alphabet size", 1)
+                      for s in self.sizes)
         if len(variables) != len(sizes):
             raise ShapeMismatch(
                 f"{len(variables)} variables but {len(sizes)} sizes")
         if len(set(variables)) != len(variables):
             raise ShapeMismatch(f"duplicate variable labels in {variables}")
-        if any(s < 1 for s in sizes):
-            raise ShapeMismatch(f"alphabet sizes must be >= 1, got {sizes}")
         probs = np.asarray(self.probs, dtype=np.float64)
         ncells = int(np.prod(sizes)) if sizes else 1
         if probs.size != ncells:
@@ -91,8 +92,9 @@ class JointPmf:
 
         Raises NotNormalized for any NaN or infinite entry, NegativeMass for
         entries < -1e-12 and NotNormalized when the total mass deviates from
-        1 by more than ``tol``.
+        1 by more than ``tol``, a finite number >= 0.
         """
+        tol = finite_number(tol, "tol", 0.0)
         if not np.isfinite(self.probs).all():
             raise NotNormalized("pmf has a NaN or infinite entry")
         if np.any(self.probs < NEG_MASS_TOL):
@@ -178,6 +180,7 @@ class JointPmf:
         p(suffix | prefix, chain[j]) from p(suffix | chain[j]) must be at most
         ``tol`` over all cells with positive conditioning mass.
         """
+        tol = finite_number(tol, "tol", 0.0)
         chain = list(chain)
         if len(chain) < 3:
             raise ChainTooShort(f"chain {chain} has fewer than 3 variables")
@@ -327,16 +330,19 @@ def _clamp_nonneg(values: np.ndarray, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def uniform_pmf(variables: Sequence[str], sizes: Sequence[int]) -> JointPmf:
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(whole_number(s, "an alphabet size", 1) for s in sizes)
     n = int(np.prod(sizes))
     return JointPmf(tuple(variables), sizes, np.full(n, 1.0 / n))
 
 
 def point_mass(variables: Sequence[str], sizes: Sequence[int],
                symbols: Sequence[int]) -> JointPmf:
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(whole_number(s, "an alphabet size", 1) for s in sizes)
+    cell = tuple(whole_number(s, "a symbol", 0) for s in symbols)
+    if len(cell) != len(sizes) or any(s >= n for s, n in zip(cell, sizes)):
+        raise ShapeMismatch(f"symbols {cell} name no cell of sizes {sizes}")
     probs = np.zeros(sizes)
-    probs[tuple(int(s) for s in symbols)] = 1.0
+    probs[cell] = 1.0
     return JointPmf(tuple(variables), sizes, probs)
 
 
@@ -357,7 +363,7 @@ def product_pmf(*parts: JointPmf) -> JointPmf:
 def random_pmf(variables: Sequence[str], sizes: Sequence[int],
                rng: np.random.Generator, *, positive: bool = False) -> JointPmf:
     """Random joint pmf; strictly positive cells when ``positive``."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(whole_number(s, "an alphabet size", 1) for s in sizes)
     n = int(np.prod(sizes))
     w = rng.random(n)
     if positive:

@@ -53,6 +53,7 @@ from .errors import (
     SchemaError,
     TooLarge,
     TooManyPlans,
+    whole_number,
 )
 from .network import (
     NetworkSpec,
@@ -62,7 +63,6 @@ from .network import (
     is_side_info_degraded,
     output_label,
     source_label,
-    whole_number,
 )
 from .optimize import (
     OptimizerOptions,
@@ -174,6 +174,7 @@ def enumerate_plans(spec: NetworkSpec, mode: str | None = None,
     order, before a single destination or mixed with every destination.
     An unknown ``mode`` raises :class:`InvalidPlan` before any plan is
     built."""
+    cap = whole_number(cap, "cap")
     mode = mode or default_mode(spec)
     if mode not in (MODE_SINGLE, MODE_BROADCAST):
         raise InvalidPlan(f"unknown mode {mode!r}")
@@ -484,7 +485,7 @@ def optimize_plans(spec: NetworkSpec,
     ``plan="auto"`` means every enumerated plan; otherwise the one plan
     given, in any form :func:`as_plan` reads.
     """
-    opts = opts or OptimizerOptions()
+    opts = _options(opts)
     mode = mode or default_mode(spec)
     if isinstance(plan, str) and plan == "auto":
         plans = enumerate_plans(spec, mode)
@@ -494,6 +495,16 @@ def optimize_plans(spec: NetworkSpec,
         validate_plan(spec, p, mode)
     return [_optimize_plan(spec, p, mode, opts, _senders(p, mode))
             for p in plans]
+
+
+def _options(opts: OptimizerOptions | None) -> OptimizerOptions:
+    """``opts``, or the defaults for None; anything else raises
+    :class:`SchemaError`."""
+    if opts is None:
+        return OptimizerOptions()
+    if not isinstance(opts, OptimizerOptions):
+        raise SchemaError(f"opts must be OptimizerOptions, got {opts!r}")
+    return opts
 
 
 def best_report(reports: Sequence[RateReport]) -> RateReport:
@@ -574,7 +585,7 @@ def ordered_cutset_bound(spec: NetworkSpec,
     Each cut's ``numerator_sup`` is the solver's proven upper value of that
     supremum, so ``bound`` is an upper bound, not a searched value.
     """
-    opts = opts or OptimizerOptions()
+    opts = _options(opts)
     if spec.L != 1:
         raise MultipleDestinations("ordered cut-set bound requires L=1")
     K = spec.K
@@ -614,7 +625,7 @@ def degraded_capacity(spec: NetworkSpec,
     under the same ``opts``, passes it as ``bound`` instead of paying for
     the search again.
     """
-    opts = opts or OptimizerOptions()
+    opts = _options(opts)
     if spec.L != 1:
         raise MultipleDestinations("degraded capacity requires L=1")
     degraded_channel = is_physically_degraded(spec)
@@ -669,7 +680,7 @@ def single_relay_broadcast_capacity(spec: NetworkSpec,
     I(X_0, X_1; Y_j) / H(S_0|S_j) for j = 2..L.  Achievability and the
     cut-set converse coincide for this shape.
     """
-    opts = opts or OptimizerOptions()
+    opts = _options(opts)
     if spec.K != 0 or spec.L < 2:
         raise NotLemmaShape("requires K=0 and L >= 2")
     if any(spec.input_sizes[d] != 1 for d in spec.destinations()[1:]):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BTooSmall, UnsupportedK
+from .errors import BTooSmall, UnsupportedK, whole_number
 
 #: An argument slot is (source block q, bin type); q = 0 means padding.
 Arg = tuple[int, int]
@@ -149,9 +149,11 @@ def render_sliding_schedule(terminals: tuple[int, ...], B: int) -> str:
     ``terminals`` are the transmitting terminals in plan-position order
     (position 0 is the source).  One row per terminal per block.
     """
+    terminals = tuple(whole_number(t, "a terminal", 0) for t in terminals)
+    B = whole_number(B, "B")
     depth = len(terminals) - 1
     schedule = sliding_schedule(depth, B)
-    return _render(schedule, tuple(terminals), [
+    return _render(schedule, terminals, [
         "# sliding-window encoding schedule",
         f"# terminals: {','.join(f'T{t}' for t in terminals)}; "
         f"depth D={depth}; source blocks Q={schedule.source_blocks}; "
@@ -165,6 +167,7 @@ def render_sliding_schedule(terminals: tuple[int, ...], B: int) -> str:
 
 def render_backward_schedule(K: int, B: int) -> str:
     """Dry-run encoding table for the backward protocol with K relays."""
+    K, B = whole_number(K, "K"), whole_number(B, "B")
     schedule = backward_schedule(K, B)
     return _render(schedule, tuple(range(K + 1)), [
         "# backward-decoding encoding schedule",

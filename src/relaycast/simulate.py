@@ -59,15 +59,16 @@ from .codebooks import (
     conditional_input_laws,
     inverse_cdf,
 )
-from .errors import BTooSmall, PlanMismatch, SchemaError, TooLarge
-from .network import (
-    NetworkSpec,
+from .errors import (
+    BTooSmall,
+    PlanMismatch,
+    SchemaError,
+    TooLarge,
     finite_number,
-    input_label,
-    output_label,
-    source_label,
+    real_number,
     whole_number,
 )
+from .network import NetworkSpec, input_label, output_label, source_label
 from .pmf import JointPmf
 from .rates import MODE_SINGLE, CooperationPlan, as_plan, validate_plan
 from .schedules import Decode, Schedule, backward_schedule, sliding_schedule
@@ -140,9 +141,11 @@ def blocklength_for_scale(m: int, r_star: float, scale: float) -> int:
     or under the target; above threshold rounds n down, keeping it at or
     over.  Block-edge factors of the schedules are ignored here.  Raises
     :class:`SchemaError` when ``m`` is not a whole number >= 1, ``scale``
-    not a finite number or m/(scale r_star) not a finite positive number.
+    not a finite number, ``r_star`` not a number (+inf, an unbounded rate,
+    is one) or m/(scale r_star) not a finite positive number.
     """
     m, scale = whole_number(m, "m", 1), finite_number(scale, "scale")
+    r_star = real_number(r_star, "r_star")
     raw = m / (scale * r_star) if scale * r_star > 0 else math.inf
     if not math.isfinite(raw):
         raise SchemaError(f"no finite block length for m={m} at "

@@ -28,6 +28,9 @@ from .errors import (
     LengthMismatch,
     TooLarge,
     UnknownVariable,
+    finite_number,
+    real_number,
+    whole_number,
 )
 from .pmf import JointPmf
 # child_rng is unused here but stays bound: perfbench's tracer patches it
@@ -112,6 +115,8 @@ def build_typical_source_codebook(source_marginal: JointPmf | np.ndarray,
                                   m: int, epsilon: float) -> SourceCodebook:
     """Enumerate every length-m sequence that is robustly typical for the
     (single-variable) source marginal, in lexicographic order."""
+    m = whole_number(m, "m", 1)
+    epsilon = finite_number(epsilon, "epsilon", 0.0)
     if isinstance(source_marginal, JointPmf):
         if len(source_marginal.variables) != 1:
             raise UnknownVariable("source marginal must be a single variable")
@@ -191,7 +196,10 @@ def assign_bins(codebook: SourceCodebook, rate: float, seed: int,
     from ``(seed, trial, STREAM_BINS, terminal)`` when a simulator redraws
     it per trial, so distinct terminals get independent assignments.
     """
-    num_bins = num_bins_for_rate(codebook.m, rate)
+    seed = whole_number(seed, "seed", 0)
+    terminal = whole_number(terminal, "terminal", 0)
+    trial = None if trial is None else whole_number(trial, "trial", 0)
+    num_bins = num_bins_for_rate(codebook.m, real_number(rate, "rate"))
     path = (() if trial is None else (trial,)) + (np.array([STREAM_BINS]),
                                                   terminal)
     mapping = draw_bin_maps(np.empty((1, codebook.M), dtype=np.int64),
@@ -209,6 +217,7 @@ def joint_typicality(sequences: Mapping[str, Sequence[int] | np.ndarray],
                      reference: JointPmf, epsilon: float) -> bool:
     """True iff the tuple's empirical joint is robustly typical for the
     reference marginal on the given labels."""
+    epsilon = finite_number(epsilon, "epsilon", 0.0)
     labels = tuple(sequences.keys())
     if not labels:
         raise UnknownVariable("no sequences given")

@@ -624,6 +624,12 @@ class TestDeterminism:
         again = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert again == out
 
+    @pytest.mark.parametrize("text", ["", "{", "# config: {bad\nm,n\n"],
+                             ids=["empty", "bad-json", "bad-config-line"])
+    def test_malformed_report_is_a_parse_error(self, text):
+        with pytest.raises(rc.ParseError):
+            parse_report(text)
+
 
 def _readme_flags() -> dict[str, set[str]]:
     """The flags README's "Flags by command" list names, per command."""

@@ -206,6 +206,11 @@ class TestLoadNetwork:
             with pytest.raises(SchemaError):
                 NetworkSpec(K=K, L=L, channel=net_a.channel,
                             sources=net_a.sources)
+        # a name is None or a string, never echoed as another value
+        doc = net_a.to_document()
+        doc["name"] = 5
+        with pytest.raises(SchemaError):
+            rc.load_network(doc)
 
     @pytest.mark.parametrize("field", ["channel", "sources"])
     @pytest.mark.parametrize("value", [

@@ -9,6 +9,7 @@ import relaycast as rc
 from relaycast.errors import (
     DegenerateTypicalSet,
     LengthMismatch,
+    SchemaError,
     TooLarge,
     UnknownVariable,
 )
@@ -91,9 +92,10 @@ class TestAssignBins:
     @pytest.mark.parametrize("rate", [3.5, 1e6, float("inf"),
                                       float("nan"), -0.1])
     def test_rate_beyond_cap_or_invalid(self, rate):
-        # m=6: rate 3.5 asks for 2^21 bins, one power past ENUMERATION_CAP
+        # m=6: rate 3.5 asks for 2^21 bins, one power past ENUMERATION_CAP;
+        # NaN is no number at all
         cb = rc.build_typical_source_codebook(np.array([0.5, 0.5]), 6, 1.0)
-        with pytest.raises(TooLarge):
+        with pytest.raises(SchemaError if math.isnan(rate) else TooLarge):
             rc.assign_bins(cb, rate, seed=0)
 
     def test_distinct_terminals_independent(self):
